@@ -94,8 +94,7 @@ _CURVE_METHODS = ("ghq", "picard", "affine", "wit")
 class RunConfig:
     """Validated bundle of everything a subcommand needs.
 
-    out_format is implied by the subcommand (csv for curves, json
-    otherwise); out_path of None writes to stdout.
+    out_path of None writes to stdout.
     """
 
     subcommand: str
@@ -121,7 +120,6 @@ class RunConfig:
     model: str | None = None
     pbp: bool = False
     timing: bool = False
-    out_format: str = "json"
     out_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -600,7 +598,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
     if args.subcommand == "curves":
         return RunConfig(
-            out_format="csv",
             points=args.points,
             x_range=tuple(args.x_range) if args.x_range else None,
             y_range=tuple(args.y_range) if args.y_range else None,

@@ -95,6 +95,13 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if not (self.k > 0.0 and self.sigma > 0.0 and self.sigma_x > 0.0):
             raise ConfigurationError("k, sigma and sigma_x must all be positive")
+        for name in ("k", "sigma", "sigma_x"):
+            # The payoffs and the solver divide by these squares.
+            value = float(getattr(self, name))
+            if not 0.0 < value * value < math.inf:
+                raise ConfigurationError(
+                    f"{name}^2 must be a positive finite float, got {name}={value!r}"
+                )
         if self.prior is None:
             object.__setattr__(self, "prior", GaussianPrior(self.sigma_x**2))
 

@@ -48,6 +48,13 @@ from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
 _TABLE_POINTS = 200_001
 _TABLE_CHUNK = 50_000
+# Newton steps of the batch inverter.  From the interpolated start a step
+# with the exact slope converges quadratically, so once a step is below
+# _NEWTON_SETTLED relative to max(1, |g|) the remaining error is far below
+# rounding.  On a table spread over a wide query window the start is
+# coarser and a query may need another step, up to _NEWTON_STEPS in all.
+_NEWTON_STEPS = 3
+_NEWTON_SETTLED = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +130,28 @@ def _reversal_invariant_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return total
 
 
+def _posterior_weights(
+    y: np.ndarray, levels: np.ndarray, log_masses: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Unnormalized posterior weights of a finite level mixture observed
+    through G(0, sigma^2) noise, log-sum-exp stabilized.  Broadcasts over y;
+    the levels run along the last axis."""
+    y = np.asarray(y, dtype=float)
+    log_a = -((y[..., None] - levels) ** 2) / (2.0 * sigma * sigma) + log_masses
+    log_a -= log_a.max(axis=-1, keepdims=True)
+    return np.exp(log_a)
+
+
 def _posterior_mean_levels(
     y: np.ndarray, levels: np.ndarray, log_masses: np.ndarray, sigma: float
 ) -> np.ndarray:
     """Posterior mean of a finite level mixture observed through G(0, sigma^2) noise.
 
-    Log-sum-exp stabilized, with the weighted sums accumulated by
-    _reversal_invariant_sum so the result is exactly equivariant under
-    negating and reversing a symmetric level vector.  Broadcasts over y.
+    The weighted sums are accumulated by _reversal_invariant_sum so the
+    result is exactly equivariant under negating and reversing a symmetric
+    level vector.  Broadcasts over y.
     """
-    y = np.asarray(y, dtype=float)
-    log_a = -((y[..., None] - levels) ** 2) / (2.0 * sigma * sigma) + log_masses
-    log_a -= log_a.max(axis=-1, keepdims=True)
-    w = np.exp(log_a)
+    w = _posterior_weights(y, levels, log_masses, sigma)
     return _reversal_invariant_sum(w * levels) / _reversal_invariant_sum(w)
 
 
@@ -185,10 +201,18 @@ def _signal_pull(
     t: np.ndarray,
     params: ProblemParams,
     rule: QuadratureRule,
-) -> np.ndarray:
-    """R(g): the quadrature sum of the stationarity equation at first-stage value g.
+) -> tuple[np.ndarray, np.ndarray]:
+    """R(g) and its derivative R'(g), from one pass over the noise nodes.
 
-    The root g of g + R(g) = x0 is the first-stage strategy value at x0.
+    R(g) is the quadrature sum of the stationarity equation at first-stage
+    value g; the root g of g + R(g) = x0 is the first-stage strategy value
+    at x0.  With d_i = g - b_i, where b_i is the posterior mean of the
+    levels at y = g + c z_i, and V_i the posterior variance there (the
+    posterior mean has derivative V / sigma^2 in y),
+
+        R'(g) = (1 / (sqrt(pi) k^2)) sum_i lambda_i (2 z_i d_i / c + 1)
+                (1 - V_i / sigma^2).
+
     Vectorized over g; iterates over the noise nodes so peak memory stays at
     len(g) x order.
     """
@@ -198,12 +222,19 @@ def _signal_pull(
     sv = params.sigma
     c = math.sqrt(2.0) * sv
     log_masses = np.log(lam)
+    t_sq = t * t
     total = np.zeros_like(g)
+    slope = np.zeros_like(g)
     for i in range(rule.order):
-        b = _posterior_mean_levels(g + c * z[i], t, log_masses, sv)
+        w = _posterior_weights(g + c * z[i], t, log_masses, sv)
+        mass = _reversal_invariant_sum(w)
+        b = _reversal_invariant_sum(w * t) / mass
+        var = _reversal_invariant_sum(w * t_sq) / mass - b * b
         d = g - b
         total += lam[i] * ((z[i] / c) * d * d + d)
-    return total / (SQRT_PI * params.k**2)
+        slope += lam[i] * ((2.0 * z[i] / c) * d + 1.0) * (1.0 - var / (sv * sv))
+    scale = SQRT_PI * params.k**2
+    return total / scale, slope / scale
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +269,9 @@ def _quantizer_init(
     x0 = math.sqrt(2.0) * params.sigma_x * rule.nodes
     half_steps = max((rule.order - 1) / 2.0, 1.0)
     delta = scale * math.sqrt(2.0) * params.sigma_x * float(rule.nodes[-1]) / half_steps
+    if delta == 0.0:
+        # A single node at 0 (or scale 0) leaves no lattice to snap to.
+        return x0
     return delta * np.round(x0 / delta)
 
 
@@ -406,10 +440,10 @@ def _invert_h_scalar(
     lo = min(float(t.min()), x0) - pad
     hi = max(float(t.max()), x0) + pad
     grid = np.linspace(lo, hi, 4001)
-    resid = grid + _signal_pull(grid, t, params, rule) - x0
+    resid = grid + _signal_pull(grid, t, params, rule)[0] - x0
 
     def h_defect(g: float) -> float:
-        return float(g + _signal_pull(np.array([g]), t, params, rule)[0] - x0)
+        return float(g + _signal_pull(np.array([g]), t, params, rule)[0][0] - x0)
 
     scale = 1.0 + abs(x0) + float(np.max(np.abs(t)))
     roots: list[float] = []
@@ -450,43 +484,77 @@ def eval_gamma1bar(
     return _invert_h_scalar(levels, rule, float(x0), params)
 
 
+@dataclass(frozen=True)
+class _InverterTable:
+    """H = g + R(g) tabulated on [lo, hi], split into monotone branches.
+
+    Each branch is a pair (h, g) of views into the table with h ascending.
+    h_min and h_max bound the tabulated values of H.
+    """
+
+    lo: float
+    hi: float
+    h_min: float
+    h_max: float
+    branches: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
 class _TableInverter:
     """Batch inversion of H(g) = g + R(g) via one dense table.
 
     Because R does not depend on x0, a single table of H over a window
-    covering all queried x0 serves every evaluation.  The table is split at
-    slope-sign changes into monotone segments; each segment is inverted by
-    linear interpolation, each x0 keeps the candidate preimage nearest to a
-    signaling level, and a few Newton steps restore full accuracy.  The
-    table is cached and rebuilt only when a query falls outside its window.
+    covering all queried x0 serves every evaluation.  When the table is
+    built it is split at slope-sign changes into monotone branches; each
+    branch is inverted by linear interpolation for the queries inside its
+    range of H, each x0 keeps the candidate preimage nearest to a signaling
+    level, and Newton steps with the exact slope 1 + R'(g) restore full
+    accuracy (one step suffices on a fine table).  The table is cached and
+    rebuilt only when a query falls outside its window.
+
+    The table is an immutable record published by a single assignment and
+    each call works on the record it obtained, so concurrent calls never
+    mix two tables; a concurrent rebuild can at worst drop another thread's
+    window from the cache, which costs a later rebuild.
     """
 
     def __init__(self, levels: SignalingLevels, rule: QuadratureRule) -> None:
         self._levels = levels
         self._rule = rule
-        self._lo = math.inf
-        self._hi = -math.inf
-        self._grid: np.ndarray | None = None
-        self._h: np.ndarray | None = None
+        self._table: _InverterTable | None = None
 
-    def _ensure_table(self, x_min: float, x_max: float) -> None:
+    def _ensure_table(self, x_min: float, x_max: float) -> _InverterTable:
+        table = self._table
         t = self._levels.levels
         params = self._levels.params
         pad = 6.0 * params.sigma + 1.0
         lo = min(float(t.min()), x_min) - pad
         hi = max(float(t.max()), x_max) + pad
-        if lo >= self._lo and hi <= self._hi:
-            return
-        lo = min(lo, self._lo)
-        hi = max(hi, self._hi)
+        if table is not None:
+            if lo >= table.lo and hi <= table.hi:
+                return table
+            lo = min(lo, table.lo)
+            hi = max(hi, table.hi)
         grid = np.linspace(lo, hi, _TABLE_POINTS)
         h = np.empty_like(grid)
         for a in range(0, grid.size, _TABLE_CHUNK):
             chunk = grid[a : a + _TABLE_CHUNK]
             h[a : a + _TABLE_CHUNK] = chunk + _signal_pull(
                 chunk, t, params, self._rule
-            )
-        self._lo, self._hi, self._grid, self._h = lo, hi, grid, h
+            )[0]
+
+        # Split the table into maximal runs of constant slope sign.
+        rising = np.diff(h) > 0.0
+        boundaries = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1), h.size - 1]
+        branches = []
+        for a, b in zip(boundaries[:-1], boundaries[1:]):
+            seg_h = h[a : b + 1]
+            seg_g = grid[a : b + 1]
+            if seg_h[0] > seg_h[-1]:
+                seg_h, seg_g = seg_h[::-1], seg_g[::-1]
+            branches.append((seg_h, seg_g))
+        table = _InverterTable(lo, hi, float(h.min()), float(h.max()), tuple(branches))
+        self._table = table
+        return table
 
     def __call__(self, x0: np.ndarray) -> np.ndarray:
         x = np.asarray(x0, dtype=float)
@@ -495,40 +563,46 @@ class _TableInverter:
             return np.reshape(flat, np.shape(x0))
         if not np.all(np.isfinite(flat)):
             raise NumericError("gamma1bar evaluation requires finite x0")
-        self._ensure_table(float(flat.min()), float(flat.max()))
-        grid, h = self._grid, self._h
+        table = self._ensure_table(float(flat.min()), float(flat.max()))
         t = self._levels.levels
         params = self._levels.params
 
-        # Split the table into maximal runs of constant slope sign.
-        rising = np.diff(h) > 0.0
-        boundaries = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1), h.size - 1]
-        best = np.full(flat.shape, np.nan)
-        best_dist = np.full(flat.shape, np.inf)
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            seg_h = h[a : b + 1]
-            seg_g = grid[a : b + 1]
-            if seg_h[0] > seg_h[-1]:
-                seg_h, seg_g = seg_h[::-1], seg_g[::-1]
-            cand = np.interp(flat, seg_h, seg_g, left=np.nan, right=np.nan)
+        # Each branch visits only the sorted queries inside its range of H.
+        order = np.argsort(flat, kind="stable")
+        xs = flat[order]
+        best = np.full(xs.shape, np.nan)
+        best_dist = np.full(xs.shape, np.inf)
+        for seg_h, seg_g in table.branches:
+            a = np.searchsorted(xs, seg_h[0], side="left")
+            b = np.searchsorted(xs, seg_h[-1], side="right")
+            cand = np.interp(xs[a:b], seg_h, seg_g)
             dist = np.min(np.abs(cand[:, None] - t[None, :]), axis=1)
-            dist = np.where(np.isnan(cand), np.inf, dist)
-            take = dist < best_dist
-            best = np.where(take, cand, best)
-            best_dist = np.where(take, dist, best_dist)
+            take = dist < best_dist[a:b]
+            best[a:b][take] = cand[take]
+            best_dist[a:b][take] = dist[take]
 
         # Queries beyond the tabulated range of H clamp to the table ends.
-        best = np.where(np.isnan(best) & (flat <= h.min()), grid[0], best)
-        best = np.where(np.isnan(best), np.where(flat >= h.max(), grid[-1], best), best)
+        best = np.where(np.isnan(best) & (xs <= table.h_min), table.lo, best)
+        best = np.where(np.isnan(best), np.where(xs >= table.h_max, table.hi, best), best)
 
-        for _ in range(3):
-            f0 = best + _signal_pull(best, t, params, self._rule) - flat
-            rp = _signal_pull(best + 1e-6, t, params, self._rule)
-            rm = _signal_pull(best - 1e-6, t, params, self._rule)
-            slope = 1.0 + (rp - rm) / 2e-6
-            step = np.where(np.abs(slope) > 1e-12, f0 / slope, 0.0)
-            best = best - np.clip(step, -1.0, 1.0)
-        return np.reshape(best, np.shape(x))
+        for a in range(0, xs.size, _TABLE_CHUNK):
+            g = best[a : a + _TABLE_CHUNK]
+            x_chunk = xs[a : a + _TABLE_CHUNK]
+            active = np.arange(g.size)
+            for _ in range(_NEWTON_STEPS):
+                g_act = g[active]
+                r, r_slope = _signal_pull(g_act, t, params, self._rule)
+                f0 = g_act + r - x_chunk[active]
+                slope = 1.0 + r_slope
+                step = np.clip(np.where(np.abs(slope) > 1e-12, f0 / slope, 0.0), -1.0, 1.0)
+                g[active] = g_act - step
+                active = active[np.abs(step) > _NEWTON_SETTLED * np.maximum(1.0, np.abs(g_act))]
+                if active.size == 0:
+                    break
+
+        out = np.empty_like(best)
+        out[order] = best
+        return np.reshape(out, np.shape(x))
 
 
 def solved_pair(report: SolveReport) -> StrategyPair:

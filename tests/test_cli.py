@@ -145,6 +145,24 @@ def test_bad_problem_values_exit_two(capsys):
     assert "k must be positive" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--k", "1e-200"), ("--k", "1e200"), ("--sigma", "1e-170")])
+def test_problem_values_whose_square_is_not_a_positive_float_exit_two(capsys, flag, value):
+    code, _, err = run_cli(capsys, "solve", "--k", "0.2", "--sigma-x", "5", flag, value)
+    assert code == 2
+    assert f"{flag[2:]}^2 must be a positive finite float" in err
+    assert "Traceback" not in err
+
+
+def test_single_collocation_point_solve_has_no_traceback(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--k", "0.2", "--sigma-x", "5", "--n", "1", "--samples", "2000"
+    )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["levels"] == [0.0]
+
+
 # ---------------------------------------------------------------------------
 # baseline
 # ---------------------------------------------------------------------------

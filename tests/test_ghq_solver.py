@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from pbpsolve import (
     solved_pair,
     summarize_staircase,
 )
-from pbpsolve.errors import ConfigurationError
+from pbpsolve.errors import ConfigurationError, NumericError
+from pbpsolve.ghq_solver import _TABLE_CHUNK, _TABLE_POINTS, _signal_pull
 from pbpsolve.quadrature import build_hermite_rule
 
 
@@ -251,6 +254,136 @@ def test_first_stage_is_odd(bench_pair):
 def test_collocation_pair_exposes_levels(bench_pair, bench_report):
     assert bench_pair.kind == "collocation"
     assert np.array_equal(bench_pair.levels, bench_report.levels.levels)
+
+
+# ---------------------------------------------------------------------------
+# batch first-stage inverter
+# ---------------------------------------------------------------------------
+
+def _three_step_reference(levels, rule, x0):
+    """The batch inverter as it was before the branch split moved into the
+    table build: the table is split on every call, every branch interpolates
+    every query, and three Newton steps use a central-difference slope."""
+    t = levels.levels
+    params = levels.params
+    pad = 6.0 * params.sigma + 1.0
+    lo = min(float(t.min()), float(x0.min())) - pad
+    hi = max(float(t.max()), float(x0.max())) + pad
+    grid = np.linspace(lo, hi, _TABLE_POINTS)
+    h = grid + _signal_pull(grid, t, params, rule)[0]
+    rising = np.diff(h) > 0.0
+    boundaries = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1), h.size - 1]
+    best = np.full(x0.shape, np.nan)
+    best_dist = np.full(x0.shape, np.inf)
+    for a, b in zip(boundaries[:-1], boundaries[1:]):
+        seg_h = h[a : b + 1]
+        seg_g = grid[a : b + 1]
+        if seg_h[0] > seg_h[-1]:
+            seg_h, seg_g = seg_h[::-1], seg_g[::-1]
+        cand = np.interp(x0, seg_h, seg_g, left=np.nan, right=np.nan)
+        dist = np.min(np.abs(cand[:, None] - t[None, :]), axis=1)
+        dist = np.where(np.isnan(cand), np.inf, dist)
+        take = dist < best_dist
+        best = np.where(take, cand, best)
+        best_dist = np.where(take, dist, best_dist)
+    best = np.where(np.isnan(best) & (x0 <= h.min()), grid[0], best)
+    best = np.where(np.isnan(best), np.where(x0 >= h.max(), grid[-1], best), best)
+    for _ in range(3):
+        f0 = best + _signal_pull(best, t, params, rule)[0] - x0
+        rp = _signal_pull(best + 1e-6, t, params, rule)[0]
+        rm = _signal_pull(best - 1e-6, t, params, rule)[0]
+        slope = 1.0 + (rp - rm) / 2e-6
+        step = np.where(np.abs(slope) > 1e-12, f0 / slope, 0.0)
+        best = best - np.clip(step, -1.0, 1.0)
+    return best
+
+
+def test_signal_pull_slope_matches_central_differences(bench_report, bench_pair, rule7):
+    levels = bench_report.levels
+    t, params = levels.levels, levels.params
+    # first-stage values on both sides of every jump of gamma1bar
+    xs = np.linspace(-30.0, 30.0, 60001)
+    gx = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
+    jumps = np.flatnonzero(np.abs(np.diff(gx)) > 1.0)
+    assert jumps.size == 6
+    edges = np.concatenate([gx[jumps], gx[jumps + 1]])
+    g = np.concatenate([np.linspace(-27.0, 27.0, 940), edges, edges - 1e-3, edges + 1e-3])
+    _, slope = _signal_pull(g, t, params, rule7)
+    h = 1e-6
+    central = (
+        _signal_pull(g + h, t, params, rule7)[0] - _signal_pull(g - h, t, params, rule7)[0]
+    ) / (2.0 * h)
+    assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central))
+
+
+def test_batch_inverter_is_chunk_invariant(bench_report):
+    inverter = collocation_pair(bench_report.levels).gamma1bar
+    x = np.random.default_rng(21).normal(0.0, 5.0, 3 * _TABLE_CHUNK + 17)
+    whole = inverter(x)
+    cuts = [0, 17, _TABLE_CHUNK + 5, 2 * _TABLE_CHUNK + 300, x.size]
+    pieces = [inverter(x[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert np.array_equal(whole, np.concatenate(pieces))
+
+
+@pytest.mark.parametrize("sigma_x", [5.0, 4.0])
+def test_batch_inverter_matches_three_step_reference(sigma_x, rule7):
+    params = ProblemParams(k=0.2, sigma=1.0, sigma_x=sigma_x)
+    report = solve_signaling_levels(params, rule7, init="quantizer", tol=1e-10)
+    assert report.converged
+    draws = np.random.default_rng(7).normal(0.0, sigma_x, 20_000)
+    # far queries widen the table window and so coarsen the interpolated start
+    x = np.concatenate([draws, [-1000.0, -200.0, -60.0, 60.0, 200.0, 1000.0]])
+    ref = _three_step_reference(report.levels, rule7, x)
+    got = collocation_pair(report.levels).gamma1bar(x)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_batch_inverter_shapes_and_bad_input(bench_pair):
+    inverter = bench_pair.gamma1bar
+    assert inverter(np.array([])).shape == (0,)
+    assert inverter(np.empty((2, 0))).shape == (2, 0)
+    scalar = inverter(3.0)
+    assert np.shape(scalar) == ()
+    grid = np.linspace(-12.0, 12.0, 12).reshape(3, 4)
+    out = inverter(grid)
+    assert out.shape == (3, 4)
+    assert np.array_equal(out.ravel(), inverter(grid.ravel()))
+    assert float(scalar) == pytest.approx(float(inverter(np.array([3.0]))[0]), abs=1e-12)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            inverter(np.array([0.0, bad]))
+
+
+def test_concurrent_queries_match_single_threaded(bench_report):
+    """Threads whose queries each force a table rebuild get the answers of a
+    private inverter.  The tables differ in their windows, so the answers
+    agree to rounding rather than bit for bit."""
+    levels = bench_report.levels
+    windows = [
+        sign * np.linspace(30.0 + 25.0 * j, 40.0 + 25.0 * j, 400)
+        for j, sign in enumerate((1.0, -1.0, 1.0))
+    ]
+    expected = [collocation_pair(levels).gamma1bar(w) for w in windows]
+    shared = collocation_pair(levels).gamma1bar
+    results: list = [None] * len(windows)
+
+    def work(j: int) -> None:
+        results[j] = shared(windows[j])
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(windows))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        assert got is not None
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
