@@ -251,6 +251,11 @@ def _solve_outcome(cfg: RunConfig, started: float) -> tuple[dict, bool]:
     init = _parse_init(cfg.init)
 
     if cfg.method == "ghq":
+        if not isinstance(params.prior, GaussianPrior):
+            raise ConfigurationError(
+                f"--method ghq requires the Gaussian prior: its collocation "
+                f"system does not model the {cfg.prior} prior"
+            )
         tol = 1e-10 if cfg.tol is None else cfg.tol
         report = solve_signaling_levels(
             params, rule, init=init, tol=tol, iterate=cfg.iterate

@@ -29,7 +29,7 @@ signaling levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -67,11 +67,14 @@ class SignalingLevels:
 
     levels[l] is the first-stage value at the collocation point
     x0_l = sqrt(2) sigma_x z_l of the order rule_order Gauss-Hermite rule.
+    The strategy pair that collocation_pair builds is kept on the instance,
+    so every caller shares one inverter table per level vector.
     """
 
     levels: np.ndarray
     rule_order: int
     params: ProblemParams
+    _pair: StrategyPair | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         levels = np.array(self.levels, dtype=float)
@@ -518,14 +521,18 @@ class _TableInverter:
     """
 
     def __init__(self, levels: SignalingLevels, rule: QuadratureRule) -> None:
-        self._levels = levels
+        # The level vector and problem, not the SignalingLevels object: that
+        # object keeps this inverter's pair, and a reference back would form
+        # a cycle that holds the table until the cyclic collector runs.
+        self._t = levels.levels
+        self._params = levels.params
         self._rule = rule
         self._table: _InverterTable | None = None
 
     def _ensure_table(self, x_min: float, x_max: float) -> _InverterTable:
         table = self._table
-        t = self._levels.levels
-        params = self._levels.params
+        t = self._t
+        params = self._params
         pad = 6.0 * params.sigma + 1.0
         lo = min(float(t.min()), x_min) - pad
         hi = max(float(t.max()), x_max) + pad
@@ -564,8 +571,8 @@ class _TableInverter:
         if not np.all(np.isfinite(flat)):
             raise NumericError("gamma1bar evaluation requires finite x0")
         table = self._ensure_table(float(flat.min()), float(flat.max()))
-        t = self._levels.levels
-        params = self._levels.params
+        t = self._t
+        params = self._params
 
         # Each branch visits only the sorted queries inside its range of H.
         order = np.argsort(flat, kind="stable")
@@ -621,7 +628,14 @@ def solved_pair(report: SolveReport) -> StrategyPair:
 
 
 def collocation_pair(levels: SignalingLevels) -> StrategyPair:
-    """Evaluable strategy pair defined by a collocation level vector."""
+    """Evaluable strategy pair defined by a collocation level vector.
+
+    The pair is built once per levels object and returned again on later
+    calls, so its inverter table is built once.  Two threads that race on
+    the first call may each build a pair; the last one is kept.
+    """
+    if levels._pair is not None:
+        return levels._pair
     rule = build_hermite_rule(levels.rule_order)
     inverter = _TableInverter(levels, rule)
     sv = levels.params.sigma
@@ -631,12 +645,14 @@ def collocation_pair(levels: SignalingLevels) -> StrategyPair:
     def gamma2(y: np.ndarray) -> np.ndarray:
         return gaussian_posterior_mean(np.asarray(y, dtype=float), level_values, weights, sv)
 
-    return StrategyPair(
+    pair = StrategyPair(
         gamma1bar=inverter,
         gamma2=gamma2,
         kind="collocation",
         levels=level_values,
     )
+    object.__setattr__(levels, "_pair", pair)
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,16 @@ compensated (fsum) accumulation, i.e. to near machine precision rather than
 statistically.  It also brute-forces globally optimal and person-by-person
 optimal profiles (a person-by-person deviation replaces one station's maps
 at all periods) to confirm that global optima are person-by-person optimal.
+
+The (state, observation) paths of a model are enumerated once, as a table
+of index arrays.  Profiles are scored in blocks against that table: actions
+follow period by period from each station's information, vectorised over
+the block; probabilities multiply in path order; each distinct (state path,
+action path) sums its costs once with fsum; and each profile's total is an
+fsum over its trajectories of nonzero probability.  Every product is the
+one a recursion over the trajectory tree forms, so the costs do not depend
+on the block size.  verify_martingale still walks the tree recursively.
+Every enumeration refuses models with more than 1e7 trajectories.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +53,11 @@ from .errors import ConfigurationError
 _ROW_TOL = 1e-12
 _MAX_TRAJECTORIES = 10_000_000
 _MAX_PROFILES = 1_000_000
+# (profile, trajectory) cells scored at once by the brute-force sweep; the
+# block arrays stay near 1 MB however many profiles a model has.
+_BLOCK_CELLS = 1 << 14
+# Path codes are renumbered densely before they could pass this bound.
+_CODE_LIMIT = 2**62
 
 InfoItem = tuple[str, int, int]
 
@@ -323,82 +338,142 @@ def _joint_action(
     return _joint_index(components, model.action_sizes)
 
 
-@dataclass(frozen=True)
-class TrajectoryWeight:
-    """One trajectory with its probabilities and likelihood-ratio path.
+def _check_trajectory_cap(model: FiniteTeamModel) -> None:
+    count = (model.num_states * model.total_obs) ** model.horizon
+    if count > _MAX_TRAJECTORIES:
+        raise ConfigurationError(
+            f"model enumerates {count} trajectories, above the {_MAX_TRAJECTORIES} cap"
+        )
 
-    states/observations/actions are period-indexed tuples (observations and
-    actions as joint indices); thetas[t] is Theta_{t+1} in 1-based time.
+
+@dataclass(frozen=True)
+class _TrajectoryTable:
+    """Every (state, observation) path of a model, one row per trajectory.
+
+    Rows run lexicographically over (x_0, y_0, x_1, y_1, ...) and skip the
+    initial states of zero probability, which are null under both measures.
+    states[:, t] and observations[:, t] hold the period-t state and joint
+    observation; obs_parts[m][:, t] is station m's observation component.
     """
 
-    states: tuple[int, ...]
-    observations: tuple[int, ...]
-    actions: tuple[int, ...]
-    probability: float
-    reference_probability: float
-    thetas: tuple[float, ...]
+    states: np.ndarray
+    observations: np.ndarray
+    obs_parts: tuple[np.ndarray, ...]
+
+    @property
+    def size(self) -> int:
+        return self.states.shape[0]
 
 
-def _enumerate(
-    model: FiniteTeamModel, profile: StrategyProfile
-) -> Iterator[TrajectoryWeight]:
+def _trajectory_table(model: FiniteTeamModel) -> _TrajectoryTable:
+    """Enumerate the model's trajectories once; refuses more than 1e7."""
+    _check_trajectory_cap(model)
     n = model.horizon
+    starts = np.flatnonzero(model.initial != 0.0)
+    shape = (starts.size, model.total_obs) + (model.num_states, model.total_obs) * (n - 1)
+    paths = np.indices(shape).reshape(2 * n, -1)
+    states = paths[0::2].T.copy()
+    states[:, 0] = starts[states[:, 0]]
+    observations = paths[1::2].T.copy()
+    parts = []
+    rest = observations
+    for size in reversed(model.obs_sizes):
+        parts.append(rest % size)
+        rest = rest // size
+    return _TrajectoryTable(states, observations, tuple(reversed(parts)))
 
-    def recurse(
-        t: int,
-        states: list[int],
-        observations: list[int],
-        actions: list[int],
-        p_orig: float,
-        p_ref: float,
-        lam: float,
-        mart: float,
-        thetas: list[float],
-    ) -> Iterator[TrajectoryWeight]:
-        if t == n:
-            yield TrajectoryWeight(
-                states=tuple(states),
-                observations=tuple(observations),
-                actions=tuple(actions),
-                probability=p_orig,
-                reference_probability=p_ref,
-                thetas=tuple(thetas),
-            )
-            return
-        u = _joint_action(model, profile, t, observations, actions)
-        if t == 0:
-            state_probs = model.initial
-            ref_probs = model.initial
-        else:
-            state_probs = model.transitions[t - 1][states[-1], actions[-1]]
-            ref_probs = model.state_reference[t - 1]
-        for x in range(model.num_states):
-            px = float(state_probs[x])
-            rx = float(ref_probs[x])
-            if rx == 0.0:
-                # Only possible in period 1, where both measures share the
-                # initial law; the branch is null under both.
-                continue
-            mart_new = mart if t == 0 else mart * (px / rx)
-            q = model.observations[t][x, u]
-            phi = model.obs_reference[t]
-            for y in range(model.total_obs):
-                qy = float(q[y])
-                py = float(phi[y])
-                lam_new = lam * (qy / py)
-                yield from recurse(
-                    t + 1,
-                    states + [x],
-                    observations + [y],
-                    actions + [u],
-                    p_orig * px * qy,
-                    p_ref * rx * py,
-                    lam_new,
-                    mart_new,
-                    thetas + [lam_new * mart_new],
-                )
 
-    yield from recurse(0, [], [], [], 1.0, 1.0, 1.0, 1.0, [])
+def _stacked_maps(
+    spaces: Sequence[Sequence[tuple[np.ndarray, ...]]],
+) -> list[list[np.ndarray]]:
+    """stacks[j][t][i] is station j's strategy i for period t, flattened."""
+    return [
+        [np.stack([strategy[t].reshape(-1) for strategy in space]) for t in range(len(space[0]))]
+        for space in spaces
+    ]
+
+
+def _block_actions(
+    model: FiniteTeamModel,
+    table: _TrajectoryTable,
+    stacks: list[list[np.ndarray]],
+    choices: Sequence[np.ndarray],
+) -> list[np.ndarray]:
+    """Joint actions of a block of profiles on every trajectory.
+
+    choices[j][b] is station j's strategy index in profile b of the block.
+    Returns, per period, an array of shape (profiles, trajectories).
+    """
+    cells = (choices[0].size, table.size)
+    station_actions: list[list[np.ndarray]] = [[] for _ in range(model.stations)]
+    joint = []
+    for t in range(model.horizon):
+        u = 0
+        for j in range(model.stations):
+            key = 0
+            for kind, s, m in model.info[j][t]:
+                if kind == "y":
+                    key = key * model.obs_sizes[m] + table.obs_parts[m][:, s]
+                else:
+                    key = key * model.action_sizes[m] + station_actions[m][s]
+            a = np.broadcast_to(stacks[j][t][choices[j][:, None], key], cells)
+            station_actions[j].append(a)
+            u = u * model.action_sizes[j] + a
+        joint.append(u)
+    return joint
+
+
+def _block_probabilities(
+    model: FiniteTeamModel, table: _TrajectoryTable, actions: list[np.ndarray]
+) -> np.ndarray:
+    """Original-measure probability of every (profile, trajectory) cell.
+
+    Factors multiply in path order, (p * P(x_t)) * Q(y_t), as a recursion
+    over the trajectory tree would.
+    """
+    x, y = table.states, table.observations
+    p = model.initial[x[:, 0]]
+    for t in range(model.horizon):
+        if t > 0:
+            p = p * model.transitions[t - 1][x[:, t - 1], actions[t - 1], x[:, t]]
+        p = p * model.observations[t][x[:, t], actions[t], y[:, t]]
+    return p
+
+
+def _path_costs(
+    model: FiniteTeamModel, table: _TrajectoryTable, actions: list[np.ndarray]
+) -> np.ndarray:
+    """fsum of the stage costs and the terminal cost of every cell.
+
+    The sum depends only on the (state path, action path) pair, so each
+    distinct pair is summed once.
+    """
+    x = table.states
+    shape = actions[0].shape
+    width = model.num_states * model.total_actions
+    code = np.zeros(shape, dtype=np.int64)
+    bound = 1
+    for t in range(model.horizon):
+        if bound * width > _CODE_LIMIT:
+            _, inverse = np.unique(code.ravel(), return_inverse=True)
+            code = inverse.reshape(shape)
+            bound = int(inverse.max()) + 1
+        code = code * width + (x[:, t] * model.total_actions + actions[t])
+        bound *= width
+    _, first, inverse = np.unique(code.ravel(), return_index=True, return_inverse=True)
+    b, i = np.unravel_index(first, shape)
+    columns = [model.stage_costs[t][x[i, t], actions[t][b, i]] for t in range(model.horizon)]
+    columns.append(model.terminal_cost[x[i, -1]])
+    sums = np.array([math.fsum(row) for row in np.stack(columns, axis=1).tolist()])
+    return sums[inverse].reshape(shape)
+
+
+def _single_block(
+    profile: StrategyProfile,
+) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
+    """Stacked maps and strategy choices of a block holding one profile."""
+    stacks = _stacked_maps([[maps] for maps in profile.maps])
+    return stacks, [np.zeros(1, dtype=np.intp)] * len(stacks)
 
 
 def joint_measure_original(
@@ -411,14 +486,17 @@ def joint_measure_original(
     1e7 trajectories.
     """
     validate_profile(model, profile)
-    count = (model.num_states * model.total_obs) ** model.horizon
-    if count > _MAX_TRAJECTORIES:
-        raise ConfigurationError(
-            f"model enumerates {count} trajectories, above the {_MAX_TRAJECTORIES} cap"
-        )
+    table = _trajectory_table(model)
+    actions = _block_actions(model, table, *_single_block(profile))
+    probabilities = _block_probabilities(model, table, actions)[0]
     return {
-        (w.states, w.observations, w.actions): w.probability
-        for w in _enumerate(model, profile)
+        (tuple(states), tuple(obs), tuple(acts)): p
+        for states, obs, acts, p in zip(
+            table.states.tolist(),
+            table.observations.tolist(),
+            np.stack([u[0] for u in actions], axis=1).tolist(),
+            probabilities.tolist(),
+        )
     }
 
 
@@ -499,6 +577,7 @@ def verify_martingale(
 ) -> MartingaleReport:
     """Check E_ref[Theta_t] = 1 and the conditional martingale property."""
     validate_profile(model, profile)
+    _check_trajectory_cap(model)
     n = model.horizon
     unit_terms: list[list[float]] = [[] for _ in range(n)]
     conditional_error = 0.0
@@ -582,20 +661,34 @@ def payoff_equivalence(
 ) -> PayoffEquivalenceReport:
     """Check that Theta-weighting the reference measure reproduces the cost."""
     validate_profile(model, profile)
-    original_terms: list[float] = []
-    reference_terms: list[float] = []
-    for w in _enumerate(model, profile):
-        stage = [
-            float(model.stage_costs[t][w.states[t], w.actions[t]])
-            for t in range(model.horizon)
-        ]
-        terminal = float(model.terminal_cost[w.states[-1]])
-        original_terms.append(w.probability * math.fsum(stage + [terminal]))
-        weighted = [stage[t] * w.thetas[t] for t in range(model.horizon)]
-        weighted.append(terminal * w.thetas[-1])
-        reference_terms.append(w.reference_probability * math.fsum(weighted))
-    original = math.fsum(original_terms)
-    via_reference = math.fsum(reference_terms)
+    table = _trajectory_table(model)
+    block = _block_actions(model, table, *_single_block(profile))
+    probabilities = _block_probabilities(model, table, block)[0]
+    original = math.fsum((probabilities * _path_costs(model, table, block)[0]).tolist())
+
+    # Reference probability and Theta_t = Lambda_t M_t along every path.
+    actions = [u[0] for u in block]
+    x, y = table.states, table.observations
+    p_ref = model.initial[x[:, 0]]
+    lam = 1.0
+    mart = 1.0
+    weighted = []
+    for t in range(model.horizon):
+        u, phi = actions[t], model.obs_reference[t]
+        if t > 0:
+            px = model.transitions[t - 1][x[:, t - 1], actions[t - 1], x[:, t]]
+            rx = model.state_reference[t - 1][x[:, t]]
+            mart = mart * (px / rx)
+            p_ref = p_ref * rx
+        qy = model.observations[t][x[:, t], u, y[:, t]]
+        py = phi[y[:, t]]
+        p_ref = p_ref * py
+        lam = lam * (qy / py)
+        theta = lam * mart
+        weighted.append(model.stage_costs[t][x[:, t], u] * theta)
+    weighted.append(model.terminal_cost[x[:, -1]] * theta)
+    sums = np.array([math.fsum(row) for row in np.stack(weighted, axis=1).tolist()])
+    via_reference = math.fsum((p_ref * sums).tolist())
     difference = abs(original - via_reference)
     return PayoffEquivalenceReport(
         original=original,
@@ -606,19 +699,29 @@ def payoff_equivalence(
     )
 
 
+def _profile_costs(
+    model: FiniteTeamModel,
+    table: _TrajectoryTable,
+    stacks: list[list[np.ndarray]],
+    choices: Sequence[np.ndarray],
+) -> list[float]:
+    """Exact expected cost of each profile of a block.
+
+    Each total is the fsum of probability * path cost over the cells of
+    nonzero probability.
+    """
+    actions = _block_actions(model, table, stacks, choices)
+    probabilities = _block_probabilities(model, table, actions)
+    terms = probabilities * _path_costs(model, table, actions)
+    return [
+        math.fsum(row[keep].tolist()) for row, keep in zip(terms, probabilities != 0.0)
+    ]
+
+
 def expected_cost(model: FiniteTeamModel, profile: StrategyProfile) -> float:
     """Exact expected total cost of a profile under the original measure."""
     validate_profile(model, profile)
-    terms = []
-    for w in _enumerate(model, profile):
-        if w.probability == 0.0:
-            continue
-        stage = [
-            float(model.stage_costs[t][w.states[t], w.actions[t]])
-            for t in range(model.horizon)
-        ]
-        terms.append(w.probability * math.fsum(stage + [float(model.terminal_cost[w.states[-1]])]))
-    return math.fsum(terms)
+    return _profile_costs(model, _trajectory_table(model), *_single_block(profile))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +743,23 @@ def _station_strategy_space(
         ]
         per_period.append(arrays)
     return [tuple(choice) for choice in itertools.product(*per_period)]
+
+
+def _all_profile_costs(
+    model: FiniteTeamModel, spaces: Sequence[Sequence[tuple[np.ndarray, ...]]]
+) -> list[float]:
+    """Expected cost of every profile, in itertools.product order of the
+    station strategy indices, scored _BLOCK_CELLS table cells at a time."""
+    table = _trajectory_table(model)
+    stacks = _stacked_maps(spaces)
+    sizes = [len(space) for space in spaces]
+    total = _product(sizes)
+    block = max(1, _BLOCK_CELLS // table.size)
+    costs: list[float] = []
+    for start in range(0, total, block):
+        choices = np.unravel_index(np.arange(start, min(start + block, total)), sizes)
+        costs += _profile_costs(model, table, stacks, choices)
+    return costs
 
 
 def profile_count(model: FiniteTeamModel) -> int:
@@ -673,19 +793,23 @@ class BruteForceReport:
 
 
 def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceReport:
-    """Exhaustively confirm that global optima are person-by-person optimal."""
+    """Exhaustively confirm that global optima are person-by-person optimal.
+
+    Every profile is scored, in blocks of _BLOCK_CELLS table cells, against
+    one table of the model's trajectories; the costs are bit-identical to
+    scoring each profile alone with expected_cost.  Profiles are ordered as
+    itertools.product over the stations' strategy indices, and the first
+    profile of least cost is best_profile.  Refuses models with more than
+    1e6 profiles or 1e7 trajectories.
+    """
     total = profile_count(model)
     if total > _MAX_PROFILES:
         raise ConfigurationError(
             f"model has {total} strategy profiles, above the {_MAX_PROFILES} cap"
         )
     spaces = [_station_strategy_space(model, j) for j in range(model.stations)]
-    costs: dict[tuple[int, ...], float] = {}
-    for key in itertools.product(*(range(len(s)) for s in spaces)):
-        profile = StrategyProfile(
-            maps=tuple(spaces[j][key[j]] for j in range(model.stations))
-        )
-        costs[key] = expected_cost(model, profile)
+    keys = itertools.product(*(range(len(s)) for s in spaces))
+    costs = dict(zip(keys, _all_profile_costs(model, spaces)))
     best_key = min(costs, key=lambda k: costs[k])
     best_cost = costs[best_key]
     scale = max(1.0, abs(best_cost))

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pbpsolve
 from pbpsolve import (
     ProblemParams,
     affine_optimal,
@@ -14,9 +19,11 @@ from pbpsolve import (
     model_to_dict,
     payoff_mc,
     payoff_quadrature,
+    random_model,
 )
 from pbpsolve.cli import RunConfig, _parse_init, main
 from pbpsolve.errors import ConfigurationError
+from pbpsolve.ghq_solver import _TableInverter
 from pbpsolve.quadrature import build_hermite_rule
 
 FAST_SOLVE = [
@@ -161,6 +168,39 @@ def test_single_collocation_point_solve_has_no_traceback(capsys):
     assert "Traceback" not in err
     if code == 0:
         assert json.loads(out)["levels"] == [0.0]
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "curves"])
+@pytest.mark.parametrize("init", ["auto", "affine", "quantizer", "user:0,6,-6"])
+def test_collocation_with_the_two_point_prior_exits_two(capsys, subcommand, init):
+    code, out, err = run_cli(
+        capsys, subcommand, "--k", "0.2", "--sigma-x", "5", "--prior", "twopoint",
+        "--init", init, "--samples", "2000",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--method ghq requires the Gaussian prior" in err
+    assert "Traceback" not in err
+
+
+def test_default_solve_builds_two_inverter_tables(capsys, monkeypatch):
+    """One table per converged auto candidate; the output reuses the
+    winner's pair instead of building a third."""
+    builds = []
+    original = _TableInverter._ensure_table
+
+    def counting(self, x_min, x_max):
+        before = self._table
+        table = original(self, x_min, x_max)
+        if table is not before:
+            builds.append((table.lo, table.hi))
+        return table
+
+    monkeypatch.setattr(_TableInverter, "_ensure_table", counting)
+    code, out, _ = run_cli(capsys, "solve", "--k", "0.2", "--sigma-x", "5")
+    assert code == 0
+    assert json.loads(out)["init"].startswith("auto:")
+    assert len(builds) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +356,29 @@ def test_verify_a_model_file_from_disk(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_refuses_a_model_above_the_trajectory_cap(capsys, tmp_path):
+    # 9**8 (about 4.3e7) trajectories; the cap is checked before any is built
+    model = random_model(0, horizon=8, num_states=3, obs_sizes=(3,), action_sizes=(1,))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(model_to_dict(model)))
+    code, out, err = run_cli(capsys, "verify", str(path), "--pbp")
+    assert code == 2
+    assert out == ""
+    assert "43046721 trajectories, above the 10000000 cap" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(pbpsolve.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pbpsolve", "verify", "identity"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["passed"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -256,6 +258,31 @@ def test_collocation_pair_exposes_levels(bench_pair, bench_report):
     assert np.array_equal(bench_pair.levels, bench_report.levels.levels)
 
 
+def test_one_pair_per_levels_object(bench_pair, bench_report):
+    levels = bench_report.levels
+    assert collocation_pair(levels) is bench_pair
+    assert solved_pair(bench_report) is bench_pair
+    copy = SignalingLevels(levels.levels, levels.rule_order, levels.params)
+    assert collocation_pair(copy) is not bench_pair
+    assert collocation_pair(copy) is collocation_pair(copy)
+
+
+def test_a_dropped_levels_object_frees_its_table_without_the_cycle_collector(bench_report):
+    levels = SignalingLevels(
+        bench_report.levels.levels, bench_report.levels.rule_order, bench_report.levels.params
+    )
+    inverter = collocation_pair(levels).gamma1bar
+    inverter(np.array([0.0]))
+    alive = weakref.ref(inverter)
+    del inverter
+    gc.disable()
+    try:
+        del levels
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # batch first-stage inverter
 # ---------------------------------------------------------------------------
@@ -357,14 +384,20 @@ def test_batch_inverter_shapes_and_bad_input(bench_pair):
 def test_concurrent_queries_match_single_threaded(bench_report):
     """Threads whose queries each force a table rebuild get the answers of a
     private inverter.  The tables differ in their windows, so the answers
-    agree to rounding rather than bit for bit."""
+    agree to rounding rather than bit for bit.  Each inverter comes from its
+    own copy of the levels, since collocation_pair keeps one pair per levels
+    object."""
     levels = bench_report.levels
+
+    def fresh_pair():
+        return collocation_pair(SignalingLevels(levels.levels, levels.rule_order, levels.params))
+
     windows = [
         sign * np.linspace(30.0 + 25.0 * j, 40.0 + 25.0 * j, 400)
         for j, sign in enumerate((1.0, -1.0, 1.0))
     ]
-    expected = [collocation_pair(levels).gamma1bar(w) for w in windows]
-    shared = collocation_pair(levels).gamma1bar
+    expected = [fresh_pair().gamma1bar(w) for w in windows]
+    shared = fresh_pair().gamma1bar
     results: list = [None] * len(windows)
 
     def work(j: int) -> None:

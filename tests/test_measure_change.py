@@ -177,6 +177,16 @@ def test_trajectory_cap_is_enforced():
         joint_measure_original(m, uniform_profile(m))
 
 
+def test_trajectory_cap_is_enforced_on_every_enumeration():
+    m = random_model(0, horizon=8, num_states=3, obs_sizes=(3,), action_sizes=(1,))
+    profile = uniform_profile(m)
+    for check in (expected_cost, payoff_equivalence, verify_martingale):
+        with pytest.raises(ConfigurationError, match="43046721 trajectories"):
+            check(m, profile)
+    with pytest.raises(ConfigurationError, match="43046721 trajectories"):
+        brute_force_pbp(m)
+
+
 # ---------------------------------------------------------------------------
 # likelihood-ratio paths
 # ---------------------------------------------------------------------------

@@ -1,0 +1,322 @@
+"""The blocked trajectory-table scorer against the per-profile recursion.
+
+The oracle below is the enumeration the package used before profiles were
+scored in blocks: a recursion over the trajectory tree, one profile at a
+time, with the expected cost an fsum over the trajectories of nonzero
+probability.  The table scorer multiplies the same factors in the same
+order, so every cost must agree bit for bit, not merely to rounding.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+from pbpsolve import (
+    FiniteTeamModel,
+    StrategyProfile,
+    brute_force_pbp,
+    expected_cost,
+    joint_measure_original,
+    payoff_equivalence,
+    profile_count,
+    random_model,
+    verify_martingale,
+)
+from pbpsolve import measure_change
+
+ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# the oracle: per-profile recursion over the trajectory tree
+# ---------------------------------------------------------------------------
+
+def _split(idx, sizes):
+    out = []
+    for s in reversed(sizes):
+        out.append(idx % s)
+        idx //= s
+    return tuple(reversed(out))
+
+
+def _oracle_joint_action(model, profile, period, observations, actions):
+    components = []
+    for j in range(model.stations):
+        key = []
+        for kind, s, m in model.info[j][period]:
+            if kind == "y":
+                key.append(_split(observations[s], model.obs_sizes)[m])
+            else:
+                key.append(_split(actions[s], model.action_sizes)[m])
+        components.append(int(profile.maps[j][period][tuple(key)]))
+    idx = 0
+    for c, s in zip(components, model.action_sizes):
+        idx = idx * s + c
+    return idx
+
+
+def _oracle_enumerate(model, profile):
+    """Yield (states, observations, actions, p, p_ref, thetas) per trajectory."""
+    n = model.horizon
+
+    def recurse(t, states, observations, actions, p_orig, p_ref, lam, mart, thetas):
+        if t == n:
+            yield (tuple(states), tuple(observations), tuple(actions), p_orig, p_ref,
+                   tuple(thetas))
+            return
+        u = _oracle_joint_action(model, profile, t, observations, actions)
+        if t == 0:
+            state_probs = model.initial
+            ref_probs = model.initial
+        else:
+            state_probs = model.transitions[t - 1][states[-1], actions[-1]]
+            ref_probs = model.state_reference[t - 1]
+        for x in range(model.num_states):
+            px = float(state_probs[x])
+            rx = float(ref_probs[x])
+            if rx == 0.0:
+                continue
+            mart_new = mart if t == 0 else mart * (px / rx)
+            q = model.observations[t][x, u]
+            phi = model.obs_reference[t]
+            for y in range(model.total_obs):
+                qy = float(q[y])
+                py = float(phi[y])
+                lam_new = lam * (qy / py)
+                yield from recurse(
+                    t + 1, states + [x], observations + [y], actions + [u],
+                    p_orig * px * qy, p_ref * rx * py, lam_new, mart_new,
+                    thetas + [lam_new * mart_new],
+                )
+
+    yield from recurse(0, [], [], [], 1.0, 1.0, 1.0, 1.0, [])
+
+
+def _stage(model, states, actions):
+    return [float(model.stage_costs[t][states[t], actions[t]]) for t in range(model.horizon)]
+
+
+def oracle_expected_cost(model, profile):
+    terms = []
+    for states, _, actions, p, _, _ in _oracle_enumerate(model, profile):
+        if p == 0.0:
+            continue
+        terminal = float(model.terminal_cost[states[-1]])
+        terms.append(p * math.fsum(_stage(model, states, actions) + [terminal]))
+    return math.fsum(terms)
+
+
+def oracle_payoff_equivalence(model, profile):
+    original_terms, reference_terms = [], []
+    for states, _, actions, p, p_ref, thetas in _oracle_enumerate(model, profile):
+        stage = _stage(model, states, actions)
+        terminal = float(model.terminal_cost[states[-1]])
+        original_terms.append(p * math.fsum(stage + [terminal]))
+        weighted = [stage[t] * thetas[t] for t in range(model.horizon)]
+        weighted.append(terminal * thetas[-1])
+        reference_terms.append(p_ref * math.fsum(weighted))
+    return math.fsum(original_terms), math.fsum(reference_terms)
+
+
+def oracle_strategy_space(model, station):
+    per_period = []
+    for t in range(model.horizon):
+        shape = model.info_shape(station, t)
+        configs = math.prod(shape)
+        per_period.append([
+            np.asarray(a, dtype=int).reshape(shape)
+            for a in itertools.product(range(model.action_sizes[station]), repeat=configs)
+        ])
+    return [tuple(choice) for choice in itertools.product(*per_period)]
+
+
+def oracle_profiles(model):
+    spaces = [oracle_strategy_space(model, j) for j in range(model.stations)]
+    keys = list(itertools.product(*(range(len(s)) for s in spaces)))
+    profiles = [StrategyProfile(maps=tuple(spaces[j][k[j]] for j in range(model.stations)))
+                for k in keys]
+    return spaces, keys, profiles
+
+
+def oracle_brute_force(model, tol=1e-12):
+    spaces, keys, profiles = oracle_profiles(model)
+    costs = {key: oracle_expected_cost(model, prof) for key, prof in zip(keys, profiles)}
+    best_key = min(costs, key=lambda k: costs[k])
+    best_cost = costs[best_key]
+    scale = max(1.0, abs(best_cost))
+    global_keys = [k for k, c in costs.items() if c <= best_cost + tol * scale]
+    worst_gain = -math.inf
+    for key in global_keys:
+        for j in range(model.stations):
+            for alt in range(len(spaces[j])):
+                if alt == key[j]:
+                    continue
+                alt_key = tuple(alt if jj == j else key[jj] for jj in range(model.stations))
+                worst_gain = max(worst_gain, costs[key] - costs[alt_key])
+    if worst_gain == -math.inf:
+        worst_gain = 0.0
+    return dict(
+        best_cost=best_cost,
+        best_maps=profiles[keys.index(best_key)].maps,
+        num_profiles=len(keys),
+        num_global_optima=len(global_keys),
+        worst_deviation_gain=worst_gain,
+        pbp_holds=bool(worst_gain <= tol * scale),
+    )
+
+
+# ---------------------------------------------------------------------------
+# generated models
+# ---------------------------------------------------------------------------
+
+def bits(value: float) -> str:
+    """Exact representation, distinguishing -0.0 from 0.0."""
+    return float(value).hex()
+
+
+@st.composite
+def small_models(draw) -> FiniteTeamModel:
+    """random_model shapes with horizon 1-3 and 1-2 stations, optionally
+    with an initial state of zero probability, negative costs, and every
+    station reading another station's previous action."""
+    horizon = draw(st.integers(1, 3))
+    stations = draw(st.integers(1, 2))
+    num_states = draw(st.integers(1, 3))
+    obs_sizes = tuple(draw(st.integers(1, 2)) for _ in range(stations))
+    action_sizes = tuple(draw(st.integers(1, 2)) for _ in range(stations))
+    model = random_model(
+        draw(st.integers(0, 2**31 - 1)),
+        horizon=horizon,
+        num_states=num_states,
+        obs_sizes=obs_sizes,
+        action_sizes=action_sizes,
+        max_info_items=draw(st.integers(0, 2)),
+    )
+    changes: dict = {}
+    if horizon > 1 and draw(st.booleans()):
+        changes["info"] = tuple(
+            ((),) + tuple((("u", t - 1, (j + 1) % stations),) for t in range(1, horizon))
+            for j in range(stations)
+        )
+    if num_states > 1 and draw(st.booleans()):
+        initial = model.initial.copy()
+        initial[draw(st.integers(0, num_states - 1))] = 0.0
+        changes["initial"] = initial / initial.sum()
+    if draw(st.booleans()):
+        changes["stage_costs"] = tuple(c - 0.75 for c in model.stage_costs)
+        changes["terminal_cost"] = model.terminal_cost - 0.75
+    model = dataclasses.replace(model, **changes)
+    assume((num_states * model.total_obs) ** horizon <= 512)
+    assume(profile_count(model) <= 64)
+    event(f"horizon {horizon}, {stations} station(s)")
+    for name in changes:
+        event(f"changed {name}")
+    if any(kind == "u" for station in model.info for items in station for kind, _, _ in items):
+        event("reads an action")
+    return model
+
+
+def _spaces(model):
+    return [measure_change._station_strategy_space(model, j) for j in range(model.stations)]
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement
+# ---------------------------------------------------------------------------
+
+@ORACLE_SETTINGS
+@given(small_models())
+def test_every_profile_cost_matches_the_recursion(model):
+    scored = measure_change._all_profile_costs(model, _spaces(model))
+    _, _, profiles = oracle_profiles(model)
+    want = [bits(oracle_expected_cost(model, p)) for p in profiles]
+    assert [bits(c) for c in scored] == want
+    assert [bits(expected_cost(model, p)) for p in profiles] == want
+
+
+@ORACLE_SETTINGS
+@given(small_models())
+def test_brute_force_report_matches_the_recursion(model):
+    got = brute_force_pbp(model)
+    want = oracle_brute_force(model)
+    assert bits(got.best_cost) == bits(want["best_cost"])
+    assert bits(got.worst_deviation_gain) == bits(want["worst_deviation_gain"])
+    assert got.num_profiles == want["num_profiles"]
+    assert got.num_global_optima == want["num_global_optima"]
+    assert got.pbp_holds == want["pbp_holds"]
+    assert got.tol == 1e-12
+    for got_station, want_station in zip(got.best_profile.maps, want["best_maps"]):
+        for a, b in zip(got_station, want_station):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@ORACLE_SETTINGS
+@given(small_models())
+def test_block_size_changes_no_bit(model):
+    spaces = _spaces(model)
+    runs = []
+    for cells in (1, 7, 1 << 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure_change, "_BLOCK_CELLS", cells)
+            runs.append([bits(c) for c in measure_change._all_profile_costs(model, spaces)])
+    assert runs[0] == runs[1] == runs[2]
+
+
+@ORACLE_SETTINGS
+@given(small_models(), st.integers(0, 2**32 - 1))
+def test_payoff_equivalence_and_joint_law_match_the_recursion(model, pick):
+    _, _, profiles = oracle_profiles(model)
+    profile = profiles[pick % len(profiles)]
+    report = payoff_equivalence(model, profile)
+    original, via_reference = oracle_payoff_equivalence(model, profile)
+    assert bits(report.original) == bits(original)
+    assert bits(report.via_reference) == bits(via_reference)
+    law = joint_measure_original(model, profile)
+    want = {(s, o, a): p for s, o, a, p, _, _ in _oracle_enumerate(model, profile)}
+    assert list(law) == list(want)
+    assert [bits(p) for p in law.values()] == [bits(p) for p in want.values()]
+
+
+# ---------------------------------------------------------------------------
+# the change-of-measure identities on many models
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_models(), st.integers(0, 2**32 - 1))
+def test_identities_hold_on_random_models(model, pick):
+    _, _, profiles = oracle_profiles(model)
+    profile = profiles[pick % len(profiles)]
+    martingale = verify_martingale(model, profile)
+    assert martingale.passed, martingale
+    payoff = payoff_equivalence(model, profile)
+    assert payoff.passed, payoff
+
+
+def test_a_benchmark_shaped_model_matches_the_recursion_across_blocks():
+    """1,024 profiles on 324 trajectories span several blocks."""
+    model = random_model(577090037, horizon=2, num_states=3, obs_sizes=(3, 2),
+                         action_sizes=(2, 2))
+    assert profile_count(model) == 1024
+    assert measure_change._BLOCK_CELLS // 324 < 1024
+    scored = measure_change._all_profile_costs(model, _spaces(model))
+    _, _, profiles = oracle_profiles(model)
+    assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_models())
+def test_renumbering_the_path_codes_changes_no_bit(model):
+    spaces = _spaces(model)
+    plain = [bits(c) for c in measure_change._all_profile_costs(model, spaces)]
+    with pytest.MonkeyPatch.context() as mp:
+        # renumber before every period, as a model too large for int64 codes would
+        mp.setattr(measure_change, "_CODE_LIMIT", 1)
+        renumbered = [bits(c) for c in measure_change._all_profile_costs(model, spaces)]
+    assert renumbered == plain
