@@ -50,6 +50,7 @@ from .ghq_solver import (
     eval_gamma1bar,
     eval_gamma2,
     expand_distinct_levels,
+    residual_jacobian,
     residual_system,
     solve_signaling_levels,
     solved_pair,
@@ -129,6 +130,7 @@ __all__ = [
     "picard_iterate",
     "profile_count",
     "random_model",
+    "residual_jacobian",
     "residual_system",
     "rnd_density",
     "rnd_process",

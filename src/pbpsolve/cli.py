@@ -244,9 +244,26 @@ def _result_document(
 # strategy construction shared by solve and curves
 # ---------------------------------------------------------------------------
 
-def _solve_outcome(cfg: RunConfig, started: float) -> tuple[dict, bool]:
-    """Run the requested solver; return (document, succeeded)."""
-    params = cfg.problem_params()
+@dataclass(frozen=True)
+class _Solved:
+    """What a solver run produced, before any payoff is estimated.
+
+    levels are the first-stage values at the collocation points (for
+    picard, its grid strategy interpolated there); pair is the strategy pair
+    the result document scores; ok is the subcommand's success.
+    """
+
+    method: str
+    init: str
+    levels: np.ndarray
+    residual_norm: float
+    converged: bool
+    pair: StrategyPair
+    ok: bool
+
+
+def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
+    """Run the requested solver; estimate no payoff."""
     rule = build_hermite_rule(cfg.n)
     init = _parse_init(cfg.init)
 
@@ -260,19 +277,15 @@ def _solve_outcome(cfg: RunConfig, started: float) -> tuple[dict, bool]:
         report = solve_signaling_levels(
             params, rule, init=init, tol=tol, iterate=cfg.iterate
         )
-        pair = collocation_pair(report.levels)
-        doc = _result_document(
-            cfg,
+        return _Solved(
             "ghq",
             report.init,
-            [float(v) for v in report.levels.levels],
+            report.levels.levels,
             report.residual_norm,
             report.converged,
-            pair,
-            params,
-            started,
+            collocation_pair(report.levels),
+            report.converged or not cfg.iterate,
         )
-        return doc, (report.converged or not cfg.iterate)
 
     if not cfg.iterate:
         raise ConfigurationError("--no-iterate applies only to --method ghq")
@@ -297,18 +310,15 @@ def _solve_outcome(cfg: RunConfig, started: float) -> tuple[dict, bool]:
     colloc = math.sqrt(2.0) * params.sigma_x * rule.nodes
     level_values = np.asarray(strategy.interp1(colloc), dtype=float)
     resid = residual_system(level_values, params, rule)
-    doc = _result_document(
-        cfg,
+    return _Solved(
         "picard",
         tag,
-        [float(v) for v in level_values],
+        level_values,
         float(np.linalg.norm(resid)),
         result.converged,
         strategy.to_pair(),
-        params,
-        started,
+        result.converged,
     )
-    return doc, result.converged
 
 
 def _baseline_pair(cfg: RunConfig, params: ProblemParams) -> StrategyPair:
@@ -324,9 +334,21 @@ def _baseline_pair(cfg: RunConfig, params: ProblemParams) -> StrategyPair:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg: RunConfig, started: float) -> int:
-    doc, ok = _solve_outcome(cfg, started)
+    params = cfg.problem_params()
+    solved = _solve(cfg, params)
+    doc = _result_document(
+        cfg,
+        solved.method,
+        solved.init,
+        [float(v) for v in solved.levels],
+        solved.residual_norm,
+        solved.converged,
+        solved.pair,
+        params,
+        started,
+    )
     _emit_json(doc, _resolve_out(cfg.out_path))
-    return 0 if ok else 1
+    return 0 if solved.ok else 1
 
 
 def cmd_baseline(cfg: RunConfig, started: float) -> int:
@@ -339,24 +361,22 @@ def cmd_baseline(cfg: RunConfig, started: float) -> int:
     return 0
 
 
-def _curves_pair(cfg: RunConfig, started: float) -> tuple[StrategyPair, bool]:
+def _curves_pair(cfg: RunConfig, params: ProblemParams) -> tuple[StrategyPair, bool]:
     if cfg.method in _BASELINE_METHODS:
-        return _baseline_pair(cfg, cfg.problem_params()), True
-    doc, ok = _solve_outcome(cfg, started)
-    params = cfg.problem_params()
-    rule = build_hermite_rule(cfg.n)
-    if cfg.method == "ghq":
-        levels = SignalingLevels(np.array(doc["levels"]), rule.order, params)
-        return collocation_pair(levels), ok
+        return _baseline_pair(cfg, params), True
+    solved = _solve(cfg, params)
+    if solved.method == "ghq":
+        # The solve's own pair, whose inverter table may already be built.
+        return solved.pair, solved.ok
     start_pair = collocation_pair(
-        SignalingLevels(np.array(doc["levels"]), rule.order, params)
+        SignalingLevels(solved.levels, cfg.n, params)
     )
-    return strategy_from_pair(start_pair, params).to_pair(), ok
+    return strategy_from_pair(start_pair, params).to_pair(), solved.ok
 
 
 def cmd_curves(cfg: RunConfig, started: float) -> int:
     params = cfg.problem_params()
-    pair, ok = _curves_pair(cfg, started)
+    pair, ok = _curves_pair(cfg, params)
     half = 8.5 * cfg.sigma_x
     x_lo, x_hi = cfg.x_range if cfg.x_range else (-half, half)
     y_lo, y_hi = cfg.y_range if cfg.y_range else (-half, half)

@@ -14,10 +14,10 @@ vectors look like staircases: a handful of distinct signaling levels, each
 shared by a run of collocation points.
 
 The module evaluates the residual f (with summation arranged so that
-f(-t reversed) is the exact bitwise negation-reversal of f(t)), solves
-f(t) = 0 by trust-region least squares from affine, quantizer, or
-user-supplied starts, and converts a converged level vector into an
-evaluable strategy pair.  The second stage is the explicit posterior mean;
+f(-t reversed) is the exact bitwise negation-reversal of f(t)) and its
+analytic Jacobian, solves f(t) = 0 by trust-region least squares from
+affine, quantizer, or user-supplied starts, and converts a converged level
+vector into an evaluable strategy pair.  The second stage is the explicit posterior mean;
 the first stage gamma1bar(x0) is recovered by inverting the scalar map
 H(g) = g + R(g), where R(g) collects the quadrature terms (R is independent
 of x0, so one dense table of H serves every x0).  H is increasing within
@@ -92,8 +92,12 @@ class SolveReport:
 
     residual_norm is the Euclidean norm of the residual vector at the
     returned levels; converged means residual_norm <= tol (enforced);
-    iterations counts residual-vector evaluations; init records which
-    initialization produced the result.
+    iterations counts every residual-vector evaluation the least-squares
+    iteration made (its nfev: the Jacobian is analytic, so no
+    finite-difference evaluations are hidden), not counting the one that
+    measures residual_norm; jacobian_evaluations counts its
+    residual_jacobian calls (njev); both are 0 without iteration.  init
+    records which initialization produced the result.
     """
 
     levels: SignalingLevels
@@ -102,6 +106,7 @@ class SolveReport:
     converged: bool
     init: str
     tol: float
+    jacobian_evaluations: int = 0
 
     def __post_init__(self) -> None:
         if self.converged and not self.residual_norm <= self.tol:
@@ -145,6 +150,19 @@ def _posterior_weights(
     return np.exp(log_a)
 
 
+def _posterior_moments(
+    y: np.ndarray, levels: np.ndarray, log_masses: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized weights (as _posterior_weights), their total, and the
+    posterior mean and variance of a finite level mixture observed through
+    G(0, sigma^2) noise.  Broadcasts over y."""
+    w = _posterior_weights(y, levels, log_masses, sigma)
+    mass = _reversal_invariant_sum(w)
+    mean = _reversal_invariant_sum(w * levels) / mass
+    var = _reversal_invariant_sum(w * (levels * levels)) / mass - mean * mean
+    return w, mass, mean, var
+
+
 def _posterior_mean_levels(
     y: np.ndarray, levels: np.ndarray, log_masses: np.ndarray, sigma: float
 ) -> np.ndarray:
@@ -156,6 +174,27 @@ def _posterior_mean_levels(
     """
     w = _posterior_weights(y, levels, log_masses, sigma)
     return _reversal_invariant_sum(w * levels) / _reversal_invariant_sum(w)
+
+
+def _level_vector(
+    levels: np.ndarray | SignalingLevels,
+    params: ProblemParams | None,
+    rule: QuadratureRule | None,
+) -> tuple[np.ndarray, ProblemParams, QuadratureRule]:
+    """(t, params, rule) from a SignalingLevels bundle or a plain vector."""
+    if isinstance(levels, SignalingLevels):
+        params = levels.params
+        rule = build_hermite_rule(levels.rule_order)
+        t = np.asarray(levels.levels, dtype=float)
+    else:
+        if params is None or rule is None:
+            raise ConfigurationError(
+                "a plain level vector requires params and rule arguments"
+            )
+        t = np.asarray(levels, dtype=float)
+    if t.shape != (rule.order,):
+        raise ConfigurationError("level vector length must equal the rule order")
+    return t, params, rule
 
 
 def residual_system(
@@ -171,19 +210,7 @@ def residual_system(
     symmetry of the continuous equations, inherited from the exact node and
     weight symmetry of the rule).
     """
-    if isinstance(levels, SignalingLevels):
-        params = levels.params
-        rule = build_hermite_rule(levels.rule_order)
-        t = np.asarray(levels.levels, dtype=float)
-    else:
-        if params is None or rule is None:
-            raise ConfigurationError(
-                "a plain level vector requires params and rule arguments"
-            )
-        t = np.asarray(levels, dtype=float)
-    if t.shape != (rule.order,):
-        raise ConfigurationError("level vector length must equal the rule order")
-
+    t, params, rule = _level_vector(levels, params, rule)
     z = rule.nodes
     lam = rule.weights
     sv = params.sigma
@@ -197,6 +224,42 @@ def residual_system(
     inner = (z[:, None] / c) * d * d + d
     s = _reversal_invariant_sum(lam[:, None] * inner, axis=0)
     return t - (math.sqrt(2.0) * params.sigma_x) * z + s / (SQRT_PI * params.k**2)
+
+
+def residual_jacobian(
+    levels: np.ndarray | SignalingLevels,
+    params: ProblemParams | None = None,
+    rule: QuadratureRule | None = None,
+) -> np.ndarray:
+    """Jacobian J[l, m] = df_l / dt_m of the collocation residual.
+
+    With p_ilm the posterior probability of level m at y_il = c z_i + t_l,
+    B_il and V_il that posterior's mean and variance, d_il = t_l - B_il and
+    g_il = lambda_i (2 z_i d_il / c + 1),
+
+        J = I + (1 / (sqrt(pi) k^2)) [ diag_l(sum_i g_il (1 - V_il / sigma^2))
+            - sum_i g_il p_ilm (1 + (t_m - B_il)(y_il - t_m) / sigma^2) ].
+
+    The diagonal term is R'(t_l) of _signal_pull: t_l moves the observation
+    y_il, and the posterior mean has derivative V / sigma^2 in y.  The
+    second term is how B_il moves with level t_m itself.  Arguments as for
+    residual_system; the n x n x n posterior tensor is 2 MB at n = 64.
+    """
+    t, params, rule = _level_vector(levels, params, rule)
+    z = rule.nodes
+    lam = rule.weights
+    sv = params.sigma
+    var_scale = sv * sv
+    c = math.sqrt(2.0) * sv
+
+    y = c * z[:, None] + t[None, :]
+    w, mass, b, var = _posterior_moments(y, t, np.log(lam), sv)
+    g = lam[:, None] * ((2.0 * z[:, None] / c) * (t[None, :] - b) + 1.0)
+    diag = _reversal_invariant_sum(g * (1.0 - var / var_scale), axis=0)
+    # p_ilm = w_ilm / mass_il; the normalization rides on g.
+    dev = (t - b[..., None]) * (y[..., None] - t) / var_scale
+    cross = _reversal_invariant_sum((g / mass)[..., None] * w * (1.0 + dev), axis=0)
+    return np.eye(t.size) + (np.diag(diag) - cross) / (SQRT_PI * params.k**2)
 
 
 def _signal_pull(
@@ -225,14 +288,10 @@ def _signal_pull(
     sv = params.sigma
     c = math.sqrt(2.0) * sv
     log_masses = np.log(lam)
-    t_sq = t * t
     total = np.zeros_like(g)
     slope = np.zeros_like(g)
     for i in range(rule.order):
-        w = _posterior_weights(g + c * z[i], t, log_masses, sv)
-        mass = _reversal_invariant_sum(w)
-        b = _reversal_invariant_sum(w * t) / mass
-        var = _reversal_invariant_sum(w * t_sq) / mass - b * b
+        _, _, b, var = _posterior_moments(g + c * z[i], t, log_masses, sv)
         d = g - b
         total += lam[i] * ((z[i] / c) * d * d + d)
         slope += lam[i] * ((2.0 * z[i] / c) * d + 1.0) * (1.0 - var / (sv * sv))
@@ -290,9 +349,9 @@ def _single_solve(
         result = least_squares(
             residual_system,
             start,
+            jac=residual_jacobian,
             args=(params, rule),
             method="trf",
-            diff_step=1e-6,
             xtol=3e-16,
             ftol=3e-16,
             gtol=3e-16,
@@ -300,9 +359,11 @@ def _single_solve(
         )
         t = result.x
         iterations = int(result.nfev)
+        jacobian_evaluations = int(result.njev)
     else:
         t = np.asarray(start, dtype=float)
         iterations = 0
+        jacobian_evaluations = 0
     norm = float(np.linalg.norm(residual_system(t, params, rule)))
     return SolveReport(
         levels=SignalingLevels(t, rule.order, params),
@@ -311,6 +372,7 @@ def _single_solve(
         converged=bool(norm <= tol),
         init=tag,
         tol=tol,
+        jacobian_evaluations=jacobian_evaluations,
     )
 
 

@@ -14,13 +14,18 @@ import pytest
 import pbpsolve
 from pbpsolve import (
     ProblemParams,
+    SignalingLevels,
     affine_optimal,
+    collocation_pair,
     identity_model,
     model_to_dict,
     payoff_mc,
     payoff_quadrature,
     random_model,
+    solve_signaling_levels,
+    summarize_staircase,
 )
+from pbpsolve import cli
 from pbpsolve.cli import RunConfig, _parse_init, main
 from pbpsolve.errors import ConfigurationError
 from pbpsolve.ghq_solver import _TableInverter
@@ -183,9 +188,8 @@ def test_collocation_with_the_two_point_prior_exits_two(capsys, subcommand, init
     assert "Traceback" not in err
 
 
-def test_default_solve_builds_two_inverter_tables(capsys, monkeypatch):
-    """One table per converged auto candidate; the output reuses the
-    winner's pair instead of building a third."""
+def count_table_builds(monkeypatch) -> list:
+    """Record the window of every inverter table built from now on."""
     builds = []
     original = _TableInverter._ensure_table
 
@@ -197,6 +201,13 @@ def test_default_solve_builds_two_inverter_tables(capsys, monkeypatch):
         return table
 
     monkeypatch.setattr(_TableInverter, "_ensure_table", counting)
+    return builds
+
+
+def test_default_solve_builds_two_inverter_tables(capsys, monkeypatch):
+    """One table per converged auto candidate; the output reuses the
+    winner's pair instead of building a third."""
+    builds = count_table_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "solve", "--k", "0.2", "--sigma-x", "5")
     assert code == 0
     assert json.loads(out)["init"].startswith("auto:")
@@ -265,6 +276,42 @@ def test_curves_csv_and_summary(capsys):
     assert summary["shape"] == "linear"
     assert summary["steps"] == 1
     assert summary["line_slope"] == pytest.approx(lam, abs=1e-10)
+
+
+def test_default_curves_reuses_the_solve_pair_and_estimates_no_payoff(capsys, monkeypatch):
+    """curves plots the solve's own pair: no payoff estimate and no third
+    inverter table, and the same curves and summary as a fresh pair built
+    on the solved levels."""
+    builds = count_table_builds(monkeypatch)
+    estimates = []
+    for name in ("payoff_mc", "payoff_quadrature"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **kw: estimates.append(_name))
+    code, out, err = run_cli(capsys, "curves", "--k", "0.2", "--sigma-x", "5")
+    assert code == 0
+    assert estimates == []
+    assert len(builds) == 2
+
+    params = ProblemParams(k=0.2, sigma=1.0, sigma_x=5.0)
+    rule = build_hermite_rule(7)
+    report = solve_signaling_levels(params, rule, init="auto", tol=1e-10)
+    fresh = collocation_pair(
+        SignalingLevels([float(v) for v in report.levels.levels], rule.order, params)
+    )
+    xs = np.linspace(-42.5, 42.5, 1001)
+    rows = np.array([[float(tok) for tok in line.split(",")]
+                     for line in out.strip().split("\n")[1:]])
+    assert np.array_equal(rows[:, 0], xs) and np.array_equal(rows[:, 2], xs)
+    assert np.array_equal(rows[:, 1], fresh.gamma1bar(xs))
+    assert np.array_equal(rows[:, 3], fresh.gamma2(xs))
+    summary, _ = json.JSONDecoder().raw_decode(err)
+    expected = summarize_staircase(fresh, params)
+    assert summary["breakpoints"] == list(expected.breakpoints)
+    assert summary["tread_values"] == list(expected.tread_values)
+    assert summary["tread_slopes"] == list(expected.tread_slopes)
+    assert (summary["line_slope"], summary["line_rms"]) == (
+        expected.line_slope, expected.line_rms,
+    )
+    assert (summary["steps"], summary["shape"]) == (7, "staircase")
 
 
 def test_curves_to_file_moves_summary_to_stdout(capsys, tmp_path):

@@ -10,6 +10,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from pbpsolve import (
     ProblemParams,
@@ -21,13 +24,21 @@ from pbpsolve import (
     eval_gamma1bar,
     eval_gamma2,
     expand_distinct_levels,
+    residual_jacobian,
     residual_system,
     solve_signaling_levels,
     solved_pair,
     summarize_staircase,
 )
 from pbpsolve.errors import ConfigurationError, NumericError
-from pbpsolve.ghq_solver import _TABLE_CHUNK, _TABLE_POINTS, _signal_pull
+from pbpsolve import ghq_solver
+from pbpsolve.ghq_solver import (
+    _TABLE_CHUNK,
+    _TABLE_POINTS,
+    _affine_init,
+    _quantizer_init,
+    _signal_pull,
+)
 from pbpsolve.quadrature import build_hermite_rule
 
 
@@ -73,6 +84,152 @@ def test_symmetric_vector_gives_antisymmetric_residual(bench_params, rule7):
     f = residual_system(t, bench_params, rule7)
     assert np.array_equal(f, -f[::-1])
     assert f[3] == 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    order=st.integers(1, 12),
+    k=st.floats(0.05, 5.0),
+    sigma=st.floats(0.1, 5.0),
+    sigma_x=st.floats(0.1, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 60.0),
+)
+def test_residual_reversal_equivariance_is_bitwise_property(
+    order, k, sigma, sigma_x, seed, scale
+):
+    params = ProblemParams(k=k, sigma=sigma, sigma_x=sigma_x)
+    rule = build_hermite_rule(order)
+    u = np.random.default_rng(seed).normal(0.0, scale, order)
+    # a - b and b - a are exact negatives, so t is exactly odd-symmetric
+    t = u - u[::-1]
+    f = residual_system(t, params, rule)
+    assert np.array_equal(f, -f[::-1])
+    assert np.array_equal(
+        residual_system(-u[::-1], params, rule), -residual_system(u, params, rule)[::-1]
+    )
+
+
+# ---------------------------------------------------------------------------
+# residual Jacobian
+# ---------------------------------------------------------------------------
+
+def _central_jacobian(t, params, rule, h=1e-6):
+    """Central differences of residual_system, one column per level."""
+    jac = np.empty((t.size, t.size))
+    for m in range(t.size):
+        step = np.zeros(t.size)
+        step[m] = h * max(1.0, abs(t[m]))
+        jac[:, m] = (
+            residual_system(t + step, params, rule) - residual_system(t - step, params, rule)
+        ) / (2.0 * step[m])
+    return jac
+
+
+def _jacobian_starts(params, rule):
+    n = rule.order
+    rng = np.random.default_rng(1000 + n)
+    return {
+        "affine": _affine_init(params, rule),
+        "quantizer": _quantizer_init(params, rule),
+        "perturbed quantizer": _quantizer_init(params, rule) + rng.normal(0.0, 0.5, n),
+        "random": np.sort(rng.normal(0.0, 12.0, n)),
+        # 60 sigma apart: every posterior is saturated on one level
+        "saturated": 60.0 * (np.arange(n) - (n - 1) / 2.0),
+    }
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 15, 40, 64])
+def test_jacobian_matches_central_differences(bench_params, order):
+    rule = build_hermite_rule(order)
+    for name, t in _jacobian_starts(bench_params, rule).items():
+        jac = residual_jacobian(t, bench_params, rule)
+        central = _central_jacobian(t, bench_params, rule)
+        scale = max(1.0, float(np.max(np.abs(central))))
+        assert np.max(np.abs(jac - central)) <= 1e-6 * scale, name
+
+
+@pytest.mark.parametrize("order", [2, 7, 15, 40, 64])
+def test_jacobian_reversal_equivariance(bench_params, order):
+    """J(-R t) = R J(t) R for the reversal R; the sums are arranged as in
+    residual_system, so it holds bit for bit."""
+    rule = build_hermite_rule(order)
+    for name, t in _jacobian_starts(bench_params, rule).items():
+        jac = residual_jacobian(t, bench_params, rule)
+        mirrored = residual_jacobian(-t[::-1], bench_params, rule)
+        assert np.array_equal(mirrored, jac[::-1, ::-1]), name
+
+
+def test_jacobian_accepts_bundle_or_vector(bench_params, rule7, bench_report):
+    t = bench_report.levels.levels
+    assert np.array_equal(
+        residual_jacobian(bench_report.levels), residual_jacobian(t, bench_params, rule7)
+    )
+    with pytest.raises(ConfigurationError):
+        residual_jacobian(t)
+    with pytest.raises(ConfigurationError):
+        residual_jacobian(t[:-1], bench_params, rule7)
+
+
+def test_analytic_and_finite_difference_solves_agree(bench_params, rule7):
+    """The old finite-difference least-squares solve is kept here as an
+    oracle: both reach the same benchmark levels."""
+    starts = {"affine": _affine_init, "quantizer": _quantizer_init}
+    for init, make_start in starts.items():
+        oracle = least_squares(
+            residual_system, make_start(bench_params, rule7), args=(bench_params, rule7),
+            method="trf", diff_step=1e-6, xtol=3e-16, ftol=3e-16, gtol=3e-16,
+            max_nfev=500 * (rule7.order + 1),
+        )
+        report = solve_signaling_levels(bench_params, rule7, init=init, tol=1e-10)
+        assert report.converged
+        assert np.max(np.abs(report.levels.levels - oracle.x)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# solver drivers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "order, init",
+    [(7, "affine"), (7, "quantizer"), (15, "affine"), (15, "quantizer"),
+     (21, "affine"), (21, "quantizer"), (31, "quantizer")],
+)
+def test_benchmark_solves_converge_far_below_the_tolerance(bench_params, order, init):
+    """With the exact Jacobian these solves reach rounding level; with
+    finite differences n=21 and the n=31 quantizer start stalled at
+    1.5e-10 to 2.9e-10, above tol."""
+    report = solve_signaling_levels(
+        bench_params, build_hermite_rule(order), init=init, tol=1e-10
+    )
+    assert report.converged
+    assert report.residual_norm <= 1e-12
+
+
+def test_solve_counts_every_residual_and_jacobian_evaluation(
+    bench_params, rule7, monkeypatch
+):
+    calls = {"residual": 0, "jacobian": 0}
+    residual, jacobian = ghq_solver.residual_system, ghq_solver.residual_jacobian
+
+    def counting_residual(*args):
+        calls["residual"] += 1
+        return residual(*args)
+
+    def counting_jacobian(*args):
+        calls["jacobian"] += 1
+        return jacobian(*args)
+
+    monkeypatch.setattr(ghq_solver, "residual_system", counting_residual)
+    monkeypatch.setattr(ghq_solver, "residual_jacobian", counting_jacobian)
+    report = solve_signaling_levels(bench_params, rule7, init="quantizer", tol=1e-10)
+    assert report.converged
+    assert report.jacobian_evaluations >= 1
+    # one more residual evaluation measures residual_norm
+    assert calls == {"residual": report.iterations + 1,
+                     "jacobian": report.jacobian_evaluations}
+    start_only = solve_signaling_levels(bench_params, rule7, init="quantizer", iterate=False)
+    assert (start_only.iterations, start_only.jacobian_evaluations) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
