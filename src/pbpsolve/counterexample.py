@@ -30,6 +30,9 @@ from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
 Strategy = Callable[[np.ndarray], np.ndarray]
 
+# Monte Carlo samples per second-stage evaluation in payoff_mc.
+_MC_CHUNK = 65_536
+
 
 # ---------------------------------------------------------------------------
 # priors
@@ -171,8 +174,62 @@ def affine_pair(lam: float, mu: float) -> StrategyPair:
 
 
 # ---------------------------------------------------------------------------
-# shared posterior-mean kernel
+# shared kernels: the posterior mean and the first-stage sum
 # ---------------------------------------------------------------------------
+
+def _reversal_invariant_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum along an axis, bitwise invariant under reversal of that axis.
+
+    Mirror-image entries are added pairwise first (float addition is
+    commutative, so each pair sum is identical for the reversed array), then
+    the pair sums and the odd middle entry are accumulated in a fixed order.
+    Along a leading axis NumPy sums in index order only while the other axes
+    hold more than one element, so a single column goes through cumsum,
+    which keeps that order: a column's sum never depends on the batch.
+    """
+    a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
+    n = a.shape[-1]
+    h = n // 2
+    if h:
+        pairs = a[..., :h] + a[..., : n - h - 1 : -1]
+        if pairs.size == h and axis not in (-1, a.ndim - 1):
+            total = np.cumsum(pairs, axis=-1)[..., -1]
+        else:
+            total = pairs.sum(axis=-1)
+    else:
+        total = np.zeros(a.shape[:-1])
+    if n % 2:
+        total = total + a[..., h]
+    return total
+
+
+def _posterior_weights(
+    y: np.ndarray, locations: np.ndarray, log_masses: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Unnormalized posterior weights of a finite mixture observed through
+    G(0, sigma^2) noise, log-sum-exp stabilized.  Broadcasts over y; the
+    locations run along the last axis.  y is clipped to within
+    1e150 min(1, sigma) of the locations, where the posterior has long
+    saturated, so that no squared distance overflows to leave no weight."""
+    far = 1e150 * min(1.0, sigma)
+    y = np.clip(np.asarray(y, dtype=float), locations.min() - far, locations.max() + far)
+    log_a = -((y[..., None] - locations) ** 2) / (2.0 * sigma * sigma) + log_masses
+    log_a -= log_a.max(axis=-1, keepdims=True)
+    return np.exp(log_a)
+
+
+def _posterior_moments(
+    y: np.ndarray, locations: np.ndarray, log_masses: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized weights (as _posterior_weights), their total, and the
+    posterior mean and variance of a finite mixture observed through
+    G(0, sigma^2) noise.  Broadcasts over y."""
+    w = _posterior_weights(y, locations, log_masses, sigma)
+    mass = _reversal_invariant_sum(w)
+    mean = _reversal_invariant_sum(w * locations) / mass
+    var = _reversal_invariant_sum(w * (locations * locations)) / mass - mean * mean
+    return w, mass, mean, var
+
 
 def gaussian_posterior_mean(
     y: np.ndarray,
@@ -185,17 +242,30 @@ def gaussian_posterior_mean(
     Returns sum_j q_j(y) m_j with posterior weights
     q_j(y) proportional to prior_weights_j exp(-(y - m_j)^2 / (2 sigma^2)),
     evaluated in log space (log-sum-exp) so the ratio stays defined for every
-    finite y.  Broadcasts over any y shape.
+    finite y.  The sums run through _reversal_invariant_sum, so negating y
+    and negating and reversing the locations (with the weights reversed)
+    negates the result bit for bit.  Broadcasts over any y shape.
     """
-    y = np.asarray(y, dtype=float)
     locations = np.asarray(locations, dtype=float)
-    log_a = (
-        -((y[..., None] - locations) ** 2) / (2.0 * sigma * sigma)
-        + np.log(prior_weights)
-    )
-    log_a -= log_a.max(axis=-1, keepdims=True)
-    w = np.exp(log_a)
-    return (w * locations).sum(axis=-1) / w.sum(axis=-1)
+    # NumPy's vectorized log can round a strided (say, reversed) view
+    # differently from a contiguous array, which would break the equivariance.
+    log_masses = np.log(np.ascontiguousarray(prior_weights, dtype=float))
+    w = _posterior_weights(y, locations, log_masses, sigma)
+    return _reversal_invariant_sum(w * locations) / _reversal_invariant_sum(w)
+
+
+def _first_stage_sum(d: np.ndarray, rule: QuadratureRule, params: ProblemParams) -> np.ndarray:
+    """R = (1 / (sqrt(pi) k^2)) sum_i lambda_i ((z_i / c) d_i^2 + d_i), c = sqrt(2) sigma.
+
+    d_i = g - gamma2(g + c z_i), along axis 0 of d, is the second stage's
+    miss at noise node z_i when the first stage plays g; g is first-stage
+    stationary at x0 exactly when g - x0 + R = 0.  The node sum is reversal
+    invariant."""
+    z = rule.nodes[:, None]
+    c = math.sqrt(2.0) * params.sigma
+    inner = (z / c) * d * d + d
+    s = _reversal_invariant_sum(rule.weights[:, None] * inner, axis=0)
+    return s / (SQRT_PI * params.k**2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +393,10 @@ def payoff_mc(
     v = rng_v.normal(0.0, params.sigma, samples)
 
     g1 = np.asarray(pair.gamma1bar(x0), dtype=float)
-    g2 = np.asarray(pair.gamma2(g1 + v), dtype=float)
+    g2 = np.empty_like(g1)
+    for a in range(0, samples, _MC_CHUNK):
+        part = slice(a, a + _MC_CHUNK)
+        g2[part] = pair.gamma2(g1[part] + v[part])
     cost = params.k**2 * (g1 - x0) ** 2 + (g1 - g2) ** 2
     stage1 = float(params.k**2 * np.mean((g1 - x0) ** 2))
     stage2 = float(np.mean((g1 - g2) ** 2))
@@ -501,22 +574,16 @@ def stationarity_residual(
     ratio over the prior discretized by the same rule.  Both residuals vanish
     at a person-by-person optimal pair.
     """
-    k2 = params.k**2
-    sv = params.sigma
     x0_grid = np.asarray(x0_grid, dtype=float)
     y1_grid = np.asarray(y1_grid, dtype=float)
 
-    v = math.sqrt(2.0) * sv * rule.nodes
-    pv = rule.weights / SQRT_PI
+    c = math.sqrt(2.0) * params.sigma
     g1 = np.asarray(pair.gamma1bar(x0_grid), dtype=float)
-    g2 = np.asarray(pair.gamma2(g1[:, None] + v[None, :]), dtype=float)
-    diff = g1[:, None] - g2
-    cond_linear = diff @ pv
-    cond_weighted = (v[None, :] * diff**2) @ pv
-    r1 = g1 - x0_grid + cond_linear / k2 + cond_weighted / (2.0 * k2 * sv * sv)
+    g2 = np.asarray(pair.gamma2(g1[None, :] + c * rule.nodes[:, None]), dtype=float)
+    r1 = g1 - x0_grid + _first_stage_sum(g1 - g2, rule, params)
 
     xi, p_xi = params.prior.quad_points(rule)
     g1_xi = np.asarray(pair.gamma1bar(xi), dtype=float)
-    posterior = gaussian_posterior_mean(y1_grid, g1_xi, p_xi, sv)
+    posterior = gaussian_posterior_mean(y1_grid, g1_xi, p_xi, params.sigma)
     r2 = np.asarray(pair.gamma2(y1_grid), dtype=float) - posterior
     return r1, r2

@@ -17,8 +17,9 @@ stage given gamma1bar.  This module represents strategies by piecewise-
 linear interpolation of samples on a common grid, applies F by Gauss-Hermite
 quadrature, iterates s <- (1 - alpha) s + alpha F(s) (damped Picard), and
 supplies the pointwise derivative kernels of the two integrands together
-with a probed local Lipschitz estimate of F, which certifies local
-contraction when it is below one.
+with a probed local Lipschitz estimate of F: a lower bound on the local
+Lipschitz constant, so a value below one is necessary for local contraction,
+not sufficient.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counterexample import ProblemParams, StrategyPair, gaussian_posterior_mean
+from .counterexample import ProblemParams, StrategyPair, _first_stage_sum, gaussian_posterior_mean
 from .errors import ConfigurationError, NumericError
-from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
+from .quadrature import QuadratureRule, build_hermite_rule
 
 _CHUNK = 65_536
 
@@ -119,15 +120,12 @@ def apply_F(
     noise by the rule (substitution zeta = gamma1bar(x0) + sqrt(2) sigma z);
     gamma2 between grid points is linearly interpolated.  F2 at each grid
     point y1 is the posterior mean of the prior pushed through gamma1bar,
-    with the prior discretized by the same rule.  Work is chunked so memory
-    stays at (chunk x order) regardless of the grid size.
+    with the prior discretized by the same rule.  F1 = x0 - R, with R the
+    first-stage sum shared with the collocation residual.  Work is chunked
+    so memory stays at (chunk x order) regardless of the grid size.
     """
     grid = strategy.grid
-    z = rule.nodes
-    lam = rule.weights
-    sv = params.sigma
-    c = math.sqrt(2.0) * sv
-    k2 = params.k**2
+    c = math.sqrt(2.0) * params.sigma
 
     xi, p_xi = params.prior.quad_points(rule)
     locations = strategy.interp1(xi)
@@ -137,11 +135,9 @@ def apply_F(
     for a in range(0, grid.size, _CHUNK):
         sl = slice(a, min(a + _CHUNK, grid.size))
         g1 = strategy.values1[sl]
-        y = g1[:, None] + c * z[None, :]
-        d = g1[:, None] - strategy.interp2(y)
-        inner = (z[None, :] / c) * d * d + d
-        f1[sl] = grid[sl] - (inner @ lam) / (SQRT_PI * k2)
-        f2[sl] = gaussian_posterior_mean(grid[sl], locations, p_xi, sv)
+        d = g1 - strategy.interp2(g1 + c * rule.nodes[:, None])
+        f1[sl] = grid[sl] - _first_stage_sum(d, rule, params)
+        f2[sl] = gaussian_posterior_mean(grid[sl], locations, p_xi, params.sigma)
     if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
         raise NumericError("operator application produced non-finite values")
     return GridStrategy(grid=grid, values1=f1, values2=f2)
@@ -283,8 +279,9 @@ def lipschitz_estimate(
     Each probe draws a random direction (h1, h2) on the grid, normalizes it
     in the trapezoid L2 pair norm, and measures
     ||F(s + eps h) - F(s)|| / eps with eps = 1e-4.  Returns the largest
-    ratio; a value below one indicates local contraction of the Picard map
-    in this norm.
+    ratio, a lower bound on the local Lipschitz constant: above one it rules
+    out local contraction of the Picard map in this norm; below one it does
+    not certify it, since an unprobed direction may stretch more.
     """
     if probes < 1:
         raise ConfigurationError("probes must be >= 1")

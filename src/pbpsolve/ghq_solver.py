@@ -13,17 +13,18 @@ lambda_j) given the observation y = sqrt(2) sigma z_i + t_l.  Optimal level
 vectors look like staircases: a handful of distinct signaling levels, each
 shared by a run of collocation points.
 
-The module evaluates the residual f (with summation arranged so that
+The module evaluates the residual f(t) = t - x0 + R(t) (summed so that
 f(-t reversed) is the exact bitwise negation-reversal of f(t)) and its
 analytic Jacobian, solves f(t) = 0 by trust-region least squares from
 affine, quantizer, or user-supplied starts, and converts a converged level
-vector into an evaluable strategy pair.  The second stage is the explicit posterior mean;
-the first stage gamma1bar(x0) is recovered by inverting the scalar map
-H(g) = g + R(g), where R(g) collects the quadrature terms (R is independent
-of x0, so one dense table of H serves every x0).  H is increasing within
-branches and drops at finitely many jumps, so an x0 can have several
-preimages; the returned value is the preimage closest to one of the
-signaling levels.
+vector into an evaluable strategy pair.  B and R are the shared kernels
+gaussian_posterior_mean and _first_stage_sum of counterexample.  The second
+stage is the posterior mean of the levels; the first stage gamma1bar(x0)
+solves H(g) = g + R(g) = x0 (R is independent of x0, so one dense table of
+H serves every x0, and one batch inverter serves every caller).  H is
+increasing within branches and drops at finitely many jumps, so an x0 can
+have several preimages; the returned value is the preimage closest to one of
+the signaling levels.
 """
 
 from __future__ import annotations
@@ -33,11 +34,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 
 from .counterexample import (
     ProblemParams,
     StrategyPair,
+    _first_stage_sum,
+    _posterior_moments,
+    _reversal_invariant_sum,
     affine_optimal,
     gaussian_posterior_mean,
     jump_breakpoints,
@@ -47,6 +51,8 @@ from .errors import ConfigurationError, NumericError
 from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
 _TABLE_POINTS = 200_001
+# _signal_pull works on pieces of _TABLE_CHUNK // order first-stage values,
+# so it holds about _TABLE_CHUNK x order posterior weights at a time.
 _TABLE_CHUNK = 50_000
 # Newton steps of the batch inverter.  From the interpolated start a step
 # with the exact slope converges quadratically, so once a step is below
@@ -119,63 +125,6 @@ class SolveReport:
 # residual evaluation
 # ---------------------------------------------------------------------------
 
-def _reversal_invariant_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along an axis, bitwise invariant under reversal of that axis.
-
-    Mirror-image entries are added pairwise first (float addition is
-    commutative, so each pair sum is identical for the reversed array), then
-    the pair sums and the odd middle entry are accumulated in a fixed order.
-    """
-    a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
-    n = a.shape[-1]
-    h = n // 2
-    if h:
-        total = (a[..., :h] + a[..., : n - h - 1 : -1]).sum(axis=-1)
-    else:
-        total = np.zeros(a.shape[:-1])
-    if n % 2:
-        total = total + a[..., h]
-    return total
-
-
-def _posterior_weights(
-    y: np.ndarray, levels: np.ndarray, log_masses: np.ndarray, sigma: float
-) -> np.ndarray:
-    """Unnormalized posterior weights of a finite level mixture observed
-    through G(0, sigma^2) noise, log-sum-exp stabilized.  Broadcasts over y;
-    the levels run along the last axis."""
-    y = np.asarray(y, dtype=float)
-    log_a = -((y[..., None] - levels) ** 2) / (2.0 * sigma * sigma) + log_masses
-    log_a -= log_a.max(axis=-1, keepdims=True)
-    return np.exp(log_a)
-
-
-def _posterior_moments(
-    y: np.ndarray, levels: np.ndarray, log_masses: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized weights (as _posterior_weights), their total, and the
-    posterior mean and variance of a finite level mixture observed through
-    G(0, sigma^2) noise.  Broadcasts over y."""
-    w = _posterior_weights(y, levels, log_masses, sigma)
-    mass = _reversal_invariant_sum(w)
-    mean = _reversal_invariant_sum(w * levels) / mass
-    var = _reversal_invariant_sum(w * (levels * levels)) / mass - mean * mean
-    return w, mass, mean, var
-
-
-def _posterior_mean_levels(
-    y: np.ndarray, levels: np.ndarray, log_masses: np.ndarray, sigma: float
-) -> np.ndarray:
-    """Posterior mean of a finite level mixture observed through G(0, sigma^2) noise.
-
-    The weighted sums are accumulated by _reversal_invariant_sum so the
-    result is exactly equivariant under negating and reversing a symmetric
-    level vector.  Broadcasts over y.
-    """
-    w = _posterior_weights(y, levels, log_masses, sigma)
-    return _reversal_invariant_sum(w * levels) / _reversal_invariant_sum(w)
-
-
 def _level_vector(
     levels: np.ndarray | SignalingLevels,
     params: ProblemParams | None,
@@ -208,22 +157,12 @@ def residual_system(
     rule.  The summations are arranged so that negating and reversing the
     input negates and reverses the output bit-for-bit (the exact sign
     symmetry of the continuous equations, inherited from the exact node and
-    weight symmetry of the rule).
+    weight symmetry of the rule).  f(t) = t - x0 + R(t), with R the
+    first-stage sum of _signal_pull evaluated at the levels themselves.
     """
     t, params, rule = _level_vector(levels, params, rule)
-    z = rule.nodes
-    lam = rule.weights
-    sv = params.sigma
-    c = math.sqrt(2.0) * sv
-    log_masses = np.log(lam)
-
-    # B[i, l]: posterior mean of the levels at observation c z_i + t_l.
-    y = c * z[:, None] + t[None, :]
-    b = _posterior_mean_levels(y, t, log_masses, sv)
-    d = t[None, :] - b
-    inner = (z[:, None] / c) * d * d + d
-    s = _reversal_invariant_sum(lam[:, None] * inner, axis=0)
-    return t - (math.sqrt(2.0) * params.sigma_x) * z + s / (SQRT_PI * params.k**2)
+    x0 = math.sqrt(2.0) * params.sigma_x * rule.nodes
+    return t - x0 + _signal_pull(t, t, params, rule, with_slope=False)[0]
 
 
 def residual_jacobian(
@@ -267,36 +206,43 @@ def _signal_pull(
     t: np.ndarray,
     params: ProblemParams,
     rule: QuadratureRule,
-) -> tuple[np.ndarray, np.ndarray]:
-    """R(g) and its derivative R'(g), from one pass over the noise nodes.
+    with_slope: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """R(g) and its derivative R'(g) at a vector of first-stage values g.
 
-    R(g) is the quadrature sum of the stationarity equation at first-stage
-    value g; the root g of g + R(g) = x0 is the first-stage strategy value
-    at x0.  With d_i = g - b_i, where b_i is the posterior mean of the
-    levels at y = g + c z_i, and V_i the posterior variance there (the
-    posterior mean has derivative V / sigma^2 in y),
+    R(g) is _first_stage_sum when the second stage is the posterior mean of
+    the levels t; the root g of g + R(g) = x0 is the first-stage strategy
+    value at x0.  With d_i = g - b_i, b_i and V_i the posterior mean and
+    variance of the levels at y = g + c z_i (b has derivative V / sigma^2),
 
         R'(g) = (1 / (sqrt(pi) k^2)) sum_i lambda_i (2 z_i d_i / c + 1)
                 (1 - V_i / sigma^2).
 
-    Vectorized over g; iterates over the noise nodes so peak memory stays at
-    len(g) x order.
+    with_slope=False skips V and returns None for R'.  All noise nodes are
+    handled at once, on pieces of _TABLE_CHUNK // order values of g, so peak
+    memory stays near _TABLE_CHUNK x order posterior weights; each value
+    depends on its own g alone, not on the piece.
     """
     g = np.asarray(g, dtype=float)
-    z = rule.nodes
-    lam = rule.weights
+    z = rule.nodes[:, None]
     sv = params.sigma
     c = math.sqrt(2.0) * sv
-    log_masses = np.log(lam)
-    total = np.zeros_like(g)
-    slope = np.zeros_like(g)
-    for i in range(rule.order):
-        _, _, b, var = _posterior_moments(g + c * z[i], t, log_masses, sv)
-        d = g - b
-        total += lam[i] * ((z[i] / c) * d * d + d)
-        slope += lam[i] * ((2.0 * z[i] / c) * d + 1.0) * (1.0 - var / (sv * sv))
-    scale = SQRT_PI * params.k**2
-    return total / scale, slope / scale
+    pull = np.empty_like(g)
+    slope = np.empty_like(g) if with_slope else None
+    step = max(1, _TABLE_CHUNK // rule.order)
+    for a in range(0, g.size, step):
+        part = g[a : a + step]
+        y = c * z + part
+        if with_slope:
+            _, _, b, var = _posterior_moments(y, t, np.log(rule.weights), sv)
+        else:
+            b = gaussian_posterior_mean(y, t, rule.weights, sv)
+        d = part - b
+        pull[a : a + step] = _first_stage_sum(d, rule, params)
+        if with_slope:
+            gain = rule.weights[:, None] * ((2.0 * z / c) * d + 1.0) * (1.0 - var / (sv * sv))
+            slope[a : a + step] = _reversal_invariant_sum(gain, axis=0) / (SQRT_PI * params.k**2)
+    return pull, slope
 
 
 # ---------------------------------------------------------------------------
@@ -445,21 +391,21 @@ def solve_signaling_levels(
 # evaluating a solved strategy
 # ---------------------------------------------------------------------------
 
-def _resolve_rule_params(
+def _levels_pair(
     levels: SignalingLevels,
     params: ProblemParams | None,
     rule: QuadratureRule | None,
-) -> tuple[ProblemParams, QuadratureRule]:
-    if params is None:
-        params = levels.params
-    if rule is None:
-        rule = build_hermite_rule(levels.rule_order)
-    elif rule.order != levels.rule_order:
+) -> StrategyPair:
+    """collocation_pair of the levels, under params when they are given.  A
+    given rule must match the level count (the rule of an order is unique)."""
+    if rule is not None and rule.order != levels.rule_order:
         raise ConfigurationError(
             "rule order must match the level count "
             f"({rule.order} != {levels.rule_order})"
         )
-    return params, rule
+    if params is not None and params != levels.params:
+        levels = SignalingLevels(levels.levels, levels.rule_order, params)
+    return collocation_pair(levels)
 
 
 def eval_gamma2(
@@ -470,65 +416,15 @@ def eval_gamma2(
 ) -> np.ndarray | float:
     """Second-stage strategy: posterior mean of the levels given y1.
 
-    The mixture weights are the rule weights (the prior masses of the
-    collocation points).  Log-sum-exp stabilized, finite for every finite
-    y1; far beyond the outermost level the value saturates at that level.
-    Scalar in, scalar out; array in, array out.  params and rule default to
-    the ones recorded in levels.
+    The value of collocation_pair(levels).gamma2.  The mixture weights are
+    the rule weights (the prior masses of the collocation points).
+    Log-sum-exp stabilized, finite for every finite y1; far beyond the
+    outermost level the value saturates at that level.  Scalar in, scalar
+    out; array in, array out.  params and rule default to the ones recorded
+    in levels.
     """
-    params, rule = _resolve_rule_params(levels, params, rule)
-    y = np.asarray(y1, dtype=float)
-    out = gaussian_posterior_mean(y, levels.levels, rule.weights, params.sigma)
-    if np.ndim(y1) == 0:
-        return float(out)
-    return out
-
-
-def _invert_h_scalar(
-    levels: SignalingLevels,
-    rule: QuadratureRule,
-    x0: float,
-    params: ProblemParams | None = None,
-) -> float:
-    """Scalar inversion of H(g) = g + R(g) = x0 by bracketed root finding.
-
-    A dense scan of H over a window containing every preimage brackets the
-    sign changes of H - x0; each bracket is polished by Brent's method and
-    kept only if the residual actually vanishes (sign changes across the
-    downward jumps of H are not roots).  Among the true roots the one
-    nearest to a signaling level is returned.
-    """
-    t = levels.levels
-    if params is None:
-        params = levels.params
-    pad = 6.0 * params.sigma + 1.0
-    lo = min(float(t.min()), x0) - pad
-    hi = max(float(t.max()), x0) + pad
-    grid = np.linspace(lo, hi, 4001)
-    resid = grid + _signal_pull(grid, t, params, rule)[0] - x0
-
-    def h_defect(g: float) -> float:
-        return float(g + _signal_pull(np.array([g]), t, params, rule)[0][0] - x0)
-
-    scale = 1.0 + abs(x0) + float(np.max(np.abs(t)))
-    roots: list[float] = []
-    for a, b, ra, rb in zip(grid[:-1], grid[1:], resid[:-1], resid[1:]):
-        if ra == 0.0:
-            roots.append(float(a))
-            continue
-        if ra * rb < 0.0:
-            r = brentq(h_defect, float(a), float(b), xtol=1e-13, rtol=1e-15)
-            if abs(h_defect(r)) <= 1e-7 * scale:
-                roots.append(float(r))
-    if resid[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
-        raise NumericError(
-            f"no bracket for gamma1bar at x0={x0!r} in window [{lo!r}, {hi!r}]"
-        )
-    roots_arr = np.asarray(roots)
-    dist = np.min(np.abs(roots_arr[:, None] - t[None, :]), axis=1)
-    return float(roots_arr[int(np.argmin(dist))])
+    out = _levels_pair(levels, params, rule).gamma2(y1)
+    return float(out) if np.ndim(y1) == 0 else out
 
 
 def eval_gamma1bar(
@@ -539,14 +435,12 @@ def eval_gamma1bar(
 ) -> float:
     """First-stage strategy value at a single x0.
 
-    Solves g + R(g) = x0 by bracketed scanning and Brent polishing; when the
-    equation has several roots the one closest to a signaling level is
-    selected.  Raises NumericError if no bracket is found in the scan
-    window (reported in the message).  params and rule default to the ones
-    recorded in levels.
+    The value of collocation_pair(levels).gamma1bar at x0, so it shares
+    that pair's inverter table: the root of g + R(g) = x0 nearest to a
+    signaling level.  Raises NumericError for a non-finite x0.  params and
+    rule default to the ones recorded in levels.
     """
-    params, rule = _resolve_rule_params(levels, params, rule)
-    return _invert_h_scalar(levels, rule, float(x0), params)
+    return float(_levels_pair(levels, params, rule).gamma1bar(float(x0)))
 
 
 @dataclass(frozen=True)
@@ -604,12 +498,7 @@ class _TableInverter:
             lo = min(lo, table.lo)
             hi = max(hi, table.hi)
         grid = np.linspace(lo, hi, _TABLE_POINTS)
-        h = np.empty_like(grid)
-        for a in range(0, grid.size, _TABLE_CHUNK):
-            chunk = grid[a : a + _TABLE_CHUNK]
-            h[a : a + _TABLE_CHUNK] = chunk + _signal_pull(
-                chunk, t, params, self._rule
-            )[0]
+        h = grid + _signal_pull(grid, t, params, self._rule, with_slope=False)[0]
 
         # Split the table into maximal runs of constant slope sign.
         rising = np.diff(h) > 0.0
@@ -654,20 +543,15 @@ class _TableInverter:
         best = np.where(np.isnan(best) & (xs <= table.h_min), table.lo, best)
         best = np.where(np.isnan(best), np.where(xs >= table.h_max, table.hi, best), best)
 
-        for a in range(0, xs.size, _TABLE_CHUNK):
-            g = best[a : a + _TABLE_CHUNK]
-            x_chunk = xs[a : a + _TABLE_CHUNK]
-            active = np.arange(g.size)
-            for _ in range(_NEWTON_STEPS):
-                g_act = g[active]
-                r, r_slope = _signal_pull(g_act, t, params, self._rule)
-                f0 = g_act + r - x_chunk[active]
-                slope = 1.0 + r_slope
-                step = np.clip(np.where(np.abs(slope) > 1e-12, f0 / slope, 0.0), -1.0, 1.0)
-                g[active] = g_act - step
-                active = active[np.abs(step) > _NEWTON_SETTLED * np.maximum(1.0, np.abs(g_act))]
-                if active.size == 0:
-                    break
+        active = np.arange(best.size)
+        for _ in range(_NEWTON_STEPS):
+            g_act = best[active]
+            r, r_slope = _signal_pull(g_act, t, params, self._rule)
+            f0 = g_act + r - xs[active]
+            slope = 1.0 + r_slope
+            step = np.clip(np.where(np.abs(slope) > 1e-12, f0 / slope, 0.0), -1.0, 1.0)
+            best[active] = g_act - step
+            active = active[np.abs(step) > _NEWTON_SETTLED * np.maximum(1.0, np.abs(g_act))]
 
         out = np.empty_like(best)
         out[order] = best

@@ -6,10 +6,13 @@ oracles for the package's nested Gauss rules.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -30,6 +33,7 @@ from pbpsolve import (
     stationarity_residual,
     wit_nonlinear,
 )
+from pbpsolve.counterexample import _MC_CHUNK
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve.quadrature import build_hermite_rule
 
@@ -250,6 +254,29 @@ def test_payoff_mc_is_seed_deterministic(bench_params):
     assert a.std_error > 0
 
 
+def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair):
+    """gamma2 sees at most _MC_CHUNK samples per call, and the estimate is
+    the same bits as one gamma2 call over every sample."""
+    sizes = []
+
+    def gamma2(y):
+        sizes.append(np.size(y))
+        return bench_pair.gamma2(y)
+
+    samples = 2 * _MC_CHUNK + 123
+    got = payoff_mc(bench_params, dataclasses.replace(bench_pair, gamma2=gamma2), samples, 5)
+    assert max(sizes) <= _MC_CHUNK and sum(sizes) == samples
+    seq_x, seq_v = np.random.SeedSequence(5).spawn(2)
+    x0 = bench_params.prior.sample(np.random.default_rng(seq_x), samples)
+    v = np.random.default_rng(seq_v).normal(0.0, bench_params.sigma, samples)
+    g1 = bench_pair.gamma1bar(x0)
+    g2 = bench_pair.gamma2(g1 + v)
+    assert got.stage1 == float(bench_params.k**2 * np.mean((g1 - x0) ** 2))
+    assert got.stage2 == float(np.mean((g1 - g2) ** 2))
+    cost = bench_params.k**2 * (g1 - x0) ** 2 + (g1 - g2) ** 2
+    assert got.std_error == float(np.std(cost) / math.sqrt(samples))
+
+
 def test_payoff_mc_rejects_empty_sample(bench_params):
     with pytest.raises(ConfigurationError):
         payoff_mc(bench_params, wit_nonlinear(bench_params), 0, 0)
@@ -301,6 +328,48 @@ def test_posterior_mean_saturates_at_extreme_observation():
     levels = np.array([-2.0, 0.0, 2.0])
     got = gaussian_posterior_mean(np.array([60.0]), levels, np.ones(3) / 3, 1.0)
     assert got[0] == pytest.approx(2.0, abs=1e-6)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _mixture(size, seed, spread):
+    rng = np.random.default_rng(seed)
+    locations = np.sort(rng.normal(0.0, spread, size))
+    return locations, rng.uniform(0.01, 1.0, size)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    size=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(1e-3, 1e3),
+    sigma=st.floats(1e-2, 1e2),
+    extreme=st.lists(_finite, max_size=4),
+)
+def test_posterior_mean_is_reversal_equivariant_bitwise(size, seed, spread, sigma, extreme):
+    locations, weights = _mixture(size, seed, spread)
+    y = np.concatenate([np.random.default_rng(seed + 1).normal(0.0, 2.0 * spread, 16), extreme])
+    mean = gaussian_posterior_mean(y, locations, weights, sigma)
+    mirrored = gaussian_posterior_mean(-y, -locations[::-1], weights[::-1], sigma)
+    assert np.array_equal(mirrored, -mean)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    size=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(1e-3, 1e3),
+    sigma=st.floats(1e-2, 1e2),
+    y=st.lists(_finite, min_size=1, max_size=8),
+)
+def test_posterior_mean_stays_in_the_hull_of_the_locations(size, seed, spread, sigma, y):
+    locations, weights = _mixture(size, seed, spread)
+    mean = gaussian_posterior_mean(np.array(y), locations, weights, sigma)
+    slack = 4.0 * np.spacing(np.max(np.abs(locations)))
+    assert np.all(np.isfinite(mean))
+    assert np.all(mean >= locations[0] - slack)
+    assert np.all(mean <= locations[-1] + slack)
 
 
 def test_posterior_bump_never_beats_conditional_mean(bench_params, rule40, rule20):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from pbpsolve import (
     ProblemParams,
@@ -39,7 +39,7 @@ from pbpsolve.ghq_solver import (
     _quantizer_init,
     _signal_pull,
 )
-from pbpsolve.quadrature import build_hermite_rule
+from pbpsolve.quadrature import SQRT_PI, build_hermite_rule
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,50 @@ def test_residual_negation_reversal_equivariance_is_bitwise(bench_params, rule7)
         f = residual_system(t, bench_params, rule7)
         f_mirror = residual_system(-t[::-1], bench_params, rule7)
         assert np.array_equal(f_mirror, -f[::-1])
+
+
+def _numpy_reversal_invariant_sum(a, axis=-1):
+    """The reversal-invariant sum with the pair sums reduced by NumPy along
+    any axis, as the residual used it before the shared kernels."""
+    a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
+    n = a.shape[-1]
+    h = n // 2
+    total = (a[..., :h] + a[..., : n - h - 1 : -1]).sum(axis=-1) if h else np.zeros(a.shape[:-1])
+    if n % 2:
+        total = total + a[..., h]
+    return total
+
+
+def _written_out_residual(t, params, rule):
+    """residual_system as it was written out before it went through the
+    shared posterior-mean and first-stage kernels."""
+    z = rule.nodes
+    lam = rule.weights
+    sv = params.sigma
+    c = math.sqrt(2.0) * sv
+    y = c * z[:, None] + t[None, :]
+    log_a = -((y[..., None] - t) ** 2) / (2.0 * sv * sv) + np.log(lam)
+    log_a -= log_a.max(axis=-1, keepdims=True)
+    w = np.exp(log_a)
+    b = _numpy_reversal_invariant_sum(w * t) / _numpy_reversal_invariant_sum(w)
+    d = t[None, :] - b
+    inner = (z[:, None] / c) * d * d + d
+    s = _numpy_reversal_invariant_sum(lam[:, None] * inner, axis=0)
+    return t - (math.sqrt(2.0) * params.sigma_x) * z + s / (SQRT_PI * params.k**2)
+
+
+@pytest.mark.parametrize("order", [1, 7, 15, 40, 64])
+def test_residual_matches_the_written_out_formula_bitwise(bench_params, order):
+    rule = build_hermite_rule(order)
+    rng = np.random.default_rng(300 + order)
+    starts = dict(_jacobian_starts(bench_params, rule))
+    starts["odd"] = (lambda u: u - u[::-1])(rng.normal(0.0, 15.0, order))
+    for j in range(5):
+        starts[f"random {j}"] = rng.normal(0.0, 10.0 ** rng.uniform(-1, 2), order)
+    for name, t in starts.items():
+        assert np.array_equal(
+            residual_system(t, bench_params, rule), _written_out_residual(t, bench_params, rule)
+        ), name
 
 
 def test_residual_equivariance_other_orders():
@@ -395,12 +439,62 @@ def test_first_stage_is_consistent_at_collocation_points(bench_report, bench_par
         )
 
 
-def test_first_stage_batch_matches_scalar(bench_report, bench_pair):
+def _scan_brentq_inverter(levels, rule, x0):
+    """Scalar inversion of H(g) = g + R(g) = x0 by bracketed root finding,
+    an algorithm independent of the batch inverter's table and Newton pass.
+
+    A dense scan of H over a window containing every preimage brackets the
+    sign changes of H - x0; each bracket is polished by Brent's method and
+    kept only if the residual actually vanishes (sign changes across the
+    downward jumps of H are not roots).  Among the true roots the one
+    nearest to a signaling level is returned.
+    """
+    t = levels.levels
+    params = levels.params
+    pad = 6.0 * params.sigma + 1.0
+    lo = min(float(t.min()), x0) - pad
+    hi = max(float(t.max()), x0) + pad
+    grid = np.linspace(lo, hi, 4001)
+    resid = grid + _signal_pull(grid, t, params, rule)[0] - x0
+
+    def h_defect(g):
+        return float(g + _signal_pull(np.array([g]), t, params, rule)[0][0] - x0)
+
+    scale = 1.0 + abs(x0) + float(np.max(np.abs(t)))
+    roots = []
+    for a, b, ra, rb in zip(grid[:-1], grid[1:], resid[:-1], resid[1:]):
+        if ra == 0.0:
+            roots.append(float(a))
+        elif ra * rb < 0.0:
+            r = brentq(h_defect, float(a), float(b), xtol=1e-13, rtol=1e-15)
+            if abs(h_defect(r)) <= 1e-7 * scale:
+                roots.append(float(r))
+    if resid[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    assert roots, f"no bracket at x0={x0!r}"
+    roots = np.asarray(roots)
+    return float(roots[np.argmin(np.min(np.abs(roots[:, None] - t[None, :]), axis=1))])
+
+
+def test_first_stage_batch_matches_scalar(bench_report, bench_pair, rule7):
     rng = np.random.default_rng(11)
     xs = rng.uniform(-15.0, 15.0, 50)
     batch = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
     for x, b in zip(xs, batch):
-        assert b == pytest.approx(eval_gamma1bar(float(x), bench_report.levels), abs=1e-10)
+        assert b == pytest.approx(
+            _scan_brentq_inverter(bench_report.levels, rule7, float(x)), abs=1e-10
+        )
+
+
+def test_eval_gamma1bar_is_the_batch_inverter(bench_report, bench_pair):
+    xs = np.concatenate([np.random.default_rng(12).uniform(-30.0, 30.0, 40), [0.0, 250.0]])
+    batch = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
+    for x, b in zip(xs, batch):
+        value = eval_gamma1bar(float(x), bench_report.levels)
+        assert isinstance(value, float)
+        assert value == b
+    with pytest.raises(NumericError):
+        eval_gamma1bar(np.nan, bench_report.levels)
 
 
 def test_first_stage_is_odd(bench_pair):
@@ -498,6 +592,26 @@ def test_signal_pull_slope_matches_central_differences(bench_report, bench_pair,
         _signal_pull(g + h, t, params, rule7)[0] - _signal_pull(g - h, t, params, rule7)[0]
     ) / (2.0 * h)
     assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central))
+
+
+@pytest.mark.parametrize("order", [7, 40])
+def test_signal_pull_values_do_not_depend_on_the_batch(bench_params, order):
+    """Each R(g) and R'(g) is the same bits whether g comes alone, with a
+    few others, or in a batch that _signal_pull splits into pieces; R is the
+    same bits with and without the slope."""
+    rule = build_hermite_rule(order)
+    t = _quantizer_init(bench_params, rule)
+    piece = _TABLE_CHUNK // order
+    g = np.random.default_rng(31).uniform(-40.0, 40.0, 2 * piece + 3)
+    pull, slope = _signal_pull(g, t, bench_params, rule)
+    for j in (0, 1, piece - 1, piece, 2 * piece + 2):
+        alone = _signal_pull(g[j : j + 1], t, bench_params, rule)
+        assert (alone[0][0], alone[1][0]) == (pull[j], slope[j])
+    pair = _signal_pull(g[piece - 1 : piece + 1], t, bench_params, rule)
+    assert np.array_equal(pair[0], pull[piece - 1 : piece + 1])
+    only_pull, none = _signal_pull(g, t, bench_params, rule, with_slope=False)
+    assert none is None
+    assert np.array_equal(only_pull, pull)
 
 
 def test_batch_inverter_is_chunk_invariant(bench_report):
