@@ -202,9 +202,17 @@ def _payoff_block(p: PayoffBreakdown) -> dict:
     }
 
 
-def _payoff_blocks(cfg: RunConfig, params: ProblemParams, pair: StrategyPair) -> list[dict]:
-    rule = build_hermite_rule(cfg.quad_order)
-    quad = payoff_quadrature(params, pair, rule, rule)
+def _payoff_blocks(
+    cfg: RunConfig,
+    params: ProblemParams,
+    pair: StrategyPair,
+    quad: PayoffBreakdown | None,
+) -> list[dict]:
+    """The quadrature and Monte Carlo payoff blocks.  A given quadrature
+    payoff of the --quad-order (outer and inner) is used as it is."""
+    if quad is None or quad.order != cfg.quad_order:
+        rule = build_hermite_rule(cfg.quad_order)
+        quad = payoff_quadrature(params, pair, rule, rule)
     mc = payoff_mc(params, pair, cfg.samples, cfg.seed)
     return [_payoff_block(quad), _payoff_block(mc)]
 
@@ -219,6 +227,7 @@ def _result_document(
     pair: StrategyPair,
     params: ProblemParams,
     started: float,
+    quad: PayoffBreakdown | None = None,
 ) -> dict:
     return {
         "converged": converged,
@@ -234,7 +243,7 @@ def _result_document(
             "sigma": cfg.sigma,
             "sigma_x": cfg.sigma_x,
         },
-        "payoff": _payoff_blocks(cfg, params, pair),
+        "payoff": _payoff_blocks(cfg, params, pair, quad),
         "residual_norm": residual_norm,
         "timing": (time.perf_counter() - started) if cfg.timing else None,
     }
@@ -250,7 +259,8 @@ class _Solved:
 
     levels are the first-stage values at the collocation points (for
     picard, its grid strategy interpolated there); pair is the strategy pair
-    the result document scores; ok is the subcommand's success.
+    the result document scores; ok is the subcommand's success; payoff is
+    a quadrature payoff of pair the solver already computed, if any.
     """
 
     method: str
@@ -260,6 +270,7 @@ class _Solved:
     converged: bool
     pair: StrategyPair
     ok: bool
+    payoff: PayoffBreakdown | None = None
 
 
 def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
@@ -285,6 +296,7 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
             report.converged,
             collocation_pair(report.levels),
             report.converged or not cfg.iterate,
+            report.payoff,
         )
 
     if not cfg.iterate:
@@ -346,6 +358,7 @@ def cmd_solve(cfg: RunConfig, started: float) -> int:
         solved.pair,
         params,
         started,
+        solved.payoff,
     )
     _emit_json(doc, _resolve_out(cfg.out_path))
     return 0 if solved.ok else 1

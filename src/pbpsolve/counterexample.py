@@ -186,16 +186,33 @@ def _reversal_invariant_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     Along a leading axis NumPy sums in index order only while the other axes
     hold more than one element, so a single column goes through cumsum,
     which keeps that order: a column's sum never depends on the batch.
+
+    Fewer than 8 pairs (the posterior sums over a handful of levels) are
+    accumulated column by column, left to right.  That is NumPy's own
+    order there: its pairwise sum runs a plain loop below 8 terms, and a
+    reduction along a leading axis adds row after row.  A NumPy reduction
+    starts from +0.0 and cumsum from its first entry, and the first pair
+    is added to the matching start, so the sign of a zero total is NumPy's
+    too.  The column passes are elementwise, several times faster than a
+    reduction along a last axis this short.  From 8 pairs on NumPy
+    switches to 8 interleaved accumulators, so those sums stay with it.
     """
     a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
     n = a.shape[-1]
     h = n // 2
-    if h:
+    single_column = a.size == n and axis not in (-1, a.ndim - 1)
+    if h >= 8:
         pairs = a[..., :h] + a[..., : n - h - 1 : -1]
-        if pairs.size == h and axis not in (-1, a.ndim - 1):
+        if single_column:
             total = np.cumsum(pairs, axis=-1)[..., -1]
         else:
             total = pairs.sum(axis=-1)
+    elif h:
+        total = a[..., 0] + a[..., n - 1]
+        if not single_column:
+            total += 0.0  # the reduction's +0.0 start: a -0.0 pair becomes +0.0
+        for j in range(1, h):
+            total += a[..., j] + a[..., n - 1 - j]
     else:
         total = np.zeros(a.shape[:-1])
     if n % 2:
@@ -210,12 +227,33 @@ def _posterior_weights(
     G(0, sigma^2) noise, log-sum-exp stabilized.  Broadcasts over y; the
     locations run along the last axis.  y is clipped to within
     1e150 min(1, sigma) of the locations, where the posterior has long
-    saturated, so that no squared distance overflows to leave no weight."""
+    saturated, so that no squared distance overflows to leave no weight.
+
+    The row maxima are taken by an elementwise np.maximum pass over the
+    location columns: a reduction along a last axis of a few locations is
+    several times slower, and the maximum is the same value either way.
+    When sigma is so far below the location gaps that every log weight of
+    a row is -inf, the posterior has collapsed onto the nearest location(s)
+    of positive mass, which then keep their prior masses; other rows are
+    untouched."""
     far = 1e150 * min(1.0, sigma)
     y = np.clip(np.asarray(y, dtype=float), locations.min() - far, locations.max() + far)
-    log_a = -((y[..., None] - locations) ** 2) / (2.0 * sigma * sigma) + log_masses
-    log_a -= log_a.max(axis=-1, keepdims=True)
-    return np.exp(log_a)
+    log_a = np.subtract(y[..., None], locations)
+    np.square(log_a, out=log_a)
+    np.negative(log_a, out=log_a)
+    log_a /= 2.0 * sigma * sigma
+    log_a += log_masses
+    top = log_a[..., 0].copy()
+    for j in range(1, log_a.shape[-1]):
+        np.maximum(top, log_a[..., j], out=top)
+    lost = top == -np.inf
+    if lost.any():
+        gap = np.where(log_masses > -np.inf, np.abs(y[lost][:, None] - locations), np.inf)
+        nearest = gap == gap.min(axis=-1, keepdims=True)
+        log_a[lost] = np.where(nearest, log_masses, -np.inf)
+        top[lost] = log_a[lost].max(axis=-1)
+    log_a -= top[..., None]
+    return np.exp(log_a, out=log_a)
 
 
 def _posterior_moments(

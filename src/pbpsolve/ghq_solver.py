@@ -30,13 +30,14 @@ the signaling levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .counterexample import (
+    PayoffBreakdown,
     ProblemParams,
     StrategyPair,
     _first_stage_sum,
@@ -103,7 +104,11 @@ class SolveReport:
     finite-difference evaluations are hidden), not counting the one that
     measures residual_norm; jacobian_evaluations counts its
     residual_jacobian calls (njev); both are 0 without iteration.  init
-    records which initialization produced the result.
+    records which initialization produced the result.  payoff is the
+    quadrature payoff (order-20 outer and inner rules) by which
+    init="auto" compared two converged candidates, None when no comparison
+    ran.  An "auto" result lists both candidate reports, affine first, in
+    candidates, which is empty otherwise.
     """
 
     levels: SignalingLevels
@@ -113,6 +118,8 @@ class SolveReport:
     init: str
     tol: float
     jacobian_evaluations: int = 0
+    payoff: PayoffBreakdown | None = None
+    candidates: tuple[SolveReport, ...] = ()
 
     def __post_init__(self) -> None:
         if self.converged and not self.residual_norm <= self.tol:
@@ -369,16 +376,18 @@ def solve_signaling_levels(
             ),
         ]
         converged = [r for r in reports if r.converged]
-        if not converged:
-            return min(reports, key=lambda r: r.residual_norm)
-        if len(converged) == 1:
-            return converged[0]
-        payoff_rule = build_hermite_rule(20)
-        totals = [
-            payoff_quadrature(params, solved_pair(r), payoff_rule, payoff_rule).total
-            for r in converged
-        ]
-        return converged[int(np.argmin(totals))]
+        if len(converged) == 2:
+            payoff_rule = build_hermite_rule(20)
+            reports = [
+                replace(r, payoff=payoff_quadrature(params, solved_pair(r), payoff_rule, payoff_rule))
+                for r in reports
+            ]
+            best = min(reports, key=lambda r: r.payoff.total)
+        elif converged:
+            best = converged[0]
+        else:
+            best = min(reports, key=lambda r: r.residual_norm)
+        return replace(best, candidates=tuple(reports))
 
     start = np.asarray(list(np.ravel(init)), dtype=float)
     if not np.all(np.isfinite(start)):
@@ -525,19 +534,9 @@ class _TableInverter:
         t = self._t
         params = self._params
 
-        # Each branch visits only the sorted queries inside its range of H.
         order = np.argsort(flat, kind="stable")
         xs = flat[order]
-        best = np.full(xs.shape, np.nan)
-        best_dist = np.full(xs.shape, np.inf)
-        for seg_h, seg_g in table.branches:
-            a = np.searchsorted(xs, seg_h[0], side="left")
-            b = np.searchsorted(xs, seg_h[-1], side="right")
-            cand = np.interp(xs[a:b], seg_h, seg_g)
-            dist = np.min(np.abs(cand[:, None] - t[None, :]), axis=1)
-            take = dist < best_dist[a:b]
-            best[a:b][take] = cand[take]
-            best_dist[a:b][take] = dist[take]
+        best = _nearest_preimages(xs, table.branches, t)
 
         # Queries beyond the tabulated range of H clamp to the table ends.
         best = np.where(np.isnan(best) & (xs <= table.h_min), table.lo, best)
@@ -556,6 +555,32 @@ class _TableInverter:
         out = np.empty_like(best)
         out[order] = best
         return np.reshape(out, np.shape(x))
+
+
+def _nearest_preimages(
+    xs: np.ndarray, branches: Sequence[tuple[np.ndarray, np.ndarray]], t: np.ndarray
+) -> np.ndarray:
+    """For ascending queries xs, the interpolated preimage over the
+    monotone branches that lies nearest to a level of t; NaN where no
+    branch covers a query.  A later branch replaces a kept candidate only
+    when it is strictly nearer.  Each branch visits only the queries inside
+    its range of H, and the distance to the nearest level is taken by one
+    elementwise pass per level (no queries x levels temporary)."""
+    best = np.full(xs.shape, np.nan)
+    best_dist = np.full(xs.shape, np.inf)
+    for seg_h, seg_g in branches:
+        a = np.searchsorted(xs, seg_h[0], side="left")
+        b = np.searchsorted(xs, seg_h[-1], side="right")
+        cand = np.interp(xs[a:b], seg_h, seg_g)
+        dist = np.abs(cand - t[0])
+        gap = np.empty_like(cand)
+        for level in t[1:]:
+            np.abs(np.subtract(cand, level, out=gap), out=gap)
+            np.minimum(dist, gap, out=dist)
+        take = dist < best_dist[a:b]
+        best[a:b][take] = cand[take]
+        best_dist[a:b][take] = dist[take]
+    return best
 
 
 def solved_pair(report: SolveReport) -> StrategyPair:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from pbpsolve import (
     solve_signaling_levels,
     summarize_staircase,
 )
-from pbpsolve import cli
+from pbpsolve import cli, ghq_solver
 from pbpsolve.cli import RunConfig, _parse_init, main
 from pbpsolve.errors import ConfigurationError
 from pbpsolve.ghq_solver import _TableInverter
@@ -212,6 +213,35 @@ def test_default_solve_builds_two_inverter_tables(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["init"].startswith("auto:")
     assert len(builds) == 2
+
+
+def test_default_solve_reuses_the_auto_pick_quadrature(capsys, monkeypatch):
+    """The auto pick scores both candidates with order-20 quadrature; the
+    output's quadrature block is the winner's score, not a third call."""
+    calls = []
+
+    def counting(params, pair, outer_rule, inner_rule):
+        calls.append(outer_rule.order)
+        return payoff_quadrature(params, pair, outer_rule, inner_rule)
+
+    monkeypatch.setattr(ghq_solver, "payoff_quadrature", counting)
+    monkeypatch.setattr(cli, "payoff_quadrature", counting)
+    code, out, _ = run_cli(capsys, "solve", "--k", "0.2", "--sigma-x", "5", "--samples", "1000")
+    assert code == 0
+    assert calls == [20, 20]
+    assert json.loads(out)["payoff"][0]["order"] == 20
+
+
+def test_payoff_blocks_reuse_only_a_quadrature_of_the_requested_order():
+    params = ProblemParams(k=1.0, sigma=1.0, sigma_x=1.0)
+    pair = affine_optimal(params)
+    rule = build_hermite_rule(20)
+    known = payoff_quadrature(params, pair, rule, rule)
+    fake = dataclasses.replace(known, stage1=0.0, total=known.stage2)
+    kept = cli._payoff_blocks(RunConfig("solve", samples=100), params, pair, fake)
+    assert kept[0] == cli._payoff_block(fake)
+    other = cli._payoff_blocks(RunConfig("solve", samples=100, quad_order=24), params, pair, fake)
+    assert other[0]["order"] == 24 and other[0]["stage1"] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from pbpsolve import (
     stationarity_residual,
     wit_nonlinear,
 )
-from pbpsolve.counterexample import _MC_CHUNK
+from pbpsolve.counterexample import _MC_CHUNK, _posterior_weights, _reversal_invariant_sum
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve.quadrature import build_hermite_rule
 
@@ -344,14 +344,16 @@ def _mixture(size, seed, spread):
     size=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     spread=st.floats(1e-3, 1e3),
-    sigma=st.floats(1e-2, 1e2),
+    sigma=st.floats(1e-160, 1e2),
     extreme=st.lists(_finite, max_size=4),
 )
 def test_posterior_mean_is_reversal_equivariant_bitwise(size, seed, spread, sigma, extreme):
     locations, weights = _mixture(size, seed, spread)
     y = np.concatenate([np.random.default_rng(seed + 1).normal(0.0, 2.0 * spread, 16), extreme])
-    mean = gaussian_posterior_mean(y, locations, weights, sigma)
-    mirrored = gaussian_posterior_mean(-y, -locations[::-1], weights[::-1], sigma)
+    # sigma below about 1e-154 times the location gaps overflows squared distances.
+    with np.errstate(over="ignore"):
+        mean = gaussian_posterior_mean(y, locations, weights, sigma)
+        mirrored = gaussian_posterior_mean(-y, -locations[::-1], weights[::-1], sigma)
     assert np.array_equal(mirrored, -mean)
 
 
@@ -360,16 +362,127 @@ def test_posterior_mean_is_reversal_equivariant_bitwise(size, seed, spread, sigm
     size=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     spread=st.floats(1e-3, 1e3),
-    sigma=st.floats(1e-2, 1e2),
+    sigma=st.floats(1e-160, 1e2),
     y=st.lists(_finite, min_size=1, max_size=8),
 )
 def test_posterior_mean_stays_in_the_hull_of_the_locations(size, seed, spread, sigma, y):
     locations, weights = _mixture(size, seed, spread)
-    mean = gaussian_posterior_mean(np.array(y), locations, weights, sigma)
+    with np.errstate(over="ignore"):
+        mean = gaussian_posterior_mean(np.array(y), locations, weights, sigma)
     slack = 4.0 * np.spacing(np.max(np.abs(locations)))
     assert np.all(np.isfinite(mean))
     assert np.all(mean >= locations[0] - slack)
     assert np.all(mean <= locations[-1] + slack)
+
+
+def test_posterior_mean_survives_squared_distances_that_overflow():
+    """At sigma = 1e-160 every squared distance overflows, so every log
+    weight is -inf; the posterior has collapsed onto the nearest location."""
+    with np.errstate(over="ignore", divide="ignore"):
+        got = gaussian_posterior_mean([0.3, 0.7], [0.0, 1.0], [0.5, 0.5], 1e-160)
+        grid = gaussian_posterior_mean(
+            np.array([[-2.0, 0.2, 0.9], [1.4, 1.6, 7.0]]), [0.0, 1.0, 2.0], [0.2, 0.3, 0.5], 1e-160
+        )
+        # A location without prior mass takes no weight.
+        massless = gaussian_posterior_mean([0.3, 0.7], [0.0, 0.4, 1.0], [0.5, 0.0, 0.5], 1e-160)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, [0.0, 1.0])
+    assert np.array_equal(grid, [[0.0, 0.0, 1.0], [1.0, 2.0, 2.0]])
+    assert np.array_equal(massless, [0.0, 1.0])
+
+
+def _reversal_invariant_sum_by_reduction(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The reversal-invariant sum with NumPy reductions over the pairs, the
+    reference that the column passes must reproduce bit for bit."""
+    a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
+    n = a.shape[-1]
+    h = n // 2
+    if h:
+        pairs = a[..., :h] + a[..., : n - h - 1 : -1]
+        if pairs.size == h and axis not in (-1, a.ndim - 1):
+            total = np.cumsum(pairs, axis=-1)[..., -1]
+        else:
+            total = pairs.sum(axis=-1)
+    else:
+        total = np.zeros(a.shape[:-1])
+    if n % 2:
+        total = total + a[..., h]
+    return total
+
+
+def _sum_shape(n: int, batch: int | None, axis: int) -> tuple[int, ...]:
+    if batch is None:
+        return (n,)
+    return (n, batch) if axis == 0 else (batch, n)
+
+
+_AWKWARD = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-308, -1e-310, 1e308])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    batch=st.sampled_from([None, 1, 3]),
+    axis=st.sampled_from([0, -1]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-300, 1e300),
+    awkward_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_reversal_invariant_sum_matches_the_reduction_bitwise(
+    n, batch, axis, seed, scale, awkward_share
+):
+    """Entries are Gaussian at the drawn scale, a share of them replaced by
+    signed zeros, infinities, subnormals and near-overflow values."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, scale, _sum_shape(n, batch, axis))
+    awkward = rng.random(a.shape) < awkward_share
+    a[awkward] = rng.choice(_AWKWARD, np.count_nonzero(awkward))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.asarray(_reversal_invariant_sum(a, axis))
+        want = np.asarray(_reversal_invariant_sum_by_reduction(a, axis))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fill", [-0.0, 0.0])
+def test_reversal_invariant_sum_keeps_the_sign_of_a_zero_total(fill):
+    """A reduction starts from +0.0 and cumsum from its first entry."""
+    for n in range(1, 41):
+        for batch in (None, 1, 3):
+            for axis in (0, -1):
+                a = np.full(_sum_shape(n, batch, axis), fill)
+                got = np.asarray(_reversal_invariant_sum(a, axis))
+                want = np.asarray(_reversal_invariant_sum_by_reduction(a, axis))
+                assert got.tobytes() == want.tobytes(), (n, batch, axis)
+
+
+def _posterior_weights_by_reduction(y, locations, log_masses, sigma):
+    """The posterior weights with the row maxima taken by a reduction."""
+    far = 1e150 * min(1.0, sigma)
+    y = np.clip(np.asarray(y, dtype=float), locations.min() - far, locations.max() + far)
+    log_a = -((y[..., None] - locations) ** 2) / (2.0 * sigma * sigma) + log_masses
+    log_a -= log_a.max(axis=-1, keepdims=True)
+    return np.exp(log_a)
+
+
+@pytest.mark.parametrize("size", [1, 7, 40, 64])
+def test_posterior_weights_match_the_reduction_bitwise(size):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        spread = 10.0 ** rng.uniform(-3.0, 3.0)
+        sigma = 10.0 ** rng.uniform(-2.0, 2.0)
+        locations, weights = _mixture(size, int(rng.integers(2**32)), spread)
+        log_masses = np.log(weights)
+        for y in (
+            rng.normal(0.0, 2.0 * spread, (5, 33)),
+            rng.normal(0.0, 2.0 * spread, 17),
+            rng.normal(0.0, spread),
+            np.array([1e300, -1e300, 0.0, -0.0, locations[0], locations[-1]]),
+        ):
+            got = _posterior_weights(y, locations, log_masses, sigma)
+            want = _posterior_weights_by_reduction(y, locations, log_masses, sigma)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_posterior_bump_never_beats_conditional_mean(bench_params, rule40, rule20):

@@ -24,6 +24,7 @@ from pbpsolve import (
     eval_gamma1bar,
     eval_gamma2,
     expand_distinct_levels,
+    payoff_quadrature,
     residual_jacobian,
     residual_system,
     solve_signaling_levels,
@@ -36,6 +37,7 @@ from pbpsolve.ghq_solver import (
     _TABLE_CHUNK,
     _TABLE_POINTS,
     _affine_init,
+    _nearest_preimages,
     _quantizer_init,
     _signal_pull,
 )
@@ -288,10 +290,28 @@ def test_both_starts_reach_the_same_benchmark_solution(bench_params, rule7, benc
                          - np.sort(bench_report.levels.levels))) < 1e-8
 
 
-def test_auto_start_records_which_side_won(bench_params, rule7):
+def test_auto_start_records_which_side_won(bench_params, rule7, rule20):
     report = solve_signaling_levels(bench_params, rule7, init="auto", tol=1e-10)
     assert report.converged
     assert report.init in ("auto:affine", "auto:quantizer")
+    # Both starts converge here, so both were scored with the order-20 rules.
+    assert [c.init for c in report.candidates] == ["auto:affine", "auto:quantizer"]
+    assert all(c.converged and c.payoff.order == 20 for c in report.candidates)
+    winner = next(c for c in report.candidates if c.init == report.init)
+    assert winner.residual_norm == report.residual_norm
+    assert report.payoff == winner.payoff
+    assert report.payoff.total == min(c.payoff.total for c in report.candidates)
+    assert payoff_quadrature(bench_params, solved_pair(report), rule20, rule20) == report.payoff
+
+
+def test_auto_start_without_two_converged_candidates_scores_none(bench_params, rule7):
+    report = solve_signaling_levels(bench_params, rule7, init="auto", iterate=False)
+    assert not report.converged
+    assert [c.init for c in report.candidates] == ["auto:affine", "auto:quantizer"]
+    assert report.residual_norm == min(c.residual_norm for c in report.candidates)
+    assert report.payoff is None and all(c.payoff is None for c in report.candidates)
+    single = solve_signaling_levels(bench_params, rule7, init="quantizer", iterate=False)
+    assert single.candidates == () and single.payoff is None
 
 
 def test_no_iterate_reports_start_levels_exactly(bench_params, rule7):
@@ -495,6 +515,53 @@ def test_eval_gamma1bar_is_the_batch_inverter(bench_report, bench_pair):
         assert value == b
     with pytest.raises(NumericError):
         eval_gamma1bar(np.nan, bench_report.levels)
+
+
+def _nearest_preimages_by_reduction(xs, branches, t):
+    """The branch selection with the level distance taken by a reduction
+    over a queries x levels array, the reference for the level passes."""
+    best = np.full(xs.shape, np.nan)
+    best_dist = np.full(xs.shape, np.inf)
+    for seg_h, seg_g in branches:
+        a = np.searchsorted(xs, seg_h[0], side="left")
+        b = np.searchsorted(xs, seg_h[-1], side="right")
+        cand = np.interp(xs[a:b], seg_h, seg_g)
+        dist = np.min(np.abs(cand[:, None] - t[None, :]), axis=1)
+        take = dist < best_dist[a:b]
+        best[a:b][take] = cand[take]
+        best_dist[a:b][take] = dist[take]
+    return best
+
+
+def test_nearest_preimage_keeps_the_first_of_tied_branches():
+    """Candidates lie exactly midway between two levels or on a level, and
+    at every covered query two branches tie; the earlier branch wins."""
+    t = np.array([-3.0, -1.0, 1.0, 3.0])
+    branches = (
+        (np.array([0.0, 4.0]), np.array([-2.0, 2.0])),
+        (np.array([0.0, 4.0]), np.array([0.0, 4.0])),
+        (np.array([1.0, 3.0]), np.array([4.0, -4.0])),
+    )
+    xs = np.array([-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    got = _nearest_preimages(xs, branches, t)
+    assert got.tobytes() == _nearest_preimages_by_reduction(xs, branches, t).tobytes()
+    assert np.array_equal(got, [np.nan, -2.0, -1.0, 0.0, 1.0, 2.0, np.nan], equal_nan=True)
+
+
+def test_nearest_preimage_matches_the_reduction_on_the_benchmark_table(bench_pair):
+    inverter = bench_pair.gamma1bar
+    inverter(np.array([0.0]))
+    table = inverter._table
+    t = np.sort(bench_pair.levels)
+    rng = np.random.default_rng(13)
+    xs = np.sort(np.concatenate([
+        rng.uniform(table.h_min, table.h_max, 20_000),
+        0.5 * (t[:-1] + t[1:]),
+        t,
+    ]))
+    got = _nearest_preimages(xs, table.branches, bench_pair.levels)
+    want = _nearest_preimages_by_reduction(xs, table.branches, bench_pair.levels)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_first_stage_is_odd(bench_pair):
