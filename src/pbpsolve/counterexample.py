@@ -241,7 +241,8 @@ def _posterior_weights(
     log_a = np.subtract(y[..., None], locations)
     np.square(log_a, out=log_a)
     np.negative(log_a, out=log_a)
-    log_a /= 2.0 * sigma * sigma
+    with np.errstate(over="ignore"):  # -inf rows are handled below
+        log_a /= 2.0 * sigma * sigma
     log_a += log_masses
     top = log_a[..., 0].copy()
     for j in range(1, log_a.shape[-1]):

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counterexample import ProblemParams, StrategyPair, _first_stage_sum, gaussian_posterior_mean
+from .counterexample import (
+    ProblemParams,
+    StrategyPair,
+    _first_stage_sum,
+    _posterior_weights,
+    _reversal_invariant_sum,
+    gaussian_posterior_mean,
+)
 from .errors import ConfigurationError, NumericError
 from .quadrature import QuadratureRule, build_hermite_rule
 
@@ -249,15 +256,19 @@ def frechet_kernel(
     k00 = -(1.0 / k2) * ((-d * d / (2.0 * sv2) + A * d / sv2 + 1.0) + bracket * (A / sv2)) * phi
     k01 = -(1.0 / k2) * (-A * d / sv2 - 1.0) * phi
 
+    # With w(xi) = exp(-(b - gamma1bar(xi))^2 / (2 sigma^2)), the posterior
+    # mean m and the relative weight q_a = w(a) / integral w dP give
+    # K[1,0] = q_a (1 + (g - m)(b - g) / sigma^2).  g joins the prior nodes
+    # as a location of unit mass, so the shared log-sum-exp weights give q_a
+    # where every raw weight underflows.
     prior_rule = build_hermite_rule(40)
     xi, p_xi = params.prior.quad_points(prior_rule)
     g1_xi = strategy.interp1(xi)
-    w = np.exp(-((b - g1_xi) ** 2) / (2.0 * sv2))
-    den = float(np.dot(p_xi, w))
-    num = float(np.dot(p_xi, g1_xi * w))
-    wa = math.exp(-((b - g) ** 2) / (2.0 * sv2))
-    dwa = wa * (b - g) / sv2
-    k10 = (wa + g * dwa) / den - num * dwa / (den * den)
+    m = float(gaussian_posterior_mean(np.array(b), g1_xi, p_xi, sv))
+    log_masses = np.append(np.log(p_xi), 0.0)
+    w = _posterior_weights(np.array(b), np.append(g1_xi, g), log_masses, sv)
+    q_a = float(w[-1] / _reversal_invariant_sum(w[:-1]))
+    k10 = q_a * (1.0 + (g - m) * (b - g) / sv2)
 
     return np.array([[k00, k01], [k10, 0.0]])
 

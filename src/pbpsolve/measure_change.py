@@ -33,8 +33,12 @@ the block; probabilities multiply in path order; each distinct (state path,
 action path) sums its costs once with fsum; and each profile's total is an
 fsum over its trajectories of nonzero probability.  Every product is the
 one a recursion over the trajectory tree forms, so the costs do not depend
-on the block size.  verify_martingale still walks the tree recursively.
-Every enumeration refuses models with more than 1e7 trajectories.
+on the block size.  The reference probabilities and Lambda, M and Theta
+are multiplied in one place, _likelihood_ratios, on the rows of a table:
+payoff_equivalence weights the costs with them, rnd_process reads them off
+a one-row table, and verify_martingale sums them over the rows that share
+a path prefix.  Every enumeration refuses models with more than 1e7
+trajectories.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -67,21 +72,6 @@ def _product(values: Sequence[int]) -> int:
     for v in values:
         out *= int(v)
     return out
-
-
-def _joint_index(components: Sequence[int], sizes: Sequence[int]) -> int:
-    idx = 0
-    for c, s in zip(components, sizes):
-        idx = idx * s + c
-    return idx
-
-
-def _split_index(idx: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(idx % s)
-        idx //= s
-    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +309,6 @@ def uniform_profile(model: FiniteTeamModel, action: int = 0) -> StrategyProfile:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _joint_action(
-    model: FiniteTeamModel,
-    profile: StrategyProfile,
-    period: int,
-    observations: Sequence[int],
-    actions: Sequence[int],
-) -> int:
-    components = []
-    for j in range(model.stations):
-        key = []
-        for kind, s, m in model.info[j][period]:
-            if kind == "y":
-                key.append(_split_index(observations[s], model.obs_sizes)[m])
-            else:
-                key.append(_split_index(actions[s], model.action_sizes)[m])
-        components.append(int(profile.maps[j][period][tuple(key)]))
-    return _joint_index(components, model.action_sizes)
-
-
 def _check_trajectory_cap(model: FiniteTeamModel) -> None:
     count = (model.num_states * model.total_obs) ** model.horizon
     if count > _MAX_TRAJECTORIES:
@@ -374,7 +345,13 @@ def _trajectory_table(model: FiniteTeamModel) -> _TrajectoryTable:
     paths = np.indices(shape).reshape(2 * n, -1)
     states = paths[0::2].T.copy()
     states[:, 0] = starts[states[:, 0]]
-    observations = paths[1::2].T.copy()
+    return _paths_table(model, states, paths[1::2].T.copy())
+
+
+def _paths_table(
+    model: FiniteTeamModel, states: np.ndarray, observations: np.ndarray
+) -> _TrajectoryTable:
+    """Table of the given (rows, horizon) state and joint-observation paths."""
     parts = []
     rest = observations
     for size in reversed(model.obs_sizes):
@@ -500,6 +477,43 @@ def joint_measure_original(
     }
 
 
+def _likelihood_ratios(
+    model: FiniteTeamModel, table: _TrajectoryTable, actions: Sequence[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Reference probabilities and Lambda, M and Theta along every table row.
+
+    actions[t] is one profile's period-t joint action on every row.  Yields,
+    for periods t = 0, 1, ... in turn, arrays over the rows:
+    (p_ref, step, lam, mart, theta) = (reference probability of the
+    length-(t+1) path prefix, its last factor r phi with r the initial law
+    at t = 0 and Psi_t after, Lambda_{t+1}, M_{t+1}, Theta_{t+1}).  Factors
+    multiply as lam (q / phi), mart (P / Psi) and (p_ref r) phi, each step
+    elementwise, so a row has the same bits in any table that holds it.
+    """
+    x, y = table.states, table.observations
+    r = p_ref = model.initial[x[:, 0]]
+    lam = mart = np.ones(table.size)
+    for t in range(model.horizon):
+        phi = model.obs_reference[t][y[:, t]]
+        if t > 0:
+            r = model.state_reference[t - 1][x[:, t]]
+            mart = mart * (model.transitions[t - 1][x[:, t - 1], actions[t - 1], x[:, t]] / r)
+            p_ref = p_ref * r
+        p_ref = p_ref * phi
+        lam = lam * (model.observations[t][x[:, t], actions[t], y[:, t]] / phi)
+        yield p_ref, r * phi, lam, mart, lam * mart
+
+
+def _path_indices(values: Sequence[int], size: int, name: str) -> list[int]:
+    try:
+        indices = [operator.index(v) for v in values]
+    except TypeError:
+        raise ConfigurationError(f"{name}s must be integer indices") from None
+    if not all(0 <= i < size for i in indices):
+        raise ConfigurationError(f"{name}s must lie in [0, {size}), got {indices}")
+    return indices
+
+
 @dataclass(frozen=True)
 class RadonNikodymPath:
     """Likelihood-ratio factors along one trajectory (1-based time in docs).
@@ -523,34 +537,20 @@ def rnd_process(
 
     Actions are reconstructed from the profile.  The first martingale factor
     is 1 by convention: the initial state law is shared by both measures, so
-    the state ratio only starts at period 2.
+    the state ratio only starts at period 2.  Every state must lie in
+    [0, num_states) and every joint observation in [0, total_obs).
     """
     validate_profile(model, profile)
-    n = model.horizon
-    if len(states) != n or len(observations) != n:
+    if not len(states) == len(observations) == model.horizon:
         raise ConfigurationError("states and observations must have length horizon")
-    lam = 1.0
-    mart = 1.0
-    actions: list[int] = []
-    lams, marts, thetas = [], [], []
-    for t in range(n):
-        u = _joint_action(model, profile, t, observations, actions)
-        actions.append(u)
-        x = int(states[t])
-        y = int(observations[t])
-        if t > 0:
-            mart *= float(model.transitions[t - 1][states[t - 1], actions[t - 1], x]) / float(
-                model.state_reference[t - 1][x]
-            )
-        lam *= float(model.observations[t][x, u, y]) / float(model.obs_reference[t][y])
-        lams.append(lam)
-        marts.append(mart)
-        thetas.append(lam * mart)
-    return RadonNikodymPath(
-        lambda_path=np.asarray(lams),
-        martingale_path=np.asarray(marts),
-        thetas=np.asarray(thetas),
+    table = _paths_table(
+        model,
+        np.array([_path_indices(states, model.num_states, "state")]),
+        np.array([_path_indices(observations, model.total_obs, "observation")]),
     )
+    actions = [u[0] for u in _block_actions(model, table, *_single_block(profile))]
+    _, _, lam, mart, theta = np.array(list(_likelihood_ratios(model, table, actions)))[..., 0].T
+    return RadonNikodymPath(lambda_path=lam, martingale_path=mart, thetas=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -575,64 +575,29 @@ class MartingaleReport:
 def verify_martingale(
     model: FiniteTeamModel, profile: StrategyProfile, tol: float = 1e-12
 ) -> MartingaleReport:
-    """Check E_ref[Theta_t] = 1 and the conditional martingale property."""
+    """Check E_ref[Theta_t] = 1 and the conditional martingale property.
+
+    The table is lexicographic over (x_0, y_0, x_1, y_1, ...), so its rows
+    [::(states * observations)^(n-1-t)] hold each length-(t+1) path prefix
+    once, with the children of each shorter prefix consecutive.  Both
+    checks are fsums over those rows: of p_ref Theta_t, and per parent of
+    (r phi) Theta_t, against the parent's Theta (1 for the empty prefix).
+    """
     validate_profile(model, profile)
-    _check_trajectory_cap(model)
-    n = model.horizon
-    unit_terms: list[list[float]] = [[] for _ in range(n)]
-    conditional_error = 0.0
-
-    def recurse(
-        t: int,
-        states: list[int],
-        observations: list[int],
-        actions: list[int],
-        p_ref: float,
-        lam: float,
-        mart: float,
-        theta_prev: float,
-    ) -> None:
-        nonlocal conditional_error
-        if t == n:
-            return
-        u = _joint_action(model, profile, t, observations, actions)
-        if t == 0:
-            state_probs = model.initial
-            ref_probs = model.initial
-        else:
-            state_probs = model.transitions[t - 1][states[-1], actions[-1]]
-            ref_probs = model.state_reference[t - 1]
-        conditional_terms = []
-        for x in range(model.num_states):
-            px = float(state_probs[x])
-            rx = float(ref_probs[x])
-            if rx == 0.0:
-                continue
-            mart_new = mart if t == 0 else mart * (px / rx)
-            q = model.observations[t][x, u]
-            phi = model.obs_reference[t]
-            for y in range(model.total_obs):
-                lam_new = lam * float(q[y]) / float(phi[y])
-                theta = lam_new * mart_new
-                step_ref = rx * float(phi[y])
-                unit_terms[t].append(p_ref * step_ref * theta)
-                conditional_terms.append(step_ref * theta)
-                recurse(
-                    t + 1,
-                    states + [x],
-                    observations + [y],
-                    actions + [u],
-                    p_ref * step_ref,
-                    lam_new,
-                    mart_new,
-                    theta,
-                )
-        conditional_error = max(
-            conditional_error, abs(math.fsum(conditional_terms) - theta_prev)
-        )
-
-    recurse(0, [], [], [], 1.0, 1.0, 1.0, 1.0)
-    unit_mean_error = max(abs(math.fsum(terms) - 1.0) for terms in unit_terms)
+    table = _trajectory_table(model)
+    width = model.num_states * model.total_obs
+    unit_mean_error = conditional_error = 0.0
+    parent = np.ones(1)
+    actions = [u[0] for u in _block_actions(model, table, *_single_block(profile))]
+    for t, (p_ref, step, _, _, theta) in enumerate(_likelihood_ratios(model, table, actions)):
+        rows = slice(None, None, width ** (model.horizon - 1 - t))
+        theta = theta[rows]
+        unit_mean = math.fsum((p_ref[rows] * theta).tolist())
+        unit_mean_error = max(unit_mean_error, abs(unit_mean - 1.0))
+        children = (step[rows] * theta).reshape(parent.size, -1).tolist()
+        sums = np.array([math.fsum(row) for row in children])
+        conditional_error = max(conditional_error, float(np.max(np.abs(sums - parent))))
+        parent = theta
     return MartingaleReport(
         unit_mean_error=unit_mean_error,
         conditional_error=conditional_error,
@@ -666,26 +631,11 @@ def payoff_equivalence(
     probabilities = _block_probabilities(model, table, block)[0]
     original = math.fsum((probabilities * _path_costs(model, table, block)[0]).tolist())
 
-    # Reference probability and Theta_t = Lambda_t M_t along every path.
-    actions = [u[0] for u in block]
-    x, y = table.states, table.observations
-    p_ref = model.initial[x[:, 0]]
-    lam = 1.0
-    mart = 1.0
+    x = table.states
     weighted = []
-    for t in range(model.horizon):
-        u, phi = actions[t], model.obs_reference[t]
-        if t > 0:
-            px = model.transitions[t - 1][x[:, t - 1], actions[t - 1], x[:, t]]
-            rx = model.state_reference[t - 1][x[:, t]]
-            mart = mart * (px / rx)
-            p_ref = p_ref * rx
-        qy = model.observations[t][x[:, t], u, y[:, t]]
-        py = phi[y[:, t]]
-        p_ref = p_ref * py
-        lam = lam * (qy / py)
-        theta = lam * mart
-        weighted.append(model.stage_costs[t][x[:, t], u] * theta)
+    ratios = _likelihood_ratios(model, table, [u[0] for u in block])
+    for t, (p_ref, _, _, _, theta) in enumerate(ratios):
+        weighted.append(model.stage_costs[t][x[:, t], block[t][0]] * theta)
     weighted.append(model.terminal_cost[x[:, -1]] * theta)
     sums = np.array([math.fsum(row) for row in np.stack(weighted, axis=1).tolist()])
     via_reference = math.fsum((p_ref * sums).tolist())

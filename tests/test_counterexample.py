@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -389,6 +390,19 @@ def test_posterior_mean_survives_squared_distances_that_overflow():
     assert np.array_equal(got, [0.0, 1.0])
     assert np.array_equal(grid, [[0.0, 0.0, 1.0], [1.0, 2.0, 2.0]])
     assert np.array_equal(massless, [0.0, 1.0])
+
+
+def test_posterior_mean_of_overflowing_distances_warns_of_nothing():
+    """The rows whose log weights overflow are handled exactly, so the
+    overflow in scaling the squared distances raises no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gaussian_posterior_mean([0.3, 0.7], [0.0, 1.0], [0.5, 0.5], 1e-160)
+        grid = gaussian_posterior_mean(
+            np.array([[-2.0, 0.2, 0.9], [1.4, 1.6, 7.0]]), [0.0, 1.0, 2.0], [0.2, 0.3, 0.5], 1e-160
+        )
+    assert np.array_equal(got, [0.0, 1.0])
+    assert np.array_equal(grid, [[0.0, 0.0, 1.0], [1.0, 2.0, 2.0]])
 
 
 def _reversal_invariant_sum_by_reduction(a: np.ndarray, axis: int = -1) -> np.ndarray:

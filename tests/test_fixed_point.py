@@ -311,6 +311,49 @@ def test_posterior_kernel_integrates_to_the_shift_derivative(unit_params):
         assert kernel_integral == pytest.approx(fd, rel=1e-5)
 
 
+def _posterior_kernel_by_raw_weights(strategy, params, a, b):
+    """K[1,0] from raw exp weights, as frechet_kernel computed it before its
+    weights were shifted in log space."""
+    sv2 = params.sigma**2
+    g = float(strategy.interp1(np.array([a]))[0])
+    xi, p_xi = params.prior.quad_points(build_hermite_rule(40))
+    g1_xi = strategy.interp1(xi)
+    w = np.exp(-((b - g1_xi) ** 2) / (2.0 * sv2))
+    den = float(np.dot(p_xi, w))
+    num = float(np.dot(p_xi, g1_xi * w))
+    wa = math.exp(-((b - g) ** 2) / (2.0 * sv2))
+    dwa = wa * (b - g) / sv2
+    return (wa + g * dwa) / den - num * dwa / (den * den)
+
+
+def test_posterior_kernel_agrees_with_the_raw_weight_formula(unit_params):
+    """At the sample points of the kernel tests above, where no weight
+    underflows, both forms of K[1,0] agree to rounding."""
+    affine = strategy_from_pair(affine_optimal(unit_params), unit_params)
+    curved = GridStrategy(affine.grid, affine.values1 + 0.1 * np.tanh(affine.grid),
+                          affine.values2)
+    xi, _ = unit_params.prior.quad_points(build_hermite_rule(40))
+    rng = np.random.default_rng(3)
+    points = [(affine, *rng.uniform(-3.0, 3.0, 2)) for _ in range(10)]
+    points += [(curved, *rng.uniform(-2.0, 2.0, 2)) for _ in range(40)]
+    points += [(curved, x, b) for b in rng.uniform(-2.0, 2.0, 8) for x in xi]
+    for strategy, a, b in points:
+        want = _posterior_kernel_by_raw_weights(strategy, unit_params, float(a), float(b))
+        got = frechet_kernel(strategy, unit_params, (float(a), float(b)))[1, 0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_posterior_kernel_is_finite_far_from_the_prior():
+    """At b = 80 every raw weight of the benchmark affine pair underflows."""
+    params = ProblemParams(k=0.2, sigma=1.0, sigma_x=5.0)
+    s = strategy_from_pair(affine_optimal(params), params)
+    for a in (0.0, 30.0):
+        K = frechet_kernel(s, params, (a, 80.0))
+        assert np.all(np.isfinite(K))
+    # a at the grid's edge plays the largest signal, nearest to b
+    assert K[1, 0] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # contraction estimate
 # ---------------------------------------------------------------------------

@@ -247,6 +247,32 @@ def test_path_length_is_checked():
         rnd_process(m, uniform_profile(m), (0,), (0, 0))
 
 
+@pytest.mark.parametrize(
+    "states, observations",
+    [
+        ((-1, 1), (1, 1)),  # a negative index would wrap to the last state
+        ((5, 1), (1, 1)),
+        ((0, 2), (1, 1)),
+        ((0, 1), (-1, 1)),
+        ((0, 1), (1, 2)),
+        ((0.0, 1), (1, 1)),
+        ((0, 1), (1, 0.5)),
+        ((0, "1"), (1, 1)),
+        ((0, 1), (np.float64(1.0), 1)),
+    ],
+)
+def test_path_indices_are_checked(states, observations):
+    m = identity_model()
+    with pytest.raises(ConfigurationError, match="(state|observation)s must"):
+        rnd_process(m, uniform_profile(m), states, observations)
+
+
+def test_integer_like_path_indices_are_accepted():
+    m = identity_model()
+    path = rnd_process(m, uniform_profile(m), np.array([1, 1]), (np.int8(1), 1))
+    assert path.thetas.tolist() == [2.0, 8.0]
+
+
 # ---------------------------------------------------------------------------
 # martingale identities
 # ---------------------------------------------------------------------------

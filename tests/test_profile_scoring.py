@@ -27,6 +27,7 @@ from pbpsolve import (
     payoff_equivalence,
     profile_count,
     random_model,
+    rnd_process,
     verify_martingale,
 )
 from pbpsolve import measure_change
@@ -123,6 +124,70 @@ def oracle_payoff_equivalence(model, profile):
         weighted.append(terminal * thetas[-1])
         reference_terms.append(p_ref * math.fsum(weighted))
     return math.fsum(original_terms), math.fsum(reference_terms)
+
+
+def oracle_martingale(model, profile):
+    """(unit_mean_error, conditional_error) by a recursion over the trajectory
+    tree that multiplies as the table does: lam (q / phi), mart (P / Psi),
+    (p_ref r) phi, and (r phi) Theta for a conditional term."""
+    n = model.horizon
+    unit_terms = [[] for _ in range(n)]
+    conditional_error = 0.0
+
+    def recurse(t, states, observations, actions, p_ref, lam, mart, theta_prev):
+        nonlocal conditional_error
+        if t == n:
+            return
+        u = _oracle_joint_action(model, profile, t, observations, actions)
+        if t == 0:
+            state_probs = ref_probs = model.initial
+        else:
+            state_probs = model.transitions[t - 1][states[-1], actions[-1]]
+            ref_probs = model.state_reference[t - 1]
+        conditional_terms = []
+        for x in range(model.num_states):
+            px = float(state_probs[x])
+            rx = float(ref_probs[x])
+            if rx == 0.0:
+                continue
+            mart_new = mart if t == 0 else mart * (px / rx)
+            for y in range(model.total_obs):
+                py = float(model.obs_reference[t][y])
+                lam_new = lam * (float(model.observations[t][x, u, y]) / py)
+                theta = lam_new * mart_new
+                p_new = p_ref * rx * py
+                unit_terms[t].append(p_new * theta)
+                conditional_terms.append(rx * py * theta)
+                recurse(t + 1, states + [x], observations + [y], actions + [u],
+                        p_new, lam_new, mart_new, theta)
+        conditional_error = max(conditional_error,
+                                abs(math.fsum(conditional_terms) - theta_prev))
+
+    recurse(0, [], [], [], 1.0, 1.0, 1.0, 1.0)
+    unit_mean_error = max(abs(math.fsum(terms) - 1.0) for terms in unit_terms)
+    return unit_mean_error, conditional_error
+
+
+def oracle_rnd_process(model, profile, states, observations):
+    """The scalar loop rnd_process ran before it read the table kernel."""
+    lam = 1.0
+    mart = 1.0
+    actions = []
+    lams, marts, thetas = [], [], []
+    for t in range(model.horizon):
+        u = _oracle_joint_action(model, profile, t, observations, actions)
+        actions.append(u)
+        x = int(states[t])
+        y = int(observations[t])
+        if t > 0:
+            mart *= float(model.transitions[t - 1][states[t - 1], actions[t - 1], x]) / float(
+                model.state_reference[t - 1][x]
+            )
+        lam *= float(model.observations[t][x, u, y]) / float(model.obs_reference[t][y])
+        lams.append(lam)
+        marts.append(mart)
+        thetas.append(lam * mart)
+    return lams, marts, thetas
 
 
 def oracle_strategy_space(model, station):
@@ -282,6 +347,32 @@ def test_payoff_equivalence_and_joint_law_match_the_recursion(model, pick):
     want = {(s, o, a): p for s, o, a, p, _, _ in _oracle_enumerate(model, profile)}
     assert list(law) == list(want)
     assert [bits(p) for p in law.values()] == [bits(p) for p in want.values()]
+
+
+@ORACLE_SETTINGS
+@given(small_models(), st.integers(0, 2**32 - 1))
+def test_martingale_errors_match_the_recursion(model, pick):
+    _, _, profiles = oracle_profiles(model)
+    profile = profiles[pick % len(profiles)]
+    report = verify_martingale(model, profile)
+    unit_mean_error, conditional_error = oracle_martingale(model, profile)
+    assert bits(report.unit_mean_error) == bits(unit_mean_error)
+    assert bits(report.conditional_error) == bits(conditional_error)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 577090037])
+def test_rnd_process_matches_the_scalar_loop_on_every_path(seed):
+    model = random_model(seed, horizon=3, num_states=2, obs_sizes=(2, 2),
+                         action_sizes=(2, 1))
+    _, _, profiles = oracle_profiles(model)
+    for profile in profiles[:: max(1, len(profiles) // 5)]:
+        for states in itertools.product(range(model.num_states), repeat=model.horizon):
+            for obs in itertools.product(range(model.total_obs), repeat=model.horizon):
+                path = rnd_process(model, profile, states, obs)
+                lams, marts, thetas = oracle_rnd_process(model, profile, states, obs)
+                assert [bits(v) for v in path.lambda_path] == [bits(v) for v in lams]
+                assert [bits(v) for v in path.martingale_path] == [bits(v) for v in marts]
+                assert [bits(v) for v in path.thetas] == [bits(v) for v in thetas]
 
 
 # ---------------------------------------------------------------------------
