@@ -130,10 +130,21 @@ class RunConfig:
             raise ConfigurationError("n must be >= 1")
         if self.samples < 1:
             raise ConfigurationError("samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.points < 2:
             raise ConfigurationError("points must be >= 2")
         if self.prior not in ("gaussian", "twopoint"):
             raise ConfigurationError(f"unknown prior {self.prior!r}")
+        for name in ("x_range", "y_range"):
+            bounds = getattr(self, name)
+            if bounds is not None and not (
+                math.isfinite(bounds[0]) and math.isfinite(bounds[1]) and bounds[0] < bounds[1]
+            ):
+                flag = "--" + name.replace("_", "-")
+                raise ConfigurationError(
+                    f"{flag} needs finite LO < HI, got {bounds[0]!r} {bounds[1]!r}"
+                )
 
     def problem_params(self) -> ProblemParams:
         prior = None

@@ -220,53 +220,84 @@ def _reversal_invariant_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return total
 
 
+def _location_sum(w: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, the locations of posterior weights, bitwise
+    invariant under reversal of the locations.
+
+    The order is that of _reversal_invariant_sum along a last axis of
+    locations, for every shape of the rest, one observation included: there
+    is no single-column rule.  Fewer than 8 mirror pairs are accumulated by
+    elementwise passes over the contiguous rows from +0.0, the middle row
+    last.  From 8 pairs on the pairs are laid out along a contiguous last
+    axis for NumPy's pairwise sum; a reduction over a leading or strided
+    axis would add row after row instead.
+    """
+    n = w.shape[0]
+    if n < 16:
+        return _reversal_invariant_sum(np.moveaxis(w, 0, -1))
+    h = n // 2
+    pairs = w[:h] + w[: n - h - 1 : -1]
+    total = np.moveaxis(pairs, 0, -1).copy().sum(axis=-1)
+    return total + w[h] if n % 2 else total
+
+
+def _as_rows(v: np.ndarray, ndim: int) -> np.ndarray:
+    """A vector over the locations, shaped to broadcast along axis 0 of an
+    array with ndim further axes."""
+    return np.reshape(v, (-1,) + (1,) * ndim)
+
+
 def _posterior_weights(
     y: np.ndarray, locations: np.ndarray, log_masses: np.ndarray, sigma: float
 ) -> np.ndarray:
     """Unnormalized posterior weights of a finite mixture observed through
-    G(0, sigma^2) noise, log-sum-exp stabilized.  Broadcasts over y; the
-    locations run along the last axis.  y is clipped to within
-    1e150 min(1, sigma) of the locations, where the posterior has long
-    saturated, so that no squared distance overflows to leave no weight.
+    G(0, sigma^2) noise, log-sum-exp stabilized, of shape
+    (locations.size, *y.shape): the locations run along axis 0, so each
+    location's weights over y are one contiguous row.  y is clipped to
+    within 1e150 min(1, sigma) of the locations, where the posterior has
+    long saturated, so that no squared distance overflows to leave no
+    weight.
 
-    The row maxima are taken by an elementwise np.maximum pass over the
-    location columns: a reduction along a last axis of a few locations is
-    several times slower, and the maximum is the same value either way.
+    Every step is an elementwise pass over the whole array or over its
+    rows, and the row maxima are taken by np.maximum passes over the rows.
     When sigma is so far below the location gaps that every log weight of
-    a row is -inf, the posterior has collapsed onto the nearest location(s)
-    of positive mass, which then keep their prior masses; other rows are
-    untouched."""
+    an observation is -inf, the posterior has collapsed onto the nearest
+    location(s) of positive mass, which then keep their prior masses; other
+    observations are untouched."""
     far = 1e150 * min(1.0, sigma)
     y = np.clip(np.asarray(y, dtype=float), locations.min() - far, locations.max() + far)
-    log_a = np.subtract(y[..., None], locations)
+    log_a = np.subtract(y, _as_rows(locations, y.ndim))
     np.square(log_a, out=log_a)
     np.negative(log_a, out=log_a)
-    with np.errstate(over="ignore"):  # -inf rows are handled below
+    with np.errstate(over="ignore"):  # observations left at -inf are handled below
         log_a /= 2.0 * sigma * sigma
-    log_a += log_masses
-    top = log_a[..., 0].copy()
-    for j in range(1, log_a.shape[-1]):
-        np.maximum(top, log_a[..., j], out=top)
+    log_a += _as_rows(log_masses, y.ndim)
+    top = log_a[0, ...].copy()
+    for j in range(1, log_a.shape[0]):
+        np.maximum(top, log_a[j, ...], out=top)
     lost = top == -np.inf
     if lost.any():
-        gap = np.where(log_masses > -np.inf, np.abs(y[lost][:, None] - locations), np.inf)
-        nearest = gap == gap.min(axis=-1, keepdims=True)
-        log_a[lost] = np.where(nearest, log_masses, -np.inf)
-        top[lost] = log_a[lost].max(axis=-1)
-    log_a -= top[..., None]
+        gap = np.where(
+            log_masses[:, None] > -np.inf, np.abs(y[lost] - locations[:, None]), np.inf
+        )
+        nearest = gap == gap.min(axis=0)
+        log_a[:, lost] = np.where(nearest, log_masses[:, None], -np.inf)
+        top[lost] = log_a[:, lost].max(axis=0)
+    log_a -= top
     return np.exp(log_a, out=log_a)
 
 
 def _posterior_moments(
     y: np.ndarray, locations: np.ndarray, log_masses: np.ndarray, sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized weights (as _posterior_weights), their total, and the
-    posterior mean and variance of a finite mixture observed through
-    G(0, sigma^2) noise.  Broadcasts over y."""
+    """Unnormalized weights (as _posterior_weights, locations along axis
+    0), their total, and the posterior mean and variance of a finite
+    mixture observed through G(0, sigma^2) noise.  Broadcasts over y."""
     w = _posterior_weights(y, locations, log_masses, sigma)
-    mass = _reversal_invariant_sum(w)
-    mean = _reversal_invariant_sum(w * locations) / mass
-    var = _reversal_invariant_sum(w * (locations * locations)) / mass - mean * mean
+    m = _as_rows(locations, w.ndim - 1)
+    mass = _location_sum(w)
+    mean = _location_sum(w * m) / mass
+    var = _location_sum(w * (m * m)) / mass - mean * mean
     return w, mass, mean, var
 
 
@@ -281,8 +312,8 @@ def gaussian_posterior_mean(
     Returns sum_j q_j(y) m_j with posterior weights
     q_j(y) proportional to prior_weights_j exp(-(y - m_j)^2 / (2 sigma^2)),
     evaluated in log space (log-sum-exp) so the ratio stays defined for every
-    finite y.  The sums run through _reversal_invariant_sum, so negating y
-    and negating and reversing the locations (with the weights reversed)
+    finite y.  The sums run through _location_sum, so negating y and
+    negating and reversing the locations (with the weights reversed)
     negates the result bit for bit.  Broadcasts over any y shape.
     """
     locations = np.asarray(locations, dtype=float)
@@ -290,7 +321,7 @@ def gaussian_posterior_mean(
     # differently from a contiguous array, which would break the equivariance.
     log_masses = np.log(np.ascontiguousarray(prior_weights, dtype=float))
     w = _posterior_weights(y, locations, log_masses, sigma)
-    return _reversal_invariant_sum(w * locations) / _reversal_invariant_sum(w)
+    return _location_sum(w * _as_rows(locations, w.ndim - 1)) / _location_sum(w)
 
 
 def _first_stage_sum(d: np.ndarray, rule: QuadratureRule, params: ProblemParams) -> np.ndarray:
@@ -425,6 +456,8 @@ def payoff_mc(
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     seq_x, seq_v = np.random.SeedSequence(seed).spawn(2)
     rng_x = np.random.default_rng(seq_x)
     rng_v = np.random.default_rng(seq_v)

@@ -33,8 +33,8 @@ from .counterexample import (
     ProblemParams,
     StrategyPair,
     _first_stage_sum,
+    _location_sum,
     _posterior_weights,
-    _reversal_invariant_sum,
     gaussian_posterior_mean,
 )
 from .errors import ConfigurationError, NumericError
@@ -267,7 +267,7 @@ def frechet_kernel(
     m = float(gaussian_posterior_mean(np.array(b), g1_xi, p_xi, sv))
     log_masses = np.append(np.log(p_xi), 0.0)
     w = _posterior_weights(np.array(b), np.append(g1_xi, g), log_masses, sv)
-    q_a = float(w[-1] / _reversal_invariant_sum(w[:-1]))
+    q_a = float(w[-1] / _location_sum(w[:-1]))
     k10 = q_a * (1.0 + (g - m) * (b - g) / sv2)
 
     return np.array([[k00, k01], [k10, 0.0]])

@@ -202,10 +202,13 @@ def residual_jacobian(
     w, mass, b, var = _posterior_moments(y, t, np.log(lam), sv)
     g = lam[:, None] * ((2.0 * z[:, None] / c) * (t[None, :] - b) + 1.0)
     diag = _reversal_invariant_sum(g * (1.0 - var / var_scale), axis=0)
-    # p_ilm = w_ilm / mass_il; the normalization rides on g.
-    dev = (t - b[..., None]) * (y[..., None] - t) / var_scale
-    cross = _reversal_invariant_sum((g / mass)[..., None] * w * (1.0 + dev), axis=0)
-    return np.eye(t.size) + (np.diag(diag) - cross) / (SQRT_PI * params.k**2)
+    # p_ilm = w_mil / mass_il (the weights hold the levels m on axis 0); the
+    # normalization rides on g.  The node sum runs along axis 1 and gives
+    # the cross term as [m, l].
+    t_m = t[:, None, None]
+    dev = (t_m - b) * (y - t_m) / var_scale
+    cross = _reversal_invariant_sum(g / mass * w * (1.0 + dev), axis=1)
+    return np.eye(t.size) + (np.diag(diag) - cross.T) / (SQRT_PI * params.k**2)
 
 
 def _signal_pull(
@@ -299,11 +302,23 @@ def _single_solve(
     iterate: bool,
 ) -> SolveReport:
     if iterate:
+        # least_squares begins with the residual and Jacobian at the start:
+        # they are evaluated once here, checked and handed over.  A
+        # non-finite one would end inside SciPy (its start check, or the
+        # SVD of J).
+        with np.errstate(over="ignore", invalid="ignore"):
+            f0 = residual_system(start, params, rule)
+            j0 = residual_jacobian(start, params, rule) if np.all(np.isfinite(f0)) else None
+        if j0 is None or not np.all(np.isfinite(j0)):
+            raise ConfigurationError(
+                f"the {tag} start gives a non-finite residual or Jacobian "
+                f"(largest |level| {float(np.max(np.abs(start))):.6g}); "
+                "start nearer the scale of the prior"
+            )
         result = least_squares(
-            residual_system,
+            lambda x: f0 if np.array_equal(x, start) else residual_system(x, params, rule),
             start,
-            jac=residual_jacobian,
-            args=(params, rule),
+            jac=lambda x: j0 if np.array_equal(x, start) else residual_jacobian(x, params, rule),
             method="trf",
             xtol=3e-16,
             ftol=3e-16,

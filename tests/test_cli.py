@@ -60,6 +60,12 @@ def test_config_rejects_bad_values():
         dict(samples=0),
         dict(points=1),
         dict(prior="cauchy"),
+        dict(seed=-1),
+        dict(x_range=(float("nan"), 1.0)),
+        dict(x_range=(2.0, 1.0)),
+        dict(x_range=(1.0, 1.0)),
+        dict(y_range=(float("inf"), 1.0)),
+        dict(y_range=(-1.0, float("inf"))),
     ):
         with pytest.raises(ConfigurationError):
             RunConfig(subcommand="solve", **kwargs)
@@ -141,6 +147,64 @@ def test_picard_solve_document(capsys):
     assert doc["converged"] is True
     assert doc["residual_norm"] <= 1e-6
     assert len(doc["levels"]) == 7
+
+
+# Bad inputs, run in-process: each ends in an exit code of 0, 1 or 2 with a
+# message, never in an escaping exception.  argparse reports its own errors
+# by SystemExit(2).
+BAD_ARGV = [
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--seed", "-1"],
+    ["baseline", "--k", "0.2", "--sigma-x", "5", "--seed", "-3"],
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--init", "user:1e300"],
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--init", "user:-1e300,1e300"],
+    ["curves", "--k", "0.2", "--sigma-x", "5", "--x-range", "nan", "1"],
+    ["curves", "--k", "0.2", "--sigma-x", "5", "--x-range", "2", "1"],
+    ["curves", "--k", "0.2", "--sigma-x", "5", "--y-range", "inf", "1"],
+    ["solve", "--k", "-1", "--sigma-x", "1"],
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--k", "1e-200"],
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--k", "1e200"],
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--sigma", "1e-170"],
+    ["solve", "--k", "5", "--sigma-x", "1", "--method", "picard", "--no-iterate"],
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--prior", "twopoint"],
+    ["curves", "--k", "0.2", "--sigma-x", "5", "--prior", "twopoint", "--init", "user:0,6,-6"],
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--init", "user:"],
+    ["solve", "--k", "0.2", "--sigma-x", "5", "--init", "bogus"],
+    ["solve", "--n", "0"],
+    ["solve", "--samples", "0"],
+    ["curves", "--points", "1"],
+    ["baseline", "--method", "ghq"],
+    ["verify", "nonesuch"],
+    ["solve", "--k", "abc"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=[" ".join(a) for a in BAD_ARGV])
+def test_bad_argv_exits_with_a_code_not_an_exception(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--seed", "-1"], "seed must be non-negative"),
+        (["baseline", "--seed", "-3"], "seed must be non-negative"),
+        (["solve", "--init", "user:1e300"], "non-finite residual or Jacobian"),
+        (["curves", "--x-range", "nan", "1"], "--x-range needs finite LO < HI"),
+        (["curves", "--x-range", "2", "1"], "--x-range needs finite LO < HI"),
+        (["curves", "--y-range", "inf", "1"], "--y-range needs finite LO < HI"),
+    ],
+)
+def test_negative_seeds_overflowing_starts_and_bad_ranges_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv[:1], "--k", "0.2", "--sigma-x", "5", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_picard_rejects_no_iterate(capsys):

@@ -255,6 +255,12 @@ def test_payoff_mc_is_seed_deterministic(bench_params):
     assert a.std_error > 0
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5])
+def test_payoff_mc_rejects_a_seed_that_is_not_a_non_negative_integer(bench_params, seed):
+    with pytest.raises(ConfigurationError):
+        payoff_mc(bench_params, wit_nonlinear(bench_params), 100, seed)
+
+
 def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair):
     """gamma2 sees at most _MC_CHUNK samples per call, and the estimate is
     the same bits as one gamma2 call over every sample."""
@@ -471,7 +477,8 @@ def test_reversal_invariant_sum_keeps_the_sign_of_a_zero_total(fill):
 
 
 def _posterior_weights_by_reduction(y, locations, log_masses, sigma):
-    """The posterior weights with the row maxima taken by a reduction."""
+    """The posterior weights with the row maxima taken by a reduction, the
+    locations along the last axis."""
     far = 1e150 * min(1.0, sigma)
     y = np.clip(np.asarray(y, dtype=float), locations.min() - far, locations.max() + far)
     log_a = -((y[..., None] - locations) ** 2) / (2.0 * sigma * sigma) + log_masses
@@ -495,6 +502,7 @@ def test_posterior_weights_match_the_reduction_bitwise(size):
         ):
             got = _posterior_weights(y, locations, log_masses, sigma)
             want = _posterior_weights_by_reduction(y, locations, log_masses, sigma)
+            want = np.moveaxis(want, -1, 0)  # the kernel holds the locations along axis 0
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 

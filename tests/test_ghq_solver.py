@@ -369,6 +369,19 @@ def test_bad_initializations_are_rejected(bench_params, rule7, bad):
         solve_signaling_levels(bench_params, rule7, init=bad)
 
 
+@pytest.mark.parametrize("start", [[1e300], [-1e300, 1e300], [1e200]])
+def test_a_start_with_a_non_finite_residual_or_jacobian_is_rejected(bench_params, rule7, start):
+    """At 1e300 the residual is still finite but the Jacobian overflows, and
+    the least-squares solve would fail inside SciPy's SVD; at 1e200 the
+    residual overflows, which SciPy would refuse with a ValueError."""
+    with pytest.raises(ConfigurationError, match="non-finite residual or Jacobian"):
+        solve_signaling_levels(bench_params, rule7, init=start)
+    # Without iteration the start is only measured.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = solve_signaling_levels(bench_params, rule7, init=start, iterate=False)
+    assert not report.converged
+
+
 def test_nonpositive_tol_rejected(bench_params, rule7):
     with pytest.raises(ConfigurationError):
         solve_signaling_levels(bench_params, rule7, tol=0.0)
