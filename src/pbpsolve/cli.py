@@ -40,6 +40,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -138,13 +139,16 @@ class RunConfig:
             raise ConfigurationError(f"unknown prior {self.prior!r}")
         for name in ("x_range", "y_range"):
             bounds = getattr(self, name)
-            if bounds is not None and not (
+            if bounds is None:
+                continue
+            if not (
                 math.isfinite(bounds[0]) and math.isfinite(bounds[1]) and bounds[0] < bounds[1]
             ):
                 flag = "--" + name.replace("_", "-")
                 raise ConfigurationError(
                     f"{flag} needs finite LO < HI, got {bounds[0]!r} {bounds[1]!r}"
                 )
+            object.__setattr__(self, name, tuple(bounds))
 
     def problem_params(self) -> ProblemParams:
         prior = None
@@ -196,8 +200,16 @@ def _emit(text: str, path: Path | None) -> None:
         path.write_text(text)
 
 
+def _json_text(document: dict) -> str:
+    """Strict JSON: a non-finite number is a NumericError, not Infinity or NaN."""
+    try:
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericError("the result document holds a non-finite number") from None
+
+
 def _emit_json(document: dict, path: Path | None) -> None:
-    _emit(json.dumps(document, indent=2, sort_keys=True) + "\n", path)
+    _emit(_json_text(document), path)
 
 
 def _payoff_block(p: PayoffBreakdown) -> dict:
@@ -288,6 +300,7 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
     """Run the requested solver; estimate no payoff."""
     rule = build_hermite_rule(cfg.n)
     init = _parse_init(cfg.init)
+    tol = 1e-10 if cfg.tol is None else cfg.tol
 
     if cfg.method == "ghq":
         if not isinstance(params.prior, GaussianPrior):
@@ -295,7 +308,6 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
                 f"--method ghq requires the Gaussian prior: its collocation "
                 f"system does not model the {cfg.prior} prior"
             )
-        tol = 1e-10 if cfg.tol is None else cfg.tol
         report = solve_signaling_levels(
             params, rule, init=init, tol=tol, iterate=cfg.iterate
         )
@@ -312,7 +324,6 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
 
     if not cfg.iterate:
         raise ConfigurationError("--no-iterate applies only to --method ghq")
-    tol = 1e-10 if cfg.tol is None else cfg.tol
     if isinstance(init, np.ndarray):
         start_levels = expand_distinct_levels(init, params, rule)
         start_pair = collocation_pair(SignalingLevels(start_levels, rule.order, params))
@@ -389,13 +400,7 @@ def _curves_pair(cfg: RunConfig, params: ProblemParams) -> tuple[StrategyPair, b
     if cfg.method in _BASELINE_METHODS:
         return _baseline_pair(cfg, params), True
     solved = _solve(cfg, params)
-    if solved.method == "ghq":
-        # The solve's own pair, whose inverter table may already be built.
-        return solved.pair, solved.ok
-    start_pair = collocation_pair(
-        SignalingLevels(solved.levels, cfg.n, params)
-    )
-    return strategy_from_pair(start_pair, params).to_pair(), solved.ok
+    return solved.pair, solved.ok
 
 
 def cmd_curves(cfg: RunConfig, started: float) -> int:
@@ -408,6 +413,8 @@ def cmd_curves(cfg: RunConfig, started: float) -> int:
     ys = np.linspace(y_lo, y_hi, cfg.points)
     g1 = np.asarray(pair.gamma1bar(xs), dtype=float)
     g2 = np.asarray(pair.gamma2(ys), dtype=float)
+    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+        raise NumericError("the sampled strategy curves hold a non-finite value")
 
     lines = ["x,gamma1bar,y,gamma2"]
     for x, a, y, b in zip(xs, g1, ys, g2):
@@ -425,7 +432,7 @@ def cmd_curves(cfg: RunConfig, started: float) -> int:
         "tread_slopes": list(summary.tread_slopes),
         "tread_values": list(summary.tread_values),
     }
-    text = json.dumps(summary_doc, indent=2, sort_keys=True) + "\n"
+    text = _json_text(summary_doc)
     if out is None:
         sys.stderr.write(text)
     else:
@@ -509,26 +516,28 @@ def cmd_verify(cfg: RunConfig, started: float) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# A negative number, exponent notation included: argparse's own pattern
+# misses "-1e1" and would read it as an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=float, required=True, help="first-stage cost weight k")
     p.add_argument("--sigma-x", type=float, required=True, help="prior scale of x0")
-    p.add_argument("--sigma", type=float, default=1.0, help="observation noise scale")
+    p.add_argument("--sigma", type=float, help="observation noise scale")
     p.add_argument(
         "--prior",
         choices=("gaussian", "twopoint"),
-        default="gaussian",
         help="prior of x0: Gaussian or symmetric two-point",
     )
-    p.add_argument("--n", type=int, default=7, help="quadrature / collocation order")
-    p.add_argument("--samples", type=int, default=600_000, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p.add_argument(
-        "--quad-order", type=int, default=20, help="payoff quadrature order"
-    )
+    p.add_argument("--n", type=int, help="quadrature / collocation order")
+    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    p.add_argument("--seed", type=int, help="Monte Carlo seed")
+    p.add_argument("--quad-order", type=int, help="payoff quadrature order")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p.add_argument("--out", dest="out_path", help="output file (default: stdout)")
     p.add_argument(
         "--timing",
         action="store_true",
@@ -537,35 +546,24 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--init",
-        default="auto",
-        help="solver start: auto, affine, quantizer, or user:v1,v2,...",
-    )
+    p.add_argument("--init", help="solver start: auto, affine, quantizer, or user:v1,v2,...")
     p.add_argument(
         "--no-iterate",
-        action="store_true",
+        dest="iterate",
+        action="store_false",
         help="evaluate the residual at the start without optimizing",
     )
-    p.add_argument("--tol", type=float, default=None, help="convergence tolerance")
-    p.add_argument(
-        "--damping", type=float, default=0.5, help="picard damping factor in (0, 1]"
-    )
-    p.add_argument(
-        "--max-iter", type=int, default=200, help="picard iteration budget"
-    )
-    p.add_argument(
-        "--grid-points", type=int, default=2049, help="picard grid resolution"
-    )
-    p.add_argument(
-        "--grid-span",
-        type=float,
-        default=8.0,
-        help="picard grid half-width in units of sigma_x",
-    )
+    p.add_argument("--tol", type=float, help="convergence tolerance")
+    p.add_argument("--damping", type=float, help="picard damping factor in (0, 1]")
+    p.add_argument("--max-iter", type=int, help="picard iteration budget")
+    p.add_argument("--grid-points", type=int, help="picard grid resolution")
+    p.add_argument("--grid-span", type=float, help="picard grid half-width in units of sigma_x")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The pbpsolve argument parser.  Every option's dest is a RunConfig
+    field, and an option not given leaves no attribute, so the defaults
+    are RunConfig's."""
     parser = argparse.ArgumentParser(
         prog="pbpsolve",
         description="Solvers, baselines, and exact verifiers for the "
@@ -573,37 +571,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("solve", help="solve for the signaling strategy pair")
+    def subcommand(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        return p
+
+    p = subcommand("solve", "solve for the signaling strategy pair")
     _add_problem_flags(p)
     _add_solver_flags(p)
     _add_output_flags(p)
-    p.add_argument("--method", choices=_SOLVE_METHODS, default="ghq")
+    p.add_argument("--method", choices=_SOLVE_METHODS)
 
-    p = sub.add_parser("baseline", help="evaluate a closed-form baseline pair")
+    p = subcommand("baseline", "evaluate a closed-form baseline pair")
     _add_problem_flags(p)
     _add_output_flags(p)
     p.add_argument("--method", choices=_BASELINE_METHODS, default="affine")
 
-    p = sub.add_parser("curves", help="export sampled strategy curves as CSV")
+    p = subcommand("curves", "export sampled strategy curves as CSV")
     _add_problem_flags(p)
     _add_solver_flags(p)
     _add_output_flags(p)
-    p.add_argument("--method", choices=_CURVE_METHODS, default="ghq")
-    p.add_argument("--points", type=int, default=1001, help="rows in the CSV table")
-    p.add_argument(
-        "--x-range", type=float, nargs=2, metavar=("LO", "HI"), default=None
-    )
-    p.add_argument(
-        "--y-range", type=float, nargs=2, metavar=("LO", "HI"), default=None
-    )
+    p.add_argument("--method", choices=_CURVE_METHODS)
+    p.add_argument("--points", type=int, help="rows in the CSV table")
+    p.add_argument("--x-range", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--y-range", type=float, nargs=2, metavar=("LO", "HI"))
 
-    p = sub.add_parser("verify", help="run exact change-of-measure checks on a model")
+    p = subcommand("verify", "run exact change-of-measure checks on a model")
     p.add_argument(
         "model",
         help="path to a model JSON file, or a bundled name: "
         + ", ".join(BUNDLED_MODELS),
     )
-    p.add_argument("--tol", type=float, default=None, help="check tolerance")
+    p.add_argument("--tol", type=float, help="check tolerance")
     p.add_argument(
         "--pbp",
         action="store_true",
@@ -614,45 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    common = {
-        "subcommand": args.subcommand,
-        "timing": args.timing,
-        "out_path": args.out,
-    }
-    if args.subcommand == "verify":
-        return RunConfig(
-            model=args.model, tol=args.tol, pbp=args.pbp, **common
-        )
-    common.update(
-        k=args.k,
-        sigma=args.sigma,
-        sigma_x=args.sigma_x,
-        prior=args.prior,
-        n=args.n,
-        samples=args.samples,
-        seed=args.seed,
-        quad_order=args.quad_order,
-        method=args.method,
-    )
-    if args.subcommand == "baseline":
-        return RunConfig(**common)
-    common.update(
-        init=args.init,
-        iterate=not args.no_iterate,
-        tol=args.tol,
-        damping=args.damping,
-        max_iter=args.max_iter,
-        grid_points=args.grid_points,
-        grid_span=args.grid_span,
-    )
-    if args.subcommand == "curves":
-        return RunConfig(
-            points=args.points,
-            x_range=tuple(args.x_range) if args.x_range else None,
-            y_range=tuple(args.y_range) if args.y_range else None,
-            **common,
-        )
-    return RunConfig(**common)
+    return RunConfig(**vars(args))
 
 
 _HANDLERS = {
@@ -669,7 +630,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        code = _HANDLERS[cfg.subcommand](cfg, started)
+        # Overflow and invalid operations are not warned about: a
+        # non-finite result ends in a NumericError where it is checked.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code = _HANDLERS[cfg.subcommand](cfg, started)
     except ConfigurationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -19,7 +19,7 @@ vanishing characterizes person-by-person optimal pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +32,10 @@ Strategy = Callable[[np.ndarray], np.ndarray]
 
 # Monte Carlo samples per second-stage evaluation in payoff_mc.
 _MC_CHUNK = 65_536
+# The largest cost whose square is finite: the standard error squares the
+# deviations of the costs, and whether that overflows beyond this bound
+# would depend on the rounding of their mean.
+_MC_COST_LIMIT = math.sqrt(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +137,6 @@ class StrategyPair:
     lam: float | None = None
     mu: float | None = None
     levels: np.ndarray | None = None
-    grid: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -452,7 +455,8 @@ def payoff_mc(
     sets are reproducible and independent of any internal chunking) supply
     x_0 from the prior and v from G(0, sigma^2).  Returns the sample means
     of k^2 (gamma1bar(x_0) - x_0)^2 and (gamma1bar(x_0) - gamma2(y_1))^2
-    plus the standard error of the total.
+    plus the standard error of the total.  Raises NumericError when a
+    sampled cost is not finite or too large for its standard error.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -470,6 +474,12 @@ def payoff_mc(
         part = slice(a, a + _MC_CHUNK)
         g2[part] = pair.gamma2(g1[part] + v[part])
     cost = params.k**2 * (g1 - x0) ** 2 + (g1 - g2) ** 2
+    top = float(np.max(cost))
+    if not top < _MC_COST_LIMIT:
+        raise NumericError(
+            f"Monte Carlo cost reaches {top:.6g}, beyond {_MC_COST_LIMIT:.6g}, "
+            "where its standard error overflows"
+        )
     stage1 = float(params.k**2 * np.mean((g1 - x0) ** 2))
     stage2 = float(np.mean((g1 - g2) ** 2))
     std_error = float(np.std(cost) / math.sqrt(samples))
@@ -488,83 +498,65 @@ def payoff_mc(
 # deterministic quadrature payoff
 # ---------------------------------------------------------------------------
 
-def _composite_gauss_nodes(
-    sigma: float, half_range: float = 8.0, width: float = 0.25, order: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights against the G(0, sigma^2) density.
-
-    The interval [-half_range sigma, half_range sigma] is split into panels of
-    width `width * sigma`, each carrying an order-`order` Legendre rule with
-    the Gaussian density folded into the weights.  Resolves integrands with
-    features much narrower than sigma (steep posterior-mean transitions).
-    """
-    xg, wg = leggauss(order)
-    edges = np.arange(-half_range * sigma, half_range * sigma + 1e-12, width * sigma)
-    norm = sigma * math.sqrt(2.0 * math.pi)
-    points, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = mid + half * xg
-        points.append(x)
-        weights.append(half * wg * np.exp(-x * x / (2.0 * sigma * sigma)) / norm)
-    return np.concatenate(points), np.concatenate(weights)
-
-
-def _piecewise_outer_nodes(
-    sigma_x: float,
+def _gauss_panels(
+    scale: float,
     breakpoints: Sequence[float],
-    order: int = 24,
-    half_range: float = 8.5,
-    max_width: float = 1.0,
+    order: int,
+    half_range: float,
+    max_width: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre panels against G(0, sigma_x^2), split at breakpoints.
+    """Gauss-Legendre panels against the G(0, scale^2) density.
 
-    Panels never straddle a listed breakpoint (where the integrand may jump)
-    and are no wider than max_width * sigma_x, so each panel sees an analytic
-    integrand and the composite rule converges at spectral rate.
+    [-half_range scale, half_range scale] is split at the listed breakpoints
+    (where the integrand may jump) and then into equal panels no wider than
+    max_width * scale, each carrying an order-`order` Legendre rule with the
+    density folded into the weights.  Each panel sees an analytic integrand,
+    so the composite rule converges at spectral rate; narrow panels resolve
+    features much narrower than scale (steep posterior-mean transitions).
     """
     xg, wg = leggauss(order)
-    interior = sorted(b for b in breakpoints if abs(b) < half_range * sigma_x)
-    edges = [-half_range * sigma_x] + interior + [half_range * sigma_x]
-    norm = sigma_x * math.sqrt(2.0 * math.pi)
+    interior = sorted(b for b in breakpoints if abs(b) < half_range * scale)
+    edges = [-half_range * scale] + interior + [half_range * scale]
+    norm = scale * math.sqrt(2.0 * math.pi)
     points, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        panels = max(1, int(math.ceil((b - a) / (max_width * sigma_x))))
+        panels = max(1, int(math.ceil((b - a) / (max_width * scale))))
         for j in range(panels):
             lo = a + (b - a) * j / panels
             hi = a + (b - a) * (j + 1) / panels
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             x = mid + half * xg
             points.append(x)
-            weights.append(half * wg * np.exp(-x * x / (2.0 * sigma_x * sigma_x)) / norm)
+            weights.append(half * wg * np.exp(-x * x / (2.0 * scale * scale)) / norm)
     return np.concatenate(points), np.concatenate(weights)
 
 
-def jump_breakpoints(xs: np.ndarray, values: np.ndarray, range_frac: float = 0.02) -> list[float]:
+def jump_breakpoints(xs: np.ndarray, values: np.ndarray) -> list[float]:
     """Detect jump locations in sampled values of a piecewise-smooth map.
 
     A gap between consecutive samples counts as a jump when it exceeds ten
     times the median gap (the within-tread drift at this sampling density)
-    plus range_frac times the overall value range.  Returns the midpoints of
-    the jumping sample intervals.
+    plus 2% of the overall value range.  Returns the midpoints of the
+    jumping sample intervals.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     gaps = np.abs(np.diff(values))
     if gaps.size == 0:
         return []
-    threshold = 10.0 * float(np.median(gaps)) + range_frac * float(
-        values.max() - values.min()
-    )
+    threshold = 10.0 * float(np.median(gaps)) + 0.02 * float(values.max() - values.min())
     jumping = gaps > threshold
     return list(0.5 * (xs[:-1][jumping] + xs[1:][jumping]))
 
 
-def _scan_breakpoints(pair: StrategyPair, params: ProblemParams) -> list[float]:
-    sx = params.sigma_x
-    xs = np.linspace(-8.5 * sx, 8.5 * sx, 20001)
+def _scan_jumps(
+    pair: StrategyPair, params: ProblemParams
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """gamma1bar sampled at 20,001 points on [-8.5 sigma_x, 8.5 sigma_x]:
+    the points, the values and the jumps jump_breakpoints finds in them."""
+    xs = np.linspace(-8.5 * params.sigma_x, 8.5 * params.sigma_x, 20001)
     g = np.asarray(pair.gamma1bar(xs), dtype=float)
-    return jump_breakpoints(xs, g)
+    return xs, g, jump_breakpoints(xs, g)
 
 
 def payoff_quadrature(
@@ -596,18 +588,13 @@ def payoff_quadrature(
         pv = inner_rule.weights / SQRT_PI
     else:
         if isinstance(prior, GaussianPrior):
-            if pair.kind == "wit":
-                breakpoints = [0.0]
-            else:
-                breakpoints = _scan_breakpoints(pair, params)
-            x0, px = _piecewise_outer_nodes(
-                params.sigma_x, breakpoints, order=max(16, outer_rule.order)
+            breakpoints = [0.0] if pair.kind == "wit" else _scan_jumps(pair, params)[2]
+            x0, px = _gauss_panels(
+                params.sigma_x, breakpoints, max(16, outer_rule.order), 8.5, 1.0
             )
         else:
             x0, px = prior.quad_points(outer_rule)
-        v, pv = _composite_gauss_nodes(
-            params.sigma, order=max(16, inner_rule.order)
-        )
+        v, pv = _gauss_panels(params.sigma, [], max(16, inner_rule.order), 8.0, 0.25)
 
     g1 = np.asarray(pair.gamma1bar(x0), dtype=float)
     g2 = np.asarray(pair.gamma2(g1[:, None] + v[None, :]), dtype=float)

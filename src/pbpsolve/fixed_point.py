@@ -85,12 +85,7 @@ class GridStrategy:
         return np.interp(np.asarray(x, dtype=float), self.grid, self.values2)
 
     def to_pair(self) -> StrategyPair:
-        return StrategyPair(
-            gamma1bar=self.interp1,
-            gamma2=self.interp2,
-            kind="grid",
-            grid=self.grid,
-        )
+        return StrategyPair(gamma1bar=self.interp1, gamma2=self.interp2, kind="grid")
 
 
 def default_grid(params: ProblemParams, points: int = 201, span: float = 6.0) -> np.ndarray:

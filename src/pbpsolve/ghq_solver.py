@@ -43,9 +43,9 @@ from .counterexample import (
     _first_stage_sum,
     _posterior_moments,
     _reversal_invariant_sum,
+    _scan_jumps,
     affine_optimal,
     gaussian_posterior_mean,
-    jump_breakpoints,
     payoff_quadrature,
 )
 from .errors import ConfigurationError, NumericError
@@ -415,27 +415,20 @@ def solve_signaling_levels(
 # evaluating a solved strategy
 # ---------------------------------------------------------------------------
 
-def _levels_pair(
-    levels: SignalingLevels,
-    params: ProblemParams | None,
-    rule: QuadratureRule | None,
-) -> StrategyPair:
-    """collocation_pair of the levels, under params when they are given.  A
-    given rule must match the level count (the rule of an order is unique)."""
+def _levels_pair(levels: SignalingLevels, rule: QuadratureRule | None) -> StrategyPair:
+    """collocation_pair of the levels.  A given rule must match the level
+    count (the rule of an order is unique)."""
     if rule is not None and rule.order != levels.rule_order:
         raise ConfigurationError(
             "rule order must match the level count "
             f"({rule.order} != {levels.rule_order})"
         )
-    if params is not None and params != levels.params:
-        levels = SignalingLevels(levels.levels, levels.rule_order, params)
     return collocation_pair(levels)
 
 
 def eval_gamma2(
     y1: np.ndarray | float,
     levels: SignalingLevels,
-    params: ProblemParams | None = None,
     rule: QuadratureRule | None = None,
 ) -> np.ndarray | float:
     """Second-stage strategy: posterior mean of the levels given y1.
@@ -444,27 +437,25 @@ def eval_gamma2(
     the rule weights (the prior masses of the collocation points).
     Log-sum-exp stabilized, finite for every finite y1; far beyond the
     outermost level the value saturates at that level.  Scalar in, scalar
-    out; array in, array out.  params and rule default to the ones recorded
-    in levels.
+    out; array in, array out.  A given rule must match the level count.
     """
-    out = _levels_pair(levels, params, rule).gamma2(y1)
+    out = _levels_pair(levels, rule).gamma2(y1)
     return float(out) if np.ndim(y1) == 0 else out
 
 
 def eval_gamma1bar(
     x0: float,
     levels: SignalingLevels,
-    params: ProblemParams | None = None,
     rule: QuadratureRule | None = None,
 ) -> float:
     """First-stage strategy value at a single x0.
 
     The value of collocation_pair(levels).gamma1bar at x0, so it shares
     that pair's inverter table: the root of g + R(g) = x0 nearest to a
-    signaling level.  Raises NumericError for a non-finite x0.  params and
-    rule default to the ones recorded in levels.
+    signaling level.  Raises NumericError for a non-finite x0.  A given
+    rule must match the level count.
     """
-    return float(_levels_pair(levels, params, rule).gamma1bar(float(x0)))
+    return float(_levels_pair(levels, rule).gamma1bar(float(x0)))
 
 
 @dataclass(frozen=True)
@@ -665,16 +656,10 @@ class StaircaseSummary:
     shape: str
 
 
-def summarize_staircase(
-    pair: StrategyPair,
-    params: ProblemParams,
-    span: float = 8.5,
-    samples: int = 20001,
-) -> StaircaseSummary:
-    """Classify gamma1bar as linear or staircase and report its treads."""
-    xs = np.linspace(-span * params.sigma_x, span * params.sigma_x, samples)
-    g = np.asarray(pair.gamma1bar(xs), dtype=float)
-    breaks = jump_breakpoints(xs, g)
+def summarize_staircase(pair: StrategyPair, params: ProblemParams) -> StaircaseSummary:
+    """Classify gamma1bar as linear or staircase and report its treads,
+    on the jump scan that payoff_quadrature splits its panels at."""
+    xs, g, breaks = _scan_jumps(pair, params)
     edges = [xs[0], *breaks, xs[-1]]
     tread_values = []
     tread_slopes = []

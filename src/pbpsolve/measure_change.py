@@ -47,7 +47,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -65,13 +65,6 @@ _BLOCK_CELLS = 1 << 14
 _CODE_LIMIT = 2**62
 
 InfoItem = tuple[str, int, int]
-
-
-def _product(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out *= int(v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +121,16 @@ class FiniteTeamModel:
             arr.flags.writeable = False
             return arr
 
+        try:
+            info = tuple(
+                tuple(tuple((str(k), int(s), int(m)) for k, s, m in items) for items in station)
+                for station in self.info
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed info pattern: {exc}") from exc
+        object.__setattr__(self, "info", info)
+        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "num_states", int(self.num_states))
         object.__setattr__(self, "obs_sizes", tuple(int(s) for s in self.obs_sizes))
         object.__setattr__(self, "action_sizes", tuple(int(s) for s in self.action_sizes))
         object.__setattr__(self, "initial", freeze(self.initial))
@@ -137,14 +140,6 @@ class FiniteTeamModel:
         object.__setattr__(self, "state_reference", tuple(freeze(a) for a in self.state_reference))
         object.__setattr__(self, "stage_costs", tuple(freeze(a) for a in self.stage_costs))
         object.__setattr__(self, "terminal_cost", freeze(self.terminal_cost))
-        object.__setattr__(
-            self,
-            "info",
-            tuple(
-                tuple(tuple((str(k), int(s), int(m)) for k, s, m in items) for items in station)
-                for station in self.info
-            ),
-        )
 
         n = self.horizon
         if n < 1:
@@ -233,11 +228,11 @@ class FiniteTeamModel:
 
     @property
     def total_actions(self) -> int:
-        return _product(self.action_sizes)
+        return math.prod(self.action_sizes)
 
     @property
     def total_obs(self) -> int:
-        return _product(self.obs_sizes)
+        return math.prod(self.obs_sizes)
 
     def info_shape(self, station: int, period: int) -> tuple[int, ...]:
         """Alphabet sizes of the info items read by a station in a period."""
@@ -684,7 +679,7 @@ def _station_strategy_space(
     per_period = []
     for t in range(model.horizon):
         shape = model.info_shape(station, t)
-        configs = _product(shape)
+        configs = math.prod(shape)
         arrays = [
             np.asarray(assignment, dtype=int).reshape(shape)
             for assignment in itertools.product(
@@ -703,7 +698,7 @@ def _all_profile_costs(
     table = _trajectory_table(model)
     stacks = _stacked_maps(spaces)
     sizes = [len(space) for space in spaces]
-    total = _product(sizes)
+    total = math.prod(sizes)
     block = max(1, _BLOCK_CELLS // table.size)
     costs: list[float] = []
     for start in range(0, total, block):
@@ -717,7 +712,7 @@ def profile_count(model: FiniteTeamModel) -> int:
     total = 1
     for j in range(model.stations):
         for t in range(model.horizon):
-            total *= model.action_sizes[j] ** _product(model.info_shape(j, t))
+            total *= model.action_sizes[j] ** math.prod(model.info_shape(j, t))
     return total
 
 
@@ -792,75 +787,30 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
 # serialization and generators
 # ---------------------------------------------------------------------------
 
+def _plain(value: object) -> object:
+    """A field value as plain JSON: arrays and tuples become lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def model_to_dict(model: FiniteTeamModel) -> dict:
     """Plain-JSON representation (lists; info items as [kind, s, m], 0-based)."""
-    return {
-        "horizon": model.horizon,
-        "num_states": model.num_states,
-        "obs_sizes": list(model.obs_sizes),
-        "action_sizes": list(model.action_sizes),
-        "initial": model.initial.tolist(),
-        "transitions": [a.tolist() for a in model.transitions],
-        "observations": [a.tolist() for a in model.observations],
-        "obs_reference": [a.tolist() for a in model.obs_reference],
-        "state_reference": [a.tolist() for a in model.state_reference],
-        "stage_costs": [a.tolist() for a in model.stage_costs],
-        "terminal_cost": model.terminal_cost.tolist(),
-        "info": [
-            [[list(item) for item in items] for items in station]
-            for station in model.info
-        ],
-    }
-
-
-_REQUIRED_FIELDS = (
-    "horizon",
-    "num_states",
-    "obs_sizes",
-    "action_sizes",
-    "initial",
-    "transitions",
-    "observations",
-    "obs_reference",
-    "state_reference",
-    "stage_costs",
-    "terminal_cost",
-    "info",
-)
+    return {f.name: _plain(getattr(model, f.name)) for f in fields(FiniteTeamModel)}
 
 
 def model_from_dict(data: dict) -> FiniteTeamModel:
     """Build and validate a model from its plain-JSON representation."""
     if not isinstance(data, dict):
         raise ConfigurationError("model document must be a JSON object")
-    missing = [f for f in _REQUIRED_FIELDS if f not in data]
+    names = [f.name for f in fields(FiniteTeamModel)]
+    missing = [name for name in names if name not in data]
     if missing:
         raise ConfigurationError(f"model document is missing fields: {', '.join(missing)}")
     try:
-        info = tuple(
-            tuple(
-                tuple((str(k), int(s), int(m)) for k, s, m in items)
-                for items in station
-            )
-            for station in data["info"]
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed info pattern: {exc}") from exc
-    try:
-        return FiniteTeamModel(
-            horizon=int(data["horizon"]),
-            num_states=int(data["num_states"]),
-            obs_sizes=tuple(int(s) for s in data["obs_sizes"]),
-            action_sizes=tuple(int(s) for s in data["action_sizes"]),
-            initial=data["initial"],
-            transitions=tuple(data["transitions"]),
-            observations=tuple(data["observations"]),
-            obs_reference=tuple(data["obs_reference"]),
-            state_reference=tuple(data["state_reference"]),
-            stage_costs=tuple(data["stage_costs"]),
-            terminal_cost=data["terminal_cost"],
-            info=info,
-        )
+        return FiniteTeamModel(**{name: data[name] for name in names})
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigurationError):
             raise
@@ -906,8 +856,8 @@ def random_model(
     obs_sizes = tuple(int(s) for s in obs_sizes)
     action_sizes = tuple(int(s) for s in action_sizes)
     stations = len(obs_sizes)
-    na = _product(action_sizes)
-    no = _product(obs_sizes)
+    na = math.prod(action_sizes)
+    no = math.prod(obs_sizes)
     nx = num_states
 
     info = []

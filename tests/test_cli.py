@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from pbpsolve import (
 )
 from pbpsolve import cli, ghq_solver
 from pbpsolve.cli import RunConfig, _parse_init, main
-from pbpsolve.errors import ConfigurationError
+from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve.ghq_solver import _TableInverter
 from pbpsolve.quadrature import build_hermite_rule
 
@@ -69,6 +71,44 @@ def test_config_rejects_bad_values():
     ):
         with pytest.raises(ConfigurationError):
             RunConfig(subcommand="solve", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["solve", "--k", "0.2", "--sigma-x", "5"], RunConfig("solve", k=0.2, sigma_x=5.0)),
+        (["curves", "--k", "0.2", "--sigma-x", "5"], RunConfig("curves", k=0.2, sigma_x=5.0)),
+        (
+            ["baseline", "--k", "0.2", "--sigma-x", "5"],
+            RunConfig("baseline", k=0.2, sigma_x=5.0, method="affine"),
+        ),
+        (["verify", "identity"], RunConfig("verify", model="identity")),
+    ],
+)
+def test_required_flags_alone_give_the_run_config_defaults(argv, expected):
+    assert cli.config_from_args(cli.build_parser().parse_args(argv)) == expected
+
+
+def test_every_option_sets_the_run_config_field_of_its_name():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    for name, parser in subparsers.items():
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        assert dests <= fields, name
+    argv = [
+        "curves", "--k", "0.5", "--sigma-x", "2", "--sigma", "0.7", "--prior", "twopoint",
+        "--n", "9", "--samples", "10", "--seed", "3", "--quad-order", "12",
+        "--init", "affine", "--no-iterate", "--tol", "1e-9", "--damping", "0.25",
+        "--max-iter", "7", "--grid-points", "65", "--grid-span", "4", "--out", "c.csv",
+        "--timing", "--method", "wit", "--points", "5", "--x-range", "-1e1", "2.5e0",
+        "--y-range", "-.5", "1",
+    ]
+    assert cli.config_from_args(cli.build_parser().parse_args(argv)) == RunConfig(
+        "curves", k=0.5, sigma=0.7, sigma_x=2.0, prior="twopoint", n=9, samples=10,
+        seed=3, method="wit", init="affine", iterate=False, tol=1e-9, damping=0.25,
+        max_iter=7, grid_points=65, grid_span=4.0, quad_order=12, points=5,
+        x_range=(-10.0, 2.5), y_range=(-0.5, 1.0), timing=True, out_path="c.csv",
+    )
 
 
 def test_init_parsing():
@@ -205,6 +245,44 @@ def test_negative_seeds_overflowing_starts_and_bad_ranges_exit_two(capsys, argv,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in the document")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The solve ends near 1e135, where the Monte Carlo costs pass 1e268.
+        ["solve", "--init", "user:1e150", "--samples", "2000"],
+        # The first stage of levels at 1e300 is NaN.
+        ["curves", "--no-iterate", "--init", "user:1e300", "--points", "5"],
+    ],
+)
+def test_a_diverging_run_ends_in_a_numeric_error_not_a_non_finite_document(capsys, argv):
+    """One numeric-error line, nothing on stdout, and no RuntimeWarning from
+    SciPy's or NumPy's overflowing steps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv[:1], "--k", "0.2", "--sigma-x", "5", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+
+
+def test_documents_are_strict_json(capsys):
+    for argv in (FAST_SOLVE, ["baseline", "--k", "0.2", "--sigma-x", "5", "--samples", "2000"],
+                 ["verify", "identity", "--pbp"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _strict_json(out)
+    with pytest.raises(NumericError, match="non-finite"):
+        cli._json_text({"std_error": math.inf})
+    with pytest.raises(NumericError, match="non-finite"):
+        cli._json_text({"levels": [0.0, math.nan]})
 
 
 def test_picard_rejects_no_iterate(capsys):
@@ -370,6 +448,30 @@ def test_curves_csv_and_summary(capsys):
     assert summary["shape"] == "linear"
     assert summary["steps"] == 1
     assert summary["line_slope"] == pytest.approx(lam, abs=1e-10)
+
+
+def test_ranges_take_negative_bounds_in_exponent_notation(capsys):
+    base = ["curves", "--k", "1", "--sigma-x", "1", "--method", "affine", "--points", "21"]
+    code, out, err = run_cli(capsys, *base, "--x-range", "-1e1", "10", "--y-range", "-2.5e0", "1")
+    assert code == 0, err
+    assert (code, out) == run_cli(capsys, *base, "--x-range", "-10", "10", "--y-range", "-2.5", "1")[:2]
+    assert out.split("\n")[1].startswith("-10,")
+
+
+def test_picard_curves_plot_the_solved_pair(capsys):
+    argv = [
+        "curves", "--k", "5", "--sigma-x", "1", "--method", "picard",
+        "--grid-points", "513", "--points", "101",
+    ]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    pair = cli._solve(cfg, cfg.problem_params()).pair
+    rows = np.array([[float(tok) for tok in line.split(",")]
+                     for line in out.strip().split("\n")[1:]])
+    assert rows.shape == (101, 4)
+    assert np.array_equal(rows[:, 1], pair.gamma1bar(rows[:, 0]))
+    assert np.array_equal(rows[:, 3], pair.gamma2(rows[:, 2]))
 
 
 def test_default_curves_reuses_the_solve_pair_and_estimates_no_payoff(capsys, monkeypatch):

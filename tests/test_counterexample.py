@@ -34,7 +34,14 @@ from pbpsolve import (
     stationarity_residual,
     wit_nonlinear,
 )
-from pbpsolve.counterexample import _MC_CHUNK, _posterior_weights, _reversal_invariant_sum
+from numpy.polynomial.legendre import leggauss
+
+from pbpsolve.counterexample import (
+    _MC_CHUNK,
+    _gauss_panels,
+    _posterior_weights,
+    _reversal_invariant_sum,
+)
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve.quadrature import build_hermite_rule
 
@@ -284,6 +291,17 @@ def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair
     assert got.std_error == float(np.std(cost) / math.sqrt(samples))
 
 
+def test_payoff_mc_refuses_costs_whose_square_overflows(bench_params):
+    """A cost above sqrt(float max) is a NumericError on every host, not a
+    standard error that is 0.0 or inf depending on how its mean rounds."""
+    far = StrategyPair(
+        gamma1bar=lambda x: np.full_like(np.asarray(x, dtype=float), 1e135),
+        gamma2=lambda y: np.full_like(np.asarray(y, dtype=float), -1e135),
+    )
+    with pytest.raises(NumericError, match="standard error"):
+        payoff_mc(bench_params, far, 1000, 0)
+
+
 def test_payoff_mc_rejects_empty_sample(bench_params):
     with pytest.raises(ConfigurationError):
         payoff_mc(bench_params, wit_nonlinear(bench_params), 0, 0)
@@ -521,8 +539,45 @@ def test_posterior_bump_never_beats_conditional_mean(bench_params, rule40, rule2
 
 
 # ---------------------------------------------------------------------------
-# jump detection
+# panel rule and jump detection
 # ---------------------------------------------------------------------------
+
+def _composite_gauss_nodes_reference(sigma, half_range=8.0, width=0.25, order=16):
+    """The inner payoff rule as it was built before the panel rule was
+    shared: panel edges from np.arange, not from the equal split."""
+    xg, wg = leggauss(order)
+    edges = np.arange(-half_range * sigma, half_range * sigma + 1e-12, width * sigma)
+    norm = sigma * math.sqrt(2.0 * math.pi)
+    points, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = mid + half * xg
+        points.append(x)
+        weights.append(half * wg * np.exp(-x * x / (2.0 * sigma * sigma)) / norm)
+    return np.concatenate(points), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 0.3, 1.7])
+def test_inner_panel_rule_matches_the_earlier_composite_rule(sigma):
+    got_x, got_w = _gauss_panels(sigma, [], 16, 8.0, 0.25)
+    want_x, want_w = _composite_gauss_nodes_reference(sigma)
+    assert got_x.shape == want_x.shape == (64 * 16,)
+    if math.frexp(sigma)[0] == 0.5:  # a power of two: every edge is exact
+        assert np.array_equal(got_x, want_x)
+        assert np.array_equal(got_w, want_w)
+    else:  # nodes relative to the scale, weights to the largest weight
+        assert np.max(np.abs(got_x - want_x)) <= 1e-13 * sigma
+        assert np.max(np.abs(got_w - want_w)) <= 1e-13 * want_w.max()
+
+
+def test_outer_panels_split_at_breakpoints_inside_the_range():
+    x, w = _gauss_panels(2.0, [-30.0, 1.3, 17.0], 8, 8.5, 1.0)
+    # [-17, 1.3] needs 10 panels of width <= 2, [1.3, 17] needs 8
+    assert x.size == 18 * 8
+    assert np.all(np.diff(x) > 0.0)
+    assert not np.any(np.isclose(x, 1.3, rtol=0.0, atol=1e-3))
+    assert w.sum() == pytest.approx(math.erf(8.5 / math.sqrt(2.0)), rel=1e-13)
+
 
 def test_jump_breakpoints_locates_staircase_jumps():
     xs = np.linspace(-10, 10, 4001)

@@ -31,6 +31,7 @@ from pbpsolve import (
     solved_pair,
     summarize_staircase,
 )
+from pbpsolve.counterexample import _scan_jumps
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve import ghq_solver
 from pbpsolve.ghq_solver import (
@@ -787,6 +788,13 @@ def test_staircase_summary_of_benchmark_solution(bench_pair, bench_params):
     assert np.all(np.diff(summary.breakpoints) > 0)
     # treads are nearly flat but carry the small characteristic within-step slope
     assert max(abs(s) for s in summary.tread_slopes) < 0.05
+
+
+def test_staircase_summary_reads_the_quadrature_jump_scan(bench_pair, bench_params):
+    xs, g, jumps = _scan_jumps(bench_pair, bench_params)
+    assert xs.size == 20001 and xs[-1] == 8.5 * bench_params.sigma_x == -xs[0]
+    assert np.array_equal(g, bench_pair.gamma1bar(xs))
+    assert summarize_staircase(bench_pair, bench_params).breakpoints == tuple(jumps)
 
 
 def test_staircase_summary_of_affine_pair_is_one_linear_tread(unit_params):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -70,6 +71,11 @@ def test_references_must_have_full_support():
 def test_info_must_be_strictly_causal():
     with pytest.raises(ConfigurationError, match="causal"):
         _trivial_model(info=(((("y", 0, 0),),),))
+
+
+def test_a_two_item_info_entry_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="info"):
+        _trivial_model(horizon=1, info=(((("y", 0),),),))
 
 
 def test_info_station_index_is_checked():
@@ -439,6 +445,15 @@ def test_model_round_trips_through_plain_json():
     data = model_to_dict(m)
     rebuilt = model_from_dict(json.loads(json.dumps(data)))
     assert model_to_dict(rebuilt) == data
+
+
+def test_the_plain_representation_holds_every_model_field_in_order():
+    m = identity_model()
+    data = model_to_dict(m)
+    assert list(data) == [f.name for f in dataclasses.fields(FiniteTeamModel)]
+    assert data["info"] == [[[], [["y", 0, 0]]]]
+    assert data["transitions"] == [m.transitions[0].tolist()]
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_missing_fields_are_named():
