@@ -135,6 +135,8 @@ class RunConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.points < 2:
             raise ConfigurationError("points must be >= 2")
+        if self.tol is not None and not 0.0 <= self.tol < math.inf:
+            raise ConfigurationError(f"tol must be positive or zero, got {self.tol!r}")
         if self.prior not in ("gaussian", "twopoint"):
             raise ConfigurationError(f"unknown prior {self.prior!r}")
         for name in ("x_range", "y_range"):

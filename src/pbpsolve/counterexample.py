@@ -30,8 +30,13 @@ from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
 Strategy = Callable[[np.ndarray], np.ndarray]
 
-# Monte Carlo samples per second-stage evaluation in payoff_mc.
-_MC_CHUNK = 65_536
+# The block size of every pass that weighs observations against levels or
+# locations: a strategy sees at most _BLOCK observations per call, and
+# ghq_solver._signal_pull, which builds its posterior weights itself, holds
+# at most _BLOCK weights.  So no temporary grows with the number of
+# samples, nodes or queries times the number of levels.  Every value
+# depends on its own observation alone, so the blocks never change a bit.
+_BLOCK = 65_536
 # The largest cost whose square is finite: the standard error squares the
 # deviations of the costs, and whether that overflows beyond this bound
 # would depend on the rounding of their mean.
@@ -457,6 +462,12 @@ def payoff_mc(
     of k^2 (gamma1bar(x_0) - x_0)^2 and (gamma1bar(x_0) - gamma2(y_1))^2
     plus the standard error of the total.  Raises NumericError when a
     sampled cost is not finite or too large for its standard error.
+
+    gamma1bar sees every sample in one call (an inverter sizes its table
+    on the whole draw); v is drawn and gamma2 evaluated _BLOCK samples at
+    a time, which continues the same stream.  Only the squared misses of
+    both stages and the cost are kept at full length: the means and the
+    standard error read them whole, so they round as one pass would.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -466,22 +477,24 @@ def payoff_mc(
     rng_x = np.random.default_rng(seq_x)
     rng_v = np.random.default_rng(seq_v)
     x0 = params.prior.sample(rng_x, samples)
-    v = rng_v.normal(0.0, params.sigma, samples)
-
     g1 = np.asarray(pair.gamma1bar(x0), dtype=float)
-    g2 = np.empty_like(g1)
-    for a in range(0, samples, _MC_CHUNK):
-        part = slice(a, a + _MC_CHUNK)
-        g2[part] = pair.gamma2(g1[part] + v[part])
-    cost = params.k**2 * (g1 - x0) ** 2 + (g1 - g2) ** 2
+    miss1 = (g1 - x0) ** 2
+    del x0
+    miss2 = np.empty_like(g1)
+    for a in range(0, samples, _BLOCK):
+        part = g1[a : a + _BLOCK]
+        v = rng_v.normal(0.0, params.sigma, part.size)
+        miss2[a : a + _BLOCK] = (part - pair.gamma2(part + v)) ** 2
+    del g1
+    cost = params.k**2 * miss1 + miss2
     top = float(np.max(cost))
     if not top < _MC_COST_LIMIT:
         raise NumericError(
             f"Monte Carlo cost reaches {top:.6g}, beyond {_MC_COST_LIMIT:.6g}, "
             "where its standard error overflows"
         )
-    stage1 = float(params.k**2 * np.mean((g1 - x0) ** 2))
-    stage2 = float(np.mean((g1 - g2) ** 2))
+    stage1 = float(params.k**2 * np.mean(miss1))
+    stage2 = float(np.mean(miss2))
     std_error = float(np.std(cost) / math.sqrt(samples))
     return PayoffBreakdown(
         stage1=stage1,
@@ -577,6 +590,12 @@ def payoff_quadrature(
     outer integral uses Gauss-Legendre panels split at those jumps, and the
     inner integral uses a composite rule fine enough for steep posterior
     means.  The given rule orders set the per-panel orders.
+
+    gamma1bar sees every outer node in one call.  gamma2 is evaluated on
+    blocks of whole rows of the outer x inner grid, at most _BLOCK
+    observations (at least one row) per call, so its posterior weights
+    never span the whole grid; only the squared second-stage misses are
+    kept for the whole grid, and the inner and outer sums read them whole.
     """
     k2 = params.k**2
     prior = params.prior
@@ -597,11 +616,18 @@ def payoff_quadrature(
         v, pv = _gauss_panels(params.sigma, [], max(16, inner_rule.order), 8.0, 0.25)
 
     g1 = np.asarray(pair.gamma1bar(x0), dtype=float)
-    g2 = np.asarray(pair.gamma2(g1[:, None] + v[None, :]), dtype=float)
-    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+    if not np.all(np.isfinite(g1)):
         raise NumericError("strategy evaluation produced non-finite values")
+    miss2 = np.empty((g1.size, v.size))
+    rows = max(1, _BLOCK // v.size)
+    for a in range(0, g1.size, rows):
+        g1_rows = g1[a : a + rows, None]
+        g2 = np.asarray(pair.gamma2(g1_rows + v[None, :]), dtype=float)
+        if not np.all(np.isfinite(g2)):
+            raise NumericError("strategy evaluation produced non-finite values")
+        miss2[a : a + rows] = (g1_rows - g2) ** 2
     stage1 = float(k2 * np.dot(px, (g1 - x0) ** 2))
-    stage2 = float(np.dot(px, ((g1[:, None] - g2) ** 2) @ pv))
+    stage2 = float(np.dot(px, miss2 @ pv))
     return PayoffBreakdown(
         stage1=stage1,
         stage2=stage2,

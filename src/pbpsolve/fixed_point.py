@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counterexample import (
+    _BLOCK,
     ProblemParams,
     StrategyPair,
     _first_stage_sum,
@@ -39,8 +40,6 @@ from .counterexample import (
 )
 from .errors import ConfigurationError, NumericError
 from .quadrature import QuadratureRule, build_hermite_rule
-
-_CHUNK = 65_536
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +122,10 @@ def apply_F(
     gamma2 between grid points is linearly interpolated.  F2 at each grid
     point y1 is the posterior mean of the prior pushed through gamma1bar,
     with the prior discretized by the same rule.  F1 = x0 - R, with R the
-    first-stage sum shared with the collocation residual.  Work is chunked
-    so memory stays at (chunk x order) regardless of the grid size.
+    first-stage sum shared with the collocation residual.  The grid is
+    taken _BLOCK // order points at a time, so the gamma2 lookups of F1
+    see at most _BLOCK observations per call and memory does not grow with
+    the grid size; every value depends on its own grid point alone.
     """
     grid = strategy.grid
     c = math.sqrt(2.0) * params.sigma
@@ -134,8 +135,9 @@ def apply_F(
 
     f1 = np.empty_like(grid)
     f2 = np.empty_like(grid)
-    for a in range(0, grid.size, _CHUNK):
-        sl = slice(a, min(a + _CHUNK, grid.size))
+    step = max(1, _BLOCK // rule.order)
+    for a in range(0, grid.size, step):
+        sl = slice(a, a + step)
         g1 = strategy.values1[sl]
         d = g1 - strategy.interp2(g1 + c * rule.nodes[:, None])
         f1[sl] = grid[sl] - _first_stage_sum(d, rule, params)

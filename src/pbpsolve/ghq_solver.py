@@ -37,6 +37,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .counterexample import (
+    _BLOCK,
     PayoffBreakdown,
     ProblemParams,
     StrategyPair,
@@ -52,9 +53,6 @@ from .errors import ConfigurationError, NumericError
 from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
 _TABLE_POINTS = 200_001
-# _signal_pull works on pieces of _TABLE_CHUNK // order first-stage values,
-# so it holds about _TABLE_CHUNK x order posterior weights at a time.
-_TABLE_CHUNK = 50_000
 # Newton steps of the batch inverter.  From the interpolated start a step
 # with the exact slope converges quadratically, so once a step is below
 # _NEWTON_SETTLED relative to max(1, |g|) the remaining error is far below
@@ -229,9 +227,12 @@ def _signal_pull(
                 (1 - V_i / sigma^2).
 
     with_slope=False skips V and returns None for R'.  All noise nodes are
-    handled at once, on pieces of _TABLE_CHUNK // order values of g, so peak
-    memory stays near _TABLE_CHUNK x order posterior weights; each value
-    depends on its own g alone, not on the piece.
+    handled at once, on pieces of _BLOCK // (order x levels) values of g, so
+    each piece holds at most _BLOCK posterior weights whatever the order and
+    the level count; each value depends on its own g alone, not on the
+    piece.  Pieces of _BLOCK observations would hold _BLOCK x levels
+    weights, which outgrow a core's cache and are returned to the system
+    and faulted back in piece after piece.
     """
     g = np.asarray(g, dtype=float)
     z = rule.nodes[:, None]
@@ -239,7 +240,7 @@ def _signal_pull(
     c = math.sqrt(2.0) * sv
     pull = np.empty_like(g)
     slope = np.empty_like(g) if with_slope else None
-    step = max(1, _TABLE_CHUNK // rule.order)
+    step = max(1, _BLOCK // (rule.order * t.size))
     for a in range(0, g.size, step):
         part = g[a : a + step]
         y = c * z + part
@@ -485,6 +486,12 @@ class _TableInverter:
     accuracy (one step suffices on a fine table).  The table is cached and
     rebuilt only when a query falls outside its window.
 
+    A call sizes the table once, from the minimum and maximum of all its
+    queries, then sorts, picks preimages and takes the Newton steps one
+    block of _BLOCK queries at a time, so its temporaries do not grow with
+    the number of queries.  Each preimage depends on its own query and the
+    table alone, so the blocks never change a bit.
+
     The table is an immutable record published by a single assignment and
     each call works on the record it obtained, so concurrent calls never
     mix two tables; a concurrent rebuild can at worst drop another thread's
@@ -537,11 +544,16 @@ class _TableInverter:
         if not np.all(np.isfinite(flat)):
             raise NumericError("gamma1bar evaluation requires finite x0")
         table = self._ensure_table(float(flat.min()), float(flat.max()))
-        t = self._t
-        params = self._params
+        out = np.empty_like(flat)
+        for a in range(0, flat.size, _BLOCK):
+            out[a : a + _BLOCK] = self._invert_block(flat[a : a + _BLOCK], table)
+        return np.reshape(out, np.shape(x))
 
-        order = np.argsort(flat, kind="stable")
-        xs = flat[order]
+    def _invert_block(self, x0: np.ndarray, table: _InverterTable) -> np.ndarray:
+        """The preimages of one block of queries on the given table."""
+        t = self._t
+        order = np.argsort(x0, kind="stable")
+        xs = x0[order]
         best = _nearest_preimages(xs, table.branches, t)
 
         # Queries beyond the tabulated range of H clamp to the table ends.
@@ -551,7 +563,7 @@ class _TableInverter:
         active = np.arange(best.size)
         for _ in range(_NEWTON_STEPS):
             g_act = best[active]
-            r, r_slope = _signal_pull(g_act, t, params, self._rule)
+            r, r_slope = _signal_pull(g_act, t, self._params, self._rule)
             f0 = g_act + r - xs[active]
             slope = 1.0 + r_slope
             step = np.clip(np.where(np.abs(slope) > 1e-12, f0 / slope, 0.0), -1.0, 1.0)
@@ -560,7 +572,7 @@ class _TableInverter:
 
         out = np.empty_like(best)
         out[order] = best
-        return np.reshape(out, np.shape(x))
+        return out
 
 
 def _nearest_preimages(

@@ -215,6 +215,9 @@ BAD_ARGV = [
     ["baseline", "--method", "ghq"],
     ["verify", "nonesuch"],
     ["solve", "--k", "abc"],
+    ["verify", "identity", "--tol", "-1"],
+    ["verify", "identity", "--tol", "nan"],
+    ["solve", "--k", "5", "--sigma-x", "1", "--method", "picard", "--tol", "-1"],
 ]
 
 
@@ -292,6 +295,28 @@ def test_picard_rejects_no_iterate(capsys):
     )
     assert code == 2
     assert "--no-iterate" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identity", "--tol", "-1"],
+        ["verify", "identity", "--tol", "nan"],
+        ["solve", "--k", "0.2", "--sigma-x", "5", "--tol", "inf"],
+        ["solve", "--k", "5", "--sigma-x", "1", "--method", "picard", "--tol", "-1"],
+    ],
+)
+def test_a_negative_or_non_finite_tol_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "tol must be positive" in err
+
+
+def test_a_zero_tol_still_asks_for_exact_checks(capsys):
+    code, out, _ = run_cli(capsys, "verify", "identity", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["tol"] == 0.0
 
 
 def test_bad_problem_values_exit_two(capsys):

@@ -37,10 +37,11 @@ from pbpsolve import (
 from numpy.polynomial.legendre import leggauss
 
 from pbpsolve.counterexample import (
-    _MC_CHUNK,
+    _BLOCK,
     _gauss_panels,
     _posterior_weights,
     _reversal_invariant_sum,
+    _scan_jumps,
 )
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve.quadrature import build_hermite_rule
@@ -269,7 +270,7 @@ def test_payoff_mc_rejects_a_seed_that_is_not_a_non_negative_integer(bench_param
 
 
 def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair):
-    """gamma2 sees at most _MC_CHUNK samples per call, and the estimate is
+    """gamma2 sees at most _BLOCK samples per call, and the estimate is
     the same bits as one gamma2 call over every sample."""
     sizes = []
 
@@ -277,9 +278,9 @@ def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair
         sizes.append(np.size(y))
         return bench_pair.gamma2(y)
 
-    samples = 2 * _MC_CHUNK + 123
+    samples = 2 * _BLOCK + 123
     got = payoff_mc(bench_params, dataclasses.replace(bench_pair, gamma2=gamma2), samples, 5)
-    assert max(sizes) <= _MC_CHUNK and sum(sizes) == samples
+    assert max(sizes) <= _BLOCK and sum(sizes) == samples
     seq_x, seq_v = np.random.SeedSequence(5).spawn(2)
     x0 = bench_params.prior.sample(np.random.default_rng(seq_x), samples)
     v = np.random.default_rng(seq_v).normal(0.0, bench_params.sigma, samples)
@@ -289,6 +290,30 @@ def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair
     assert got.stage2 == float(np.mean((g1 - g2) ** 2))
     cost = bench_params.k**2 * (g1 - x0) ** 2 + (g1 - g2) ** 2
     assert got.std_error == float(np.std(cost) / math.sqrt(samples))
+
+
+def test_payoff_quadrature_evaluates_the_second_stage_in_blocks(bench_params, bench_pair, rule20):
+    """gamma2 sees whole rows of the outer x inner grid, at most _BLOCK
+    observations per call, and both stages are the same bits as one gamma2
+    call over the whole grid."""
+    shapes = []
+
+    def gamma2(y):
+        shapes.append(np.shape(y))
+        return bench_pair.gamma2(y)
+
+    spy = dataclasses.replace(bench_pair, gamma2=gamma2)
+    got = payoff_quadrature(bench_params, spy, rule20, rule20)
+    jumps = _scan_jumps(bench_pair, bench_params)[2]
+    x0, px = _gauss_panels(bench_params.sigma_x, jumps, 20, 8.5, 1.0)
+    v, pv = _gauss_panels(bench_params.sigma, [], 20, 8.0, 0.25)
+    assert len(shapes) > 1
+    assert all(rows * inner <= _BLOCK and inner == v.size for rows, inner in shapes)
+    assert sum(rows for rows, _ in shapes) == x0.size
+    g1 = bench_pair.gamma1bar(x0)
+    g2 = bench_pair.gamma2(g1[:, None] + v[None, :])
+    assert got.stage1 == float(bench_params.k**2 * np.dot(px, (g1 - x0) ** 2))
+    assert got.stage2 == float(np.dot(px, ((g1[:, None] - g2) ** 2) @ pv))
 
 
 def test_payoff_mc_refuses_costs_whose_square_overflows(bench_params):

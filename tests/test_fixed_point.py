@@ -21,6 +21,7 @@ from pbpsolve import (
     solved_pair,
     strategy_from_pair,
 )
+from pbpsolve import fixed_point
 from pbpsolve.errors import ConfigurationError
 from pbpsolve.quadrature import build_hermite_rule
 
@@ -132,6 +133,19 @@ def test_solved_benchmark_is_nearly_fixed(bench_params, bench_pair, rule7):
 # ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------
+
+def test_operator_values_do_not_depend_on_the_block(monkeypatch, bench_params, bench_pair, rule7):
+    """apply_F takes the grid _BLOCK // order points at a time; blocks of 4
+    points, the last holding a single point, give the same bits as one
+    block over the whole grid."""
+    s = strategy_from_pair(bench_pair, bench_params)
+    whole = apply_F(s, bench_params, rule7)
+    monkeypatch.setattr(fixed_point, "_BLOCK", 4 * rule7.order)
+    blocked = apply_F(s, bench_params, rule7)
+    assert s.grid.size % 4 == 1
+    assert np.array_equal(blocked.values1, whole.values1)
+    assert np.array_equal(blocked.values2, whole.values2)
+
 
 def test_damping_must_lie_in_unit_interval(unit_params, rule20):
     s = strategy_from_pair(affine_optimal(unit_params), unit_params)

@@ -31,11 +31,10 @@ from pbpsolve import (
     solved_pair,
     summarize_staircase,
 )
-from pbpsolve.counterexample import _scan_jumps
+from pbpsolve.counterexample import _BLOCK, _scan_jumps
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve import ghq_solver
 from pbpsolve.ghq_solver import (
-    _TABLE_CHUNK,
     _TABLE_POINTS,
     _affine_init,
     _nearest_preimages,
@@ -682,7 +681,7 @@ def test_signal_pull_values_do_not_depend_on_the_batch(bench_params, order):
     same bits with and without the slope."""
     rule = build_hermite_rule(order)
     t = _quantizer_init(bench_params, rule)
-    piece = _TABLE_CHUNK // order
+    piece = _BLOCK // (order * t.size)
     g = np.random.default_rng(31).uniform(-40.0, 40.0, 2 * piece + 3)
     pull, slope = _signal_pull(g, t, bench_params, rule)
     for j in (0, 1, piece - 1, piece, 2 * piece + 2):
@@ -696,10 +695,13 @@ def test_signal_pull_values_do_not_depend_on_the_batch(bench_params, order):
 
 
 def test_batch_inverter_is_chunk_invariant(bench_report):
+    """A call is inverted in blocks of _BLOCK queries; calls cut at other
+    points, each straddling a block boundary of the whole call, give the
+    same bits as the whole call."""
     inverter = collocation_pair(bench_report.levels).gamma1bar
-    x = np.random.default_rng(21).normal(0.0, 5.0, 3 * _TABLE_CHUNK + 17)
+    x = np.random.default_rng(21).normal(0.0, 5.0, 3 * _BLOCK + 17)
     whole = inverter(x)
-    cuts = [0, 17, _TABLE_CHUNK + 5, 2 * _TABLE_CHUNK + 300, x.size]
+    cuts = [0, 17, _BLOCK + 5, 2 * _BLOCK + 300, x.size]
     pieces = [inverter(x[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
     assert np.array_equal(whole, np.concatenate(pieces))
 

@@ -1,0 +1,53 @@
+"""Peak memory of the payoff estimators and the first-stage inverter.
+
+The estimators and the inverter work in blocks of _BLOCK observations, so
+their temporaries do not grow with samples x levels or with outer x inner
+nodes x levels.  tracemalloc sees NumPy's array buffers; the bounds sit
+well above the blocked peaks on the benchmark pair and well below the
+peaks of a single pass over the whole grid or query set.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+
+from pbpsolve import SignalingLevels, collocation_pair, payoff_quadrature
+from pbpsolve.counterexample import _BLOCK
+
+MB = 1e6
+
+
+def _peak_above_entry(fn) -> float:
+    """Peak traced bytes above those held when fn starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_payoff_quadrature_peak_stays_bounded(bench_params, bench_pair, rule20):
+    # One pass over the ~600 x 1,280 grid holds 43 MB per posterior
+    # temporary and peaks near 77 MB; the row blocks peak near 14 MB.
+    bench_pair.gamma1bar(np.linspace(-60.0, 60.0, 11))
+    peak = _peak_above_entry(lambda: payoff_quadrature(bench_params, bench_pair, rule20, rule20))
+    assert peak < 30 * MB
+
+
+def test_gamma1bar_peak_does_not_grow_with_the_queries(bench_report):
+    # A fresh inverter whose table already covers the queries, so the call
+    # measures the inversion alone.  Over 4 blocks a single pass peaks near
+    # 27 MB; the blocked inverter near 9 MB, 2 MB of it the output.
+    levels = bench_report.levels
+    inverter = collocation_pair(
+        SignalingLevels(levels.levels, levels.rule_order, levels.params)
+    ).gamma1bar
+    x = np.random.default_rng(3).normal(0.0, 5.0, 4 * _BLOCK)
+    inverter(np.array([x.min(), x.max()]))
+    peak = _peak_above_entry(lambda: inverter(x))
+    assert peak < 16 * MB
