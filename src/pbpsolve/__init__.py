@@ -47,8 +47,6 @@ from .ghq_solver import (
     StaircaseSummary,
     collocation_pair,
     distinct_levels,
-    eval_gamma1bar,
-    eval_gamma2,
     expand_distinct_levels,
     residual_jacobian,
     residual_system,
@@ -110,8 +108,6 @@ __all__ = [
     "collocation_pair",
     "default_grid",
     "distinct_levels",
-    "eval_gamma1bar",
-    "eval_gamma2",
     "expand_distinct_levels",
     "expected_cost",
     "frechet_kernel",

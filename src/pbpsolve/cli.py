@@ -28,7 +28,7 @@ are byte-identical across runs.  Wall time is therefore reported on stderr;
 the ``timing`` field inside the JSON document stays null unless ``--timing``
 is given, which opts out of byte-identity.  Exit codes: 0 success, 1 failed
 numerical outcome (solver did not converge, verification checks failed),
-2 configuration or parse error.
+2 configuration or parse error, or a file that cannot be read or written.
 
 If ``--out`` is a relative path and the environment variable
 ``PBPSOLVE_OUTPUT_DIR`` is set, the path is resolved inside that directory.
@@ -636,7 +636,9 @@ def main(argv: list[str] | None = None) -> int:
         # non-finite result ends in a NumericError where it is checked.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             code = _HANDLERS[cfg.subcommand](cfg, started)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError, UnicodeDecodeError) as exc:
+        # A file that cannot be read or written is a bad input, as is one
+        # that is not UTF-8 text.
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericError as exc:

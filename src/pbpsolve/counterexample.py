@@ -128,20 +128,28 @@ class StrategyPair:
 
     Both callables are vectorized: they accept ndarray input of any shape and
     return an array of the same shape with finite values for finite input.
-    kind tags the representation: "affine" (gamma1bar(x) = lam x,
-    gamma2(y) = mu y), "wit" (the sign/tanh baseline), "collocation"
-    (signaling-level strategies), "grid" (piecewise-linear samples), or
-    "custom".  The tag drives the quadrature payoff dispatch: non-affine
-    tags get jump-aware integration.  The first-stage shift gamma1 is
-    recovered as gamma1bar(x) - x.
+    breakpoints are the x0 where gamma1bar jumps, strictly increasing and
+    finite, supplied by whoever builds the pair: payoff_quadrature splits
+    its panels there and summarize_staircase splits its treads there, and
+    neither looks for jumps itself.  A pair whose gamma1bar jumps must list
+    its jumps, or the quadrature panels straddle them.  lam and mu are set
+    on the affine pair gamma1bar(x) = lam x, gamma2(y) = mu y only.  The
+    first-stage shift gamma1 is recovered as gamma1bar(x) - x.
     """
 
     gamma1bar: Strategy
     gamma2: Strategy
-    kind: str = "custom"
+    breakpoints: tuple[float, ...] = ()
     lam: float | None = None
     mu: float | None = None
-    levels: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        breakpoints = tuple(float(b) for b in self.breakpoints)
+        if not all(math.isfinite(b) for b in breakpoints) or any(
+            a >= b for a, b in zip(breakpoints, breakpoints[1:])
+        ):
+            raise ConfigurationError("breakpoints must be finite and strictly increasing")
+        object.__setattr__(self, "breakpoints", breakpoints)
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,6 @@ def affine_pair(lam: float, mu: float) -> StrategyPair:
     return StrategyPair(
         gamma1bar=lambda x: lam * np.asarray(x, dtype=float),
         gamma2=lambda y: mu * np.asarray(y, dtype=float),
-        kind="affine",
         lam=lam,
         mu=mu,
     )
@@ -417,7 +424,7 @@ def wit_nonlinear(params: ProblemParams) -> StrategyPair:
     def gamma2(y: np.ndarray) -> np.ndarray:
         return sx * np.tanh(scale * np.asarray(y, dtype=float))
 
-    return StrategyPair(gamma1bar=gamma1bar, gamma2=gamma2, kind="wit")
+    return StrategyPair(gamma1bar=gamma1bar, gamma2=gamma2, breakpoints=(0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -544,32 +551,25 @@ def _gauss_panels(
     return np.concatenate(points), np.concatenate(weights)
 
 
+def _jump_mask(values: np.ndarray) -> np.ndarray:
+    """Which gaps between consecutive samples of a piecewise-smooth map are
+    jumps: those above ten times the median gap (the within-tread drift at
+    this sampling density) plus 2% of the overall value range."""
+    gaps = np.abs(np.diff(values))
+    if gaps.size == 0:
+        return np.zeros(0, dtype=bool)
+    return gaps > 10.0 * float(np.median(gaps)) + 0.02 * float(values.max() - values.min())
+
+
 def jump_breakpoints(xs: np.ndarray, values: np.ndarray) -> list[float]:
     """Detect jump locations in sampled values of a piecewise-smooth map.
 
-    A gap between consecutive samples counts as a jump when it exceeds ten
-    times the median gap (the within-tread drift at this sampling density)
-    plus 2% of the overall value range.  Returns the midpoints of the
-    jumping sample intervals.
+    A gap between consecutive samples counts as a jump by the rule of
+    _jump_mask.  Returns the midpoints of the jumping sample intervals.
     """
     xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    gaps = np.abs(np.diff(values))
-    if gaps.size == 0:
-        return []
-    threshold = 10.0 * float(np.median(gaps)) + 0.02 * float(values.max() - values.min())
-    jumping = gaps > threshold
+    jumping = _jump_mask(np.asarray(values, dtype=float))
     return list(0.5 * (xs[:-1][jumping] + xs[1:][jumping]))
-
-
-def _scan_jumps(
-    pair: StrategyPair, params: ProblemParams
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """gamma1bar sampled at 20,001 points on [-8.5 sigma_x, 8.5 sigma_x]:
-    the points, the values and the jumps jump_breakpoints finds in them."""
-    xs = np.linspace(-8.5 * params.sigma_x, 8.5 * params.sigma_x, 20001)
-    g = np.asarray(pair.gamma1bar(xs), dtype=float)
-    return xs, g, jump_breakpoints(xs, g)
 
 
 def payoff_quadrature(
@@ -582,14 +582,14 @@ def payoff_quadrature(
 
     stage1 = k^2 E (gamma1bar(x_0) - x_0)^2 over the prior;
     stage2 = E (gamma1bar(x_0) - gamma2(gamma1bar(x_0) + v))^2 over prior and
-    noise.  Affine pairs under a Gaussian prior use the plain nested
-    Gauss-Hermite substitution with the given rules (exact for these
-    polynomial integrands when both orders are >= 2).  All other pairs are
-    treated as piecewise smooth: gamma1bar is scanned for jumps (the sign map
-    jumps at 0; signaling-level strategies at their tread boundaries), the
-    outer integral uses Gauss-Legendre panels split at those jumps, and the
-    inner integral uses a composite rule fine enough for steep posterior
-    means.  The given rule orders set the per-panel orders.
+    noise.  The affine pair (lam and mu set) under a Gaussian prior uses the
+    plain nested Gauss-Hermite substitution with the given rules (exact for
+    these polynomial integrands when both orders are >= 2).  All other pairs
+    are treated as piecewise smooth: the outer integral uses Gauss-Legendre
+    panels split at pair.breakpoints (the sign map jumps at 0,
+    signaling-level strategies at their tread boundaries), and the inner
+    integral uses a composite rule fine enough for steep posterior means.
+    The given rule orders set the per-panel orders.
 
     gamma1bar sees every outer node in one call.  gamma2 is evaluated on
     blocks of whole rows of the outer x inner grid, at most _BLOCK
@@ -600,16 +600,15 @@ def payoff_quadrature(
     k2 = params.k**2
     prior = params.prior
 
-    smooth_affine = pair.kind == "affine" and isinstance(prior, GaussianPrior)
-    if smooth_affine:
+    gaussian = isinstance(prior, GaussianPrior)
+    if gaussian and pair.lam is not None and pair.mu is not None:
         x0, px = prior.quad_points(outer_rule)
         v = math.sqrt(2.0) * params.sigma * inner_rule.nodes
         pv = inner_rule.weights / SQRT_PI
     else:
-        if isinstance(prior, GaussianPrior):
-            breakpoints = [0.0] if pair.kind == "wit" else _scan_jumps(pair, params)[2]
+        if gaussian:
             x0, px = _gauss_panels(
-                params.sigma_x, breakpoints, max(16, outer_rule.order), 8.5, 1.0
+                params.sigma_x, pair.breakpoints, max(16, outer_rule.order), 8.5, 1.0
             )
         else:
             x0, px = prior.quad_points(outer_rule)

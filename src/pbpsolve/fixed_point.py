@@ -34,6 +34,7 @@ from .counterexample import (
     ProblemParams,
     StrategyPair,
     _first_stage_sum,
+    _jump_mask,
     _location_sum,
     _posterior_weights,
     gaussian_posterior_mean,
@@ -84,7 +85,13 @@ class GridStrategy:
         return np.interp(np.asarray(x, dtype=float), self.grid, self.values2)
 
     def to_pair(self) -> StrategyPair:
-        return StrategyPair(gamma1bar=self.interp1, gamma2=self.interp2, kind="grid")
+        """The interpolating pair.  Its breakpoints are both ends of every
+        grid cell across which values1 jumps by the rule of jump_breakpoints:
+        gamma1bar is continuous, but those cells hold ramps too steep for a
+        quadrature panel that spans them."""
+        cells = np.flatnonzero(_jump_mask(self.values1))
+        ends = np.unique(np.concatenate([self.grid[cells], self.grid[cells + 1]]))
+        return StrategyPair(gamma1bar=self.interp1, gamma2=self.interp2, breakpoints=tuple(ends))
 
 
 def default_grid(params: ProblemParams, points: int = 201, span: float = 6.0) -> np.ndarray:

@@ -44,9 +44,9 @@ from .counterexample import (
     _first_stage_sum,
     _posterior_moments,
     _reversal_invariant_sum,
-    _scan_jumps,
     affine_optimal,
     gaussian_posterior_mean,
+    jump_breakpoints,
     payoff_quadrature,
 )
 from .errors import ConfigurationError, NumericError
@@ -416,49 +416,6 @@ def solve_signaling_levels(
 # evaluating a solved strategy
 # ---------------------------------------------------------------------------
 
-def _levels_pair(levels: SignalingLevels, rule: QuadratureRule | None) -> StrategyPair:
-    """collocation_pair of the levels.  A given rule must match the level
-    count (the rule of an order is unique)."""
-    if rule is not None and rule.order != levels.rule_order:
-        raise ConfigurationError(
-            "rule order must match the level count "
-            f"({rule.order} != {levels.rule_order})"
-        )
-    return collocation_pair(levels)
-
-
-def eval_gamma2(
-    y1: np.ndarray | float,
-    levels: SignalingLevels,
-    rule: QuadratureRule | None = None,
-) -> np.ndarray | float:
-    """Second-stage strategy: posterior mean of the levels given y1.
-
-    The value of collocation_pair(levels).gamma2.  The mixture weights are
-    the rule weights (the prior masses of the collocation points).
-    Log-sum-exp stabilized, finite for every finite y1; far beyond the
-    outermost level the value saturates at that level.  Scalar in, scalar
-    out; array in, array out.  A given rule must match the level count.
-    """
-    out = _levels_pair(levels, rule).gamma2(y1)
-    return float(out) if np.ndim(y1) == 0 else out
-
-
-def eval_gamma1bar(
-    x0: float,
-    levels: SignalingLevels,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """First-stage strategy value at a single x0.
-
-    The value of collocation_pair(levels).gamma1bar at x0, so it shares
-    that pair's inverter table: the root of g + R(g) = x0 nearest to a
-    signaling level.  Raises NumericError for a non-finite x0.  A given
-    rule must match the level count.
-    """
-    return float(_levels_pair(levels, rule).gamma1bar(float(x0)))
-
-
 @dataclass(frozen=True)
 class _InverterTable:
     """H = g + R(g) tabulated on [lo, hi], split into monotone branches.
@@ -619,9 +576,15 @@ def solved_pair(report: SolveReport) -> StrategyPair:
 def collocation_pair(levels: SignalingLevels) -> StrategyPair:
     """Evaluable strategy pair defined by a collocation level vector.
 
-    The pair is built once per levels object and returned again on later
-    calls, so its inverter table is built once.  Two threads that race on
-    the first call may each build a pair; the last one is kept.
+    gamma2 is the posterior mean of the levels, with the rule weights (the
+    prior masses of the collocation points) as mixture weights; gamma1bar
+    is the batch inverter, the root of g + R(g) = x0 nearest to a signaling
+    level.  The breakpoints are the jumps jump_breakpoints finds in
+    gamma1bar on the 20,001 points of _scan_points, sampled once here: the
+    pair does not know its jumps exactly.  The pair is built once per
+    levels object and returned again on later calls, so its inverter table
+    is built once, sized by that scan.  Two threads that race on the first
+    call may each build a pair; the last one is kept.
     """
     if levels._pair is not None:
         return levels._pair
@@ -634,11 +597,11 @@ def collocation_pair(levels: SignalingLevels) -> StrategyPair:
     def gamma2(y: np.ndarray) -> np.ndarray:
         return gaussian_posterior_mean(np.asarray(y, dtype=float), level_values, weights, sv)
 
+    xs = _scan_points(levels.params)
     pair = StrategyPair(
         gamma1bar=inverter,
         gamma2=gamma2,
-        kind="collocation",
-        levels=level_values,
+        breakpoints=tuple(jump_breakpoints(xs, inverter(xs))),
     )
     object.__setattr__(levels, "_pair", pair)
     return pair
@@ -668,17 +631,34 @@ class StaircaseSummary:
     shape: str
 
 
+def _scan_points(params: ProblemParams) -> np.ndarray:
+    """The 20,001 points on [-8.5 sigma_x, 8.5 sigma_x] at which
+    collocation_pair looks for jumps and summarize_staircase fits treads."""
+    return np.linspace(-8.5 * params.sigma_x, 8.5 * params.sigma_x, 20001)
+
+
 def summarize_staircase(pair: StrategyPair, params: ProblemParams) -> StaircaseSummary:
-    """Classify gamma1bar as linear or staircase and report its treads,
-    on the jump scan that payoff_quadrature splits its panels at."""
-    xs, g, breaks = _scan_jumps(pair, params)
+    """Classify gamma1bar as linear or staircase and report its treads.
+
+    gamma1bar is sampled on _scan_points; the treads are split at the
+    pair's breakpoints inside that window, each tread half-open [a, b) and
+    the last one closed.  A tread that holds no sample takes the value of
+    gamma1bar at its midpoint and slope 0.
+    """
+    xs = _scan_points(params)
+    g = np.asarray(pair.gamma1bar(xs), dtype=float)
+    breaks = [b for b in pair.breakpoints if xs[0] < b < xs[-1]]
     edges = [xs[0], *breaks, xs[-1]]
     tread_values = []
     tread_slopes = []
     for a, b in zip(edges[:-1], edges[1:]):
-        mask = (xs >= a) & (xs <= b)
-        tread_values.append(float(np.mean(g[mask])))
-        if np.count_nonzero(mask) >= 2:
+        mask = (xs >= a) & ((xs < b) | (b == xs[-1]))
+        count = np.count_nonzero(mask)
+        if count:
+            tread_values.append(float(np.mean(g[mask])))
+        else:
+            tread_values.append(float(np.asarray(pair.gamma1bar(np.array([0.5 * (a + b)])))[0]))
+        if count >= 2:
             tread_slopes.append(float(np.polyfit(xs[mask], g[mask], 1)[0]))
         else:
             tread_slopes.append(0.0)
@@ -688,7 +668,7 @@ def summarize_staircase(pair: StrategyPair, params: ProblemParams) -> StaircaseS
     shape = "linear" if not breaks and fit_rms <= 1e-2 * scale else "staircase"
     return StaircaseSummary(
         steps=len(breaks) + 1,
-        breakpoints=tuple(float(b) for b in breaks),
+        breakpoints=tuple(breaks),
         tread_values=tuple(tread_values),
         tread_slopes=tuple(tread_slopes),
         line_slope=float(slope),

@@ -223,7 +223,6 @@ def test_stationarity_holds_at_solutions_and_fails_when_perturbed(
     shifted = StrategyPair(
         gamma1bar=bench_pair.gamma1bar,
         gamma2=lambda y: np.asarray(gamma2(y)) + 0.5,
-        kind="custom",
     )
     r1p, r2p = stationarity_residual(bench_params, shifted, rule7, x0_grid, y1_grid)
     assert np.max(np.abs(r1p)) >= 0.1

@@ -218,6 +218,8 @@ BAD_ARGV = [
     ["verify", "identity", "--tol", "-1"],
     ["verify", "identity", "--tol", "nan"],
     ["solve", "--k", "5", "--sigma-x", "1", "--method", "picard", "--tol", "-1"],
+    ["verify", "."],
+    ["baseline", "--k", "1", "--sigma-x", "1", "--samples", "100", "--out", "."],
 ]
 
 
@@ -248,6 +250,29 @@ def test_negative_seeds_overflowing_starts_and_bad_ranges_exit_two(capsys, argv,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "."],
+        ["baseline", "--k", "1", "--sigma-x", "1", "--samples", "100", "--out", "."],
+    ],
+)
+def test_a_directory_in_place_of_a_file_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_a_model_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
 
 
 def _strict_json(text: str):

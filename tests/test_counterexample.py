@@ -41,7 +41,6 @@ from pbpsolve.counterexample import (
     _gauss_panels,
     _posterior_weights,
     _reversal_invariant_sum,
-    _scan_jumps,
 )
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve.quadrature import build_hermite_rule
@@ -304,8 +303,7 @@ def test_payoff_quadrature_evaluates_the_second_stage_in_blocks(bench_params, be
 
     spy = dataclasses.replace(bench_pair, gamma2=gamma2)
     got = payoff_quadrature(bench_params, spy, rule20, rule20)
-    jumps = _scan_jumps(bench_pair, bench_params)[2]
-    x0, px = _gauss_panels(bench_params.sigma_x, jumps, 20, 8.5, 1.0)
+    x0, px = _gauss_panels(bench_params.sigma_x, bench_pair.breakpoints, 20, 8.5, 1.0)
     v, pv = _gauss_panels(bench_params.sigma, [], 20, 8.0, 0.25)
     assert len(shapes) > 1
     assert all(rows * inner <= _BLOCK and inner == v.size for rows, inner in shapes)
@@ -314,6 +312,38 @@ def test_payoff_quadrature_evaluates_the_second_stage_in_blocks(bench_params, be
     g2 = bench_pair.gamma2(g1[:, None] + v[None, :])
     assert got.stage1 == float(bench_params.k**2 * np.dot(px, (g1 - x0) ** 2))
     assert got.stage2 == float(np.dot(px, ((g1[:, None] - g2) ** 2) @ pv))
+
+
+def test_pairs_list_their_jumps(bench_params):
+    assert affine_optimal(bench_params).breakpoints == ()
+    assert wit_nonlinear(bench_params).breakpoints == (0.0,)
+    pair = StrategyPair(gamma1bar=np.sign, gamma2=np.tanh, breakpoints=[np.float64(-1), 2])
+    assert pair.breakpoints == (-1.0, 2.0)
+    assert all(type(b) is float for b in pair.breakpoints)
+    for bad in ((1.0, 0.0), (0.0, 0.0), (np.nan,), (-np.inf, 0.0)):
+        with pytest.raises(ConfigurationError, match="breakpoints"):
+            StrategyPair(gamma1bar=np.sign, gamma2=np.tanh, breakpoints=bad)
+
+
+def test_quadrature_splits_a_hand_built_pair_at_its_breakpoints(bench_params, rule20):
+    """A jumping gamma1bar integrates exactly only at its listed jumps: the
+    wit pair's gamma1bar with its jump at 0.3 sigma_x instead of 0."""
+    sx = bench_params.sigma_x
+    shift = 0.3 * sx
+    base = wit_nonlinear(bench_params)
+    moved = dataclasses.replace(base, gamma1bar=lambda x: base.gamma1bar(np.asarray(x) - shift))
+    unlisted = payoff_quadrature(bench_params, moved, rule20, rule20)
+    listed = payoff_quadrature(
+        bench_params, dataclasses.replace(moved, breakpoints=(shift,)), rule20, rule20
+    )
+    # stage1 = k^2 E (sx sgn(x - shift) - x)^2, by quad on each side of the jump
+    density = lambda x: math.exp(-x * x / (2 * sx * sx)) / (sx * math.sqrt(2 * math.pi))
+    exact = bench_params.k**2 * (
+        quad(lambda x: (-sx - x) ** 2 * density(x), -math.inf, shift)[0]
+        + quad(lambda x: (sx - x) ** 2 * density(x), shift, math.inf)[0]
+    )
+    assert listed.stage1 == pytest.approx(exact, rel=1e-12)
+    assert abs(unlisted.stage1 - exact) > 1e-6 * exact
 
 
 def test_payoff_mc_refuses_costs_whose_square_overflows(bench_params):
@@ -351,7 +381,6 @@ def test_payoff_quadrature_flags_nonfinite_strategy(bench_params, rule20):
     bad = StrategyPair(
         gamma1bar=lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
         gamma2=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        kind="custom",
     )
     with pytest.raises(NumericError):
         payoff_quadrature(bench_params, bad, rule20, rule20)
@@ -554,11 +583,11 @@ def test_posterior_bump_never_beats_conditional_mean(bench_params, rule40, rule2
     base = wit_nonlinear(bench_params)
     base_total = payoff_quadrature(bench_params, base, rule40, rule20).total
     for eps in (0.05, -0.05):
-        bumped = StrategyPair(
-            gamma1bar=base.gamma1bar,
+        bumped = dataclasses.replace(
+            base,
             gamma2=lambda y, e=eps: base.gamma2(y) + e * np.exp(-np.asarray(y, dtype=float) ** 2),
-            kind="custom",
         )
+        assert bumped.breakpoints == (0.0,)
         total = payoff_quadrature(bench_params, bumped, rule40, rule20).total
         assert total > base_total
 

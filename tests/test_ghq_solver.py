@@ -18,20 +18,21 @@ from pbpsolve import (
     ProblemParams,
     SignalingLevels,
     SolveReport,
+    StrategyPair,
     affine_optimal,
     collocation_pair,
     distinct_levels,
-    eval_gamma1bar,
-    eval_gamma2,
     expand_distinct_levels,
+    jump_breakpoints,
     payoff_quadrature,
     residual_jacobian,
     residual_system,
     solve_signaling_levels,
     solved_pair,
     summarize_staircase,
+    wit_nonlinear,
 )
-from pbpsolve.counterexample import _BLOCK, _scan_jumps
+from pbpsolve.counterexample import _BLOCK
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve import ghq_solver
 from pbpsolve.ghq_solver import (
@@ -39,6 +40,7 @@ from pbpsolve.ghq_solver import (
     _affine_init,
     _nearest_preimages,
     _quantizer_init,
+    _scan_points,
     _signal_pull,
 )
 from pbpsolve.quadrature import SQRT_PI, build_hermite_rule
@@ -429,47 +431,42 @@ def test_signaling_levels_are_read_only(bench_report):
 # ---------------------------------------------------------------------------
 
 def test_second_stage_constant_levels_give_constant_strategy(bench_params):
-    levels = SignalingLevels(np.full(7, 3.25), 7, bench_params)
+    gamma2 = collocation_pair(SignalingLevels(np.full(7, 3.25), 7, bench_params)).gamma2
     ys = np.array([-11.0, 0.0, 0.5, 9.0])
-    assert np.allclose(eval_gamma2(ys, levels), 3.25, atol=1e-12)
+    assert np.allclose(gamma2(ys), 3.25, atol=1e-12)
 
 
-def test_second_stage_is_odd_and_scalar_aware(bench_report):
+def test_second_stage_is_odd_and_scalar_aware(bench_pair):
     # the solved levels carry a ~4e-12 asymmetry, so the origin value does too
-    assert eval_gamma2(0.0, bench_report.levels) == pytest.approx(0.0, abs=1e-10)
-    value = eval_gamma2(4.2, bench_report.levels)
-    assert isinstance(value, float)
-    assert eval_gamma2(-4.2, bench_report.levels) == pytest.approx(-value, abs=1e-10)
+    assert float(bench_pair.gamma2(0.0)) == pytest.approx(0.0, abs=1e-10)
+    value = bench_pair.gamma2(4.2)
+    assert np.shape(value) == ()
+    assert float(bench_pair.gamma2(-4.2)) == pytest.approx(-float(value), abs=1e-10)
 
 
 def test_second_stage_exactly_symmetric_levels_fix_the_origin(bench_params):
     bundle = SignalingLevels(
         np.array([-19.8, -12.8, -6.1, 0.0, 6.1, 12.8, 19.8]), 7, bench_params
     )
-    assert eval_gamma2(0.0, bundle) == pytest.approx(0.0, abs=1e-12)
+    assert float(collocation_pair(bundle).gamma2(0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_second_stage_saturates_at_outer_level(bench_report):
+def test_second_stage_saturates_at_outer_level(bench_report, bench_pair):
     top = float(np.max(bench_report.levels.levels))
     far = top + 20.0 * bench_report.levels.params.sigma
-    assert eval_gamma2(far, bench_report.levels) == pytest.approx(top, abs=1e-6)
+    assert float(bench_pair.gamma2(far)) == pytest.approx(top, abs=1e-6)
 
 
-def test_second_stage_rejects_mismatched_rule(bench_report):
-    with pytest.raises(ConfigurationError):
-        eval_gamma2(0.0, bench_report.levels, rule=build_hermite_rule(9))
+def test_first_stage_fixes_origin(bench_pair):
+    assert float(bench_pair.gamma1bar(0.0)) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_first_stage_fixes_origin(bench_report):
-    assert eval_gamma1bar(0.0, bench_report.levels) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_first_stage_is_consistent_at_collocation_points(bench_report, bench_params, rule7):
+def test_first_stage_is_consistent_at_collocation_points(
+    bench_report, bench_pair, bench_params, rule7
+):
     x0 = math.sqrt(2.0) * bench_params.sigma_x * rule7.nodes
     for x, level in zip(x0, bench_report.levels.levels):
-        assert eval_gamma1bar(float(x), bench_report.levels) == pytest.approx(
-            float(level), abs=1e-8
-        )
+        assert float(bench_pair.gamma1bar(float(x))) == pytest.approx(float(level), abs=1e-8)
 
 
 def _scan_brentq_inverter(levels, rule, x0):
@@ -519,17 +516,6 @@ def test_first_stage_batch_matches_scalar(bench_report, bench_pair, rule7):
         )
 
 
-def test_eval_gamma1bar_is_the_batch_inverter(bench_report, bench_pair):
-    xs = np.concatenate([np.random.default_rng(12).uniform(-30.0, 30.0, 40), [0.0, 250.0]])
-    batch = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
-    for x, b in zip(xs, batch):
-        value = eval_gamma1bar(float(x), bench_report.levels)
-        assert isinstance(value, float)
-        assert value == b
-    with pytest.raises(NumericError):
-        eval_gamma1bar(np.nan, bench_report.levels)
-
-
 def _nearest_preimages_by_reduction(xs, branches, t):
     """The branch selection with the level distance taken by a reduction
     over a queries x levels array, the reference for the level passes."""
@@ -561,19 +547,20 @@ def test_nearest_preimage_keeps_the_first_of_tied_branches():
     assert np.array_equal(got, [np.nan, -2.0, -1.0, 0.0, 1.0, 2.0, np.nan], equal_nan=True)
 
 
-def test_nearest_preimage_matches_the_reduction_on_the_benchmark_table(bench_pair):
-    inverter = bench_pair.gamma1bar
-    inverter(np.array([0.0]))
-    table = inverter._table
-    t = np.sort(bench_pair.levels)
+def test_nearest_preimage_matches_the_reduction_on_the_benchmark_table(
+    bench_pair, bench_report
+):
+    levels = bench_report.levels.levels
+    table = bench_pair.gamma1bar._table
+    t = np.sort(levels)
     rng = np.random.default_rng(13)
     xs = np.sort(np.concatenate([
         rng.uniform(table.h_min, table.h_max, 20_000),
         0.5 * (t[:-1] + t[1:]),
         t,
     ]))
-    got = _nearest_preimages(xs, table.branches, bench_pair.levels)
-    want = _nearest_preimages_by_reduction(xs, table.branches, bench_pair.levels)
+    got = _nearest_preimages(xs, table.branches, levels)
+    want = _nearest_preimages_by_reduction(xs, table.branches, levels)
     assert got.tobytes() == want.tobytes()
 
 
@@ -582,11 +569,6 @@ def test_first_stage_is_odd(bench_pair):
     left = np.asarray(bench_pair.gamma1bar(-xs), dtype=float)
     right = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
     assert np.max(np.abs(left + right)) < 1e-9
-
-
-def test_collocation_pair_exposes_levels(bench_pair, bench_report):
-    assert bench_pair.kind == "collocation"
-    assert np.array_equal(bench_pair.levels, bench_report.levels.levels)
 
 
 def test_one_pair_per_levels_object(bench_pair, bench_report):
@@ -792,11 +774,47 @@ def test_staircase_summary_of_benchmark_solution(bench_pair, bench_params):
     assert max(abs(s) for s in summary.tread_slopes) < 0.05
 
 
-def test_staircase_summary_reads_the_quadrature_jump_scan(bench_pair, bench_params):
-    xs, g, jumps = _scan_jumps(bench_pair, bench_params)
+def test_collocation_breakpoints_are_the_jump_scan(bench_pair, bench_params):
+    """The pair lists the jumps of gamma1bar on the 20,001 scan points, bit
+    for bit, and the staircase summary reads them."""
+    xs = _scan_points(bench_params)
     assert xs.size == 20001 and xs[-1] == 8.5 * bench_params.sigma_x == -xs[0]
-    assert np.array_equal(g, bench_pair.gamma1bar(xs))
-    assert summarize_staircase(bench_pair, bench_params).breakpoints == tuple(jumps)
+    jumps = tuple(jump_breakpoints(xs, bench_pair.gamma1bar(xs)))
+    assert len(jumps) == 6
+    assert bench_pair.breakpoints == jumps
+    assert summarize_staircase(bench_pair, bench_params).breakpoints == jumps
+
+
+def test_staircase_summary_of_wit_splits_at_its_jump(unit_params):
+    """The wit pair lists its jump at exactly 0; the treads are [a, 0) and
+    [0, b], which hold the same samples as the closed treads at the scan's
+    midpoint -0.000425 did."""
+    pair = wit_nonlinear(unit_params)
+    summary = summarize_staircase(pair, unit_params)
+    assert summary.breakpoints == (0.0,)
+    assert (summary.steps, summary.shape) == (2, "staircase")
+    assert summary.tread_values == (-1.0, 1.0)
+    assert summary.tread_slopes[0] == pytest.approx(0.0, abs=1e-12)
+    assert summary.tread_slopes[1] == pytest.approx(0.0, abs=1e-12)
+    xs = _scan_points(unit_params)
+    (mid,) = jump_breakpoints(xs, pair.gamma1bar(xs))
+    left, right = xs <= mid, xs >= mid
+    closed = tuple(float(np.polyfit(xs[m], pair.gamma1bar(xs[m]), 1)[0]) for m in (left, right))
+    assert summary.tread_slopes == closed
+
+
+def test_staircase_summary_gives_an_empty_tread_its_midpoint_value(unit_params):
+    """Two breakpoints inside one gap of the scan points leave a tread with
+    no sample: it takes gamma1bar at its midpoint and slope 0."""
+    pair = StrategyPair(
+        gamma1bar=lambda x: np.searchsorted([0.0, 1e-4], x, side="right").astype(float),
+        gamma2=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+        breakpoints=(1e-5, 2e-4),
+    )
+    summary = summarize_staircase(pair, unit_params)
+    assert summary.steps == 3
+    assert summary.tread_values[1] == 2.0
+    assert summary.tread_slopes[1] == 0.0
 
 
 def test_staircase_summary_of_affine_pair_is_one_linear_tread(unit_params):
