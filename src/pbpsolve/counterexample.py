@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, NumericError
-from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
+from .quadrature import SQRT_PI, QuadratureRule
 
 Strategy = Callable[[np.ndarray], np.ndarray]
 
@@ -41,6 +41,10 @@ _BLOCK = 65_536
 # deviations of the costs, and whether that overflows beyond this bound
 # would depend on the rounding of their mean.
 _MC_COST_LIMIT = math.sqrt(np.finfo(float).max)
+# np.exp gives a normal result at and above _EXP_FAST_FLOOR and +0.0 below
+# _EXP_ZERO_BELOW (it underflows below about -745.133); see _exp_in_place.
+_EXP_FAST_FLOOR = -700.0
+_EXP_ZERO_BELOW = -745.2
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +303,38 @@ def _posterior_weights(
         log_a[:, lost] = np.where(nearest, log_masses[:, None], -np.inf)
         top[lost] = log_a[:, lost].max(axis=0)
     log_a -= top
-    return np.exp(log_a, out=log_a)
+    return _exp_in_place(log_a)
+
+
+def _exp_in_place(a: np.ndarray) -> np.ndarray:
+    """np.exp(a, out=a), bit for bit, with the low lanes kept off the vector
+    pass when they are common.
+
+    np.exp is several times slower on a lane whose result is subnormal or 0
+    (below about -708) than on a normal one, and such a lane slows its
+    whole SIMD vector; collocation weights hold many of them.  So when an
+    array of 1,024 lanes or more shows 1 in 16 or more below
+    _EXP_FAST_FLOOR among about 1,024 evenly spaced lanes, those lanes are
+    raised to it for the vector pass and then overwritten: the ones at or
+    above _EXP_ZERO_BELOW with np.exp of their gathered values, the ones
+    below with 0.0, which np.exp gives there.  On a smaller array the fixed
+    cost of those steps outweighs what they save.  np.exp rounds each lane
+    on its own, so either path gives the same bits; NaN lanes stay in the
+    vector pass."""
+    step = a.size // 1024
+    if step == 0:
+        return np.exp(a, out=a)
+    sample = a.reshape(-1)[::step]
+    if np.count_nonzero(sample < _EXP_FAST_FLOOR) * 16 < sample.size:
+        return np.exp(a, out=a)
+    low = a < _EXP_FAST_FLOOR
+    band = low & (a >= _EXP_ZERO_BELOW)
+    band_values = np.exp(a[band])
+    np.maximum(a, _EXP_FAST_FLOOR, out=a)
+    np.exp(a, out=a)
+    a[low] = 0.0
+    a[band] = band_values
+    return a
 
 
 def _posterior_moments(

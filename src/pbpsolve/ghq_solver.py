@@ -104,9 +104,11 @@ class SolveReport:
     residual_jacobian calls (njev); both are 0 without iteration.  init
     records which initialization produced the result.  payoff is the
     quadrature payoff (order-20 outer and inner rules) by which
-    init="auto" compared two converged candidates, None when no comparison
-    ran.  An "auto" result lists both candidate reports, affine first, in
-    candidates, which is empty otherwise.
+    init="auto" compared two distinct converged candidates, None when no
+    comparison ran: two converged level vectors within tol of each other
+    (Euclidean norm of the difference) are one solution, and neither is
+    scored.  An "auto" result lists both candidate reports, affine first,
+    in candidates, which is empty otherwise.
     """
 
     levels: SignalingLevels
@@ -358,8 +360,9 @@ def solve_signaling_levels(
     init selects the starting vector: "affine" (the optimal affine slope
     applied to the collocation points), "quantizer" (collocation points
     rounded to a uniform lattice whose spacing is controlled by
-    quantizer_scale), "auto" (both starts are solved and the converged
-    result with the lower quadrature payoff is kept), or an explicit list of
+    quantizer_scale), "auto" (both starts are solved; of two distinct
+    converged results the one with the lower quadrature payoff is kept, of
+    two within tol of each other the affine one), or an explicit list of
     level values, each collocation point receiving the nearest listed value
     (so the list order is immaterial and a short list of tread values
     suffices).  With iterate=False the residual is evaluated at
@@ -392,7 +395,12 @@ def solve_signaling_levels(
             ),
         ]
         converged = [r for r in reports if r.converged]
-        if len(converged) == 2:
+        # Two converged level vectors within tol of each other are one
+        # solution: scoring both would decide nothing, so the first is kept
+        # unscored, as a lone converged candidate is.
+        if len(converged) == 2 and np.linalg.norm(
+            converged[1].levels.levels - converged[0].levels.levels
+        ) > tol:
             payoff_rule = build_hermite_rule(20)
             reports = [
                 replace(r, payoff=payoff_quadrature(params, solved_pair(r), payoff_rule, payoff_rule))

@@ -397,19 +397,21 @@ def count_table_builds(monkeypatch) -> list:
     return builds
 
 
-def test_default_solve_builds_two_inverter_tables(capsys, monkeypatch):
-    """One table per converged auto candidate; the output reuses the
-    winner's pair instead of building a third."""
+def test_default_solve_builds_one_inverter_table(capsys, monkeypatch):
+    """At the benchmark both auto candidates reach one solution, so neither
+    is scored: the output builds the winner's pair and its one table."""
     builds = count_table_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "solve", "--k", "0.2", "--sigma-x", "5")
     assert code == 0
-    assert json.loads(out)["init"].startswith("auto:")
-    assert len(builds) == 2
+    assert json.loads(out)["init"] == "auto:affine"
+    assert len(builds) == 1
 
 
 def test_default_solve_reuses_the_auto_pick_quadrature(capsys, monkeypatch):
-    """The auto pick scores both candidates with order-20 quadrature; the
-    output's quadrature block is the winner's score, not a third call."""
+    """At sigma_x = 5 the auto candidates coincide and only the output
+    scores the winner.  At sigma_x = 1 they differ, the auto pick scores
+    both with order-20 quadrature, and the output's quadrature block is the
+    winner's score, not a third call."""
     calls = []
 
     def counting(params, pair, outer_rule, inner_rule):
@@ -418,10 +420,13 @@ def test_default_solve_reuses_the_auto_pick_quadrature(capsys, monkeypatch):
 
     monkeypatch.setattr(ghq_solver, "payoff_quadrature", counting)
     monkeypatch.setattr(cli, "payoff_quadrature", counting)
-    code, out, _ = run_cli(capsys, "solve", "--k", "0.2", "--sigma-x", "5", "--samples", "1000")
-    assert code == 0
-    assert calls == [20, 20]
-    assert json.loads(out)["payoff"][0]["order"] == 20
+    for sigma_x, expected in (("5", [20]), ("1", [20, 20])):
+        calls.clear()
+        argv = ["solve", "--k", "0.2", "--sigma-x", sigma_x, "--samples", "1000"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == expected, sigma_x
+        assert json.loads(out)["payoff"][0]["order"] == 20
 
 
 def test_payoff_blocks_reuse_only_a_quadrature_of_the_requested_order():
@@ -525,9 +530,10 @@ def test_picard_curves_plot_the_solved_pair(capsys):
 
 
 def test_default_curves_reuses_the_solve_pair_and_estimates_no_payoff(capsys, monkeypatch):
-    """curves plots the solve's own pair: no payoff estimate and no third
-    inverter table, and the same curves and summary as a fresh pair built
-    on the solved levels."""
+    """curves plots the solve's own pair: no payoff estimate and no second
+    inverter table (the auto candidates coincide and are not scored), and
+    the same curves and summary as a fresh pair built on the solved
+    levels."""
     builds = count_table_builds(monkeypatch)
     estimates = []
     for name in ("payoff_mc", "payoff_quadrature"):
@@ -535,7 +541,7 @@ def test_default_curves_reuses_the_solve_pair_and_estimates_no_payoff(capsys, mo
     code, out, err = run_cli(capsys, "curves", "--k", "0.2", "--sigma-x", "5")
     assert code == 0
     assert estimates == []
-    assert len(builds) == 2
+    assert len(builds) == 1
 
     params = ProblemParams(k=0.2, sigma=1.0, sigma_x=5.0)
     rule = build_hermite_rule(7)

@@ -292,18 +292,34 @@ def test_both_starts_reach_the_same_benchmark_solution(bench_params, rule7, benc
                          - np.sort(bench_report.levels.levels))) < 1e-8
 
 
-def test_auto_start_records_which_side_won(bench_params, rule7, rule20):
-    report = solve_signaling_levels(bench_params, rule7, init="auto", tol=1e-10)
+def test_auto_start_records_which_side_won(rule7, rule20):
+    params = ProblemParams(k=0.2, sigma=1.0, sigma_x=1.0)
+    report = solve_signaling_levels(params, rule7, init="auto", tol=1e-10)
     assert report.converged
     assert report.init in ("auto:affine", "auto:quantizer")
-    # Both starts converge here, so both were scored with the order-20 rules.
+    # Both starts converge here to different solutions, so both were scored
+    # with the order-20 rules.
     assert [c.init for c in report.candidates] == ["auto:affine", "auto:quantizer"]
     assert all(c.converged and c.payoff.order == 20 for c in report.candidates)
     winner = next(c for c in report.candidates if c.init == report.init)
     assert winner.residual_norm == report.residual_norm
     assert report.payoff == winner.payoff
     assert report.payoff.total == min(c.payoff.total for c in report.candidates)
-    assert payoff_quadrature(bench_params, solved_pair(report), rule20, rule20) == report.payoff
+    assert payoff_quadrature(params, solved_pair(report), rule20, rule20) == report.payoff
+
+
+def test_auto_start_scores_no_duplicate_candidate(bench_params, rule7):
+    """At the benchmark both starts reach one solution: both are listed,
+    neither is scored, and the affine one is kept."""
+    tol = 1e-10
+    report = solve_signaling_levels(bench_params, rule7, init="auto", tol=tol)
+    affine, quantizer = report.candidates
+    assert (affine.init, quantizer.init) == ("auto:affine", "auto:quantizer")
+    assert affine.converged and quantizer.converged
+    assert np.linalg.norm(affine.levels.levels - quantizer.levels.levels) <= tol
+    assert report.payoff is None and affine.payoff is None and quantizer.payoff is None
+    assert report.init == "auto:affine"
+    assert report.levels is affine.levels
 
 
 def test_auto_start_without_two_converged_candidates_scores_none(bench_params, rule7):

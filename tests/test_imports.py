@@ -1,0 +1,52 @@
+"""Every name a package module imports is used in that module.
+
+Each src/pbpsolve/*.py is parsed with ast.  A name counts as used when the
+module reads it (a bare name, or the head of an attribute chain such as
+np.exp) or lists it in __all__; __future__ imports are skipped.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pbpsolve
+
+MODULES = sorted(Path(pbpsolve.__file__).parent.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """The name each import binds, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_the_package_modules_are_found():
+    assert {"cli.py", "ghq_solver.py", "counterexample.py"} <= {m.name for m in MODULES}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert unused == {}, f"{module.name}: imported and never used: {unused}"

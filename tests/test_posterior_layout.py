@@ -6,7 +6,8 @@ were written with the locations along the last axis; every output of the
 package must equal theirs bit for bit: the weights (up to the moved axis),
 the posterior moments, the posterior mean and the collocation Jacobian.
 The orders cover both sides of the switch from row passes to NumPy's
-pairwise sum at 8 mirror pairs.
+pairwise sum at 8 mirror pairs.  The copies use plain np.exp, so they also
+check that the exp fast path of the weights keeps every bit.
 """
 
 from __future__ import annotations
@@ -17,8 +18,14 @@ import warnings
 import numpy as np
 import pytest
 
-from pbpsolve import ProblemParams, gaussian_posterior_mean, residual_jacobian
+from pbpsolve import (
+    ProblemParams,
+    gaussian_posterior_mean,
+    residual_jacobian,
+    solve_signaling_levels,
+)
 from pbpsolve.counterexample import (
+    _exp_in_place,
     _posterior_moments,
     _posterior_weights,
     _reversal_invariant_sum,
@@ -185,3 +192,51 @@ def test_jacobian_matches_the_locations_last_jacobian_bitwise(bench_params, orde
         for params in (bench_params, other):
             got = residual_jacobian(t, params, rule)
             assert _same(got, _jacobian_last(t, params, rule)), (name, params)
+
+
+def _exp_cases(params):
+    """(name, y, locations, log masses, sigma, low): pieces of the inverter's
+    table grid and of Monte Carlo draws at the solved benchmark levels (few
+    lanes below -700), the n = 40 Jacobian observations at the quantizer
+    start, an array where a third of the lanes fall in [-745.2, -700) and
+    some observations are NaN, and sigma = 1e-160, where every lane but the
+    nearest is -inf.  low says whether 1 in 16 or more lanes are below
+    -700, which sends the weights down the gathered path."""
+    rule = build_hermite_rule(7)
+    t = solve_signaling_levels(params, rule, init="affine", tol=1e-10).levels.levels
+    c = math.sqrt(2.0) * params.sigma
+    z = rule.nodes[:, None]
+    log_lam = np.log(rule.weights)
+    grid = np.linspace(t.min() - 7.0, t.max() + 7.0, 1337)
+    yield "table grid", c * z + grid, t, log_lam, 1.0, False
+    draws = np.random.default_rng(1601).normal(0.0, params.sigma_x, 1337)
+    yield "monte carlo", c * z + draws, t, log_lam, 1.0, False
+    rule40 = build_hermite_rule(40)
+    t40 = solve_signaling_levels(params, rule40, init="quantizer", iterate=False).levels.levels
+    y40 = c * rule40.nodes[:, None] + t40[None, :]
+    yield "jacobian n=40", y40, t40, np.log(rule40.weights), 1.0, True
+    band = np.linspace(-1.0, 1.0, 3001)
+    band[::97] = np.nan
+    yield "band", band, np.array([-38.0, 0.0, 38.0]), np.log([0.25, 0.5, 0.25]), 1.0, True
+    yield "sigma=1e-160", c * z + grid, t, log_lam, 1e-160, True
+
+
+def test_posterior_weights_exp_fast_path_keeps_every_bit(bench_params):
+    for name, y, locations, log_masses, sigma, low in _exp_cases(bench_params):
+        want = np.moveaxis(_weights_last(y, locations, log_masses, sigma), -1, 0)
+        with np.errstate(invalid="ignore"):  # NaN observations
+            share = np.count_nonzero(want < math.exp(-700.0)) / want.size
+        assert (share * 16 >= 1) == low, (name, share)
+        assert _same(_posterior_weights(y, locations, log_masses, sigma), want), name
+
+
+def test_exp_in_place_matches_np_exp_at_its_thresholds():
+    edges = [-745.2, -745.133, -700.0, -708.4, -745.1332191019412]
+    special = [np.nan, -np.inf, -0.0, 0.0, -1e300, *edges]
+    special += [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    ramp = np.linspace(-800.0, 0.0, 40_001)
+    a = np.concatenate([special, ramp, np.random.default_rng(1602).permutation(ramp)])
+    want = np.exp(a)
+    assert _same(_exp_in_place(a.copy()), want)
+    high = np.concatenate([special, np.linspace(-600.0, 0.0, 40_001)])
+    assert _same(_exp_in_place(high.copy()), np.exp(high))
