@@ -337,18 +337,33 @@ def _exp_in_place(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _posterior_mean_parts(
+    y: np.ndarray, locations: np.ndarray, log_masses: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized weights (as _posterior_weights, locations along axis
+    0), their total and the posterior mean of a finite mixture observed
+    through G(0, sigma^2) noise.  Broadcasts over y."""
+    w = _posterior_weights(y, locations, log_masses, sigma)
+    mass = _location_sum(w)
+    mean = _location_sum(w * _as_rows(locations, w.ndim - 1)) / mass
+    return w, mass, mean
+
+
+def _posterior_variance(
+    w: np.ndarray, mass: np.ndarray, mean: np.ndarray, locations: np.ndarray
+) -> np.ndarray:
+    """The posterior variance from the weights, mass and mean of
+    _posterior_mean_parts."""
+    m = _as_rows(locations, w.ndim - 1)
+    return _location_sum(w * (m * m)) / mass - mean * mean
+
+
 def _posterior_moments(
     y: np.ndarray, locations: np.ndarray, log_masses: np.ndarray, sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized weights (as _posterior_weights, locations along axis
-    0), their total, and the posterior mean and variance of a finite
-    mixture observed through G(0, sigma^2) noise.  Broadcasts over y."""
-    w = _posterior_weights(y, locations, log_masses, sigma)
-    m = _as_rows(locations, w.ndim - 1)
-    mass = _location_sum(w)
-    mean = _location_sum(w * m) / mass
-    var = _location_sum(w * (m * m)) / mass - mean * mean
-    return w, mass, mean, var
+    """_posterior_mean_parts and the posterior variance."""
+    w, mass, mean = _posterior_mean_parts(y, locations, log_masses, sigma)
+    return w, mass, mean, _posterior_variance(w, mass, mean, locations)
 
 
 def gaussian_posterior_mean(
@@ -370,8 +385,7 @@ def gaussian_posterior_mean(
     # NumPy's vectorized log can round a strided (say, reversed) view
     # differently from a contiguous array, which would break the equivariance.
     log_masses = np.log(np.ascontiguousarray(prior_weights, dtype=float))
-    w = _posterior_weights(y, locations, log_masses, sigma)
-    return _location_sum(w * _as_rows(locations, w.ndim - 1)) / _location_sum(w)
+    return _posterior_mean_parts(y, locations, log_masses, sigma)[2]
 
 
 def _first_stage_sum(d: np.ndarray, rule: QuadratureRule, params: ProblemParams) -> np.ndarray:

@@ -18,7 +18,9 @@ f(-t reversed) is the exact bitwise negation-reversal of f(t)) and its
 analytic Jacobian, solves f(t) = 0 by trust-region least squares from
 affine, quantizer, or user-supplied starts, and converts a converged level
 vector into an evaluable strategy pair.  B and R are the shared kernels
-gaussian_posterior_mean and _first_stage_sum of counterexample.  The second
+_posterior_mean_parts (the one beneath gaussian_posterior_mean) and
+_first_stage_sum of counterexample; a least-squares point computes them
+once for its residual and its Jacobian.  The second
 stage is the posterior mean of the levels; the first stage gamma1bar(x0)
 solves H(g) = g + R(g) = x0 (R is independent of x0, so one dense table of
 H serves every x0, and one batch inverter serves every caller).  H is
@@ -42,7 +44,9 @@ from .counterexample import (
     ProblemParams,
     StrategyPair,
     _first_stage_sum,
+    _posterior_mean_parts,
     _posterior_moments,
+    _posterior_variance,
     _reversal_invariant_sum,
     affine_optimal,
     gaussian_posterior_mean,
@@ -96,12 +100,13 @@ class SolveReport:
     """Outcome of a level solve.
 
     residual_norm is the Euclidean norm of the residual vector at the
-    returned levels; converged means residual_norm <= tol (enforced);
-    iterations counts every residual-vector evaluation the least-squares
-    iteration made (its nfev: the Jacobian is analytic, so no
-    finite-difference evaluations are hidden), not counting the one that
-    measures residual_norm; jacobian_evaluations counts its
-    residual_jacobian calls (njev); both are 0 without iteration.  init
+    returned levels (the least-squares iteration's own last residual);
+    converged means residual_norm <= tol (enforced); iterations counts
+    every residual-vector evaluation the least-squares iteration made (its
+    nfev: the Jacobian is analytic, so no finite-difference evaluations
+    are hidden); jacobian_evaluations counts its Jacobian evaluations
+    (njev), each on the posterior weights its point's residual already
+    computed; both are 0 without iteration.  init
     records which initialization produced the result.  payoff is the
     quadrature payoff (order-20 outer and inner rules) by which
     init="auto" compared two distinct converged candidates, None when no
@@ -153,6 +158,78 @@ def _level_vector(
     return t, params, rule
 
 
+@dataclass(frozen=True)
+class _CollocationPoint:
+    """The collocation system evaluated at a level vector t.
+
+    y[i, l] = c z_i + t_l are the observations (c = sqrt(2) sigma), w the
+    unnormalized posterior weights of the levels at them (levels on axis
+    0, so w is n x n x n: 262,144 weights, 2 MB, at n = 64), mass their
+    total, mean the posterior mean B and f the residual vector.  The
+    Jacobian is a tail on this state (_collocation_jacobian), so a
+    least-squares point that needs both computes the weights once.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    mass: np.ndarray
+    mean: np.ndarray
+    f: np.ndarray
+
+
+def _collocation_point(
+    t: np.ndarray, params: ProblemParams, rule: QuadratureRule
+) -> _CollocationPoint:
+    """The weights, mean and residual at t in one pass over all noise
+    nodes and levels; each residual entry depends on its own level's
+    column alone, so this is the residual of _signal_pull's pieces bit for
+    bit."""
+    sv = params.sigma
+    y = math.sqrt(2.0) * sv * rule.nodes[:, None] + t
+    log_masses = np.log(np.ascontiguousarray(rule.weights))
+    w, mass, mean = _posterior_mean_parts(y, t, log_masses, sv)
+    x0 = math.sqrt(2.0) * params.sigma_x * rule.nodes
+    f = t - x0 + _first_stage_sum(t - mean, rule, params)
+    return _CollocationPoint(t, y, w, mass, mean, f)
+
+
+def _collocation_jacobian(
+    point: _CollocationPoint, params: ProblemParams, rule: QuadratureRule
+) -> np.ndarray:
+    """The Jacobian of residual_jacobian from the state of its point."""
+    t, y, w, mass, b = point.t, point.y, point.w, point.mass, point.mean
+    sv = params.sigma
+    var_scale = sv * sv
+    var = _posterior_variance(w, mass, b, t)
+    g, diag = _node_gain(t - b, var, rule, sv)
+    # p_ilm = w_mil / mass_il (the weights hold the levels m on axis 0); the
+    # normalization rides on g.  The node sum runs along axis 1 and gives
+    # the cross term as [m, l].  The n x n x n products are formed in
+    # place: the same elementwise operations, three buffers instead of six.
+    t_m = t[:, None, None]
+    dev = t_m - b
+    dev *= y - t_m
+    dev /= var_scale
+    dev += 1.0
+    terms = g / mass * w
+    terms *= dev
+    cross = _reversal_invariant_sum(terms, axis=1)
+    return np.eye(t.size) + (np.diag(diag) - cross.T) / (SQRT_PI * params.k**2)
+
+
+def _node_gain(
+    d: np.ndarray, var: np.ndarray, rule: QuadratureRule, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The node factor g_i = lambda_i (2 z_i d_i / c + 1), c = sqrt(2) sigma,
+    and the node sum sum_i g_i (1 - V_i / sigma^2), which is R'(g) times
+    sqrt(pi) k^2.  d and the posterior variance var hold the noise nodes on
+    axis 0."""
+    c = math.sqrt(2.0) * sigma
+    g = rule.weights[:, None] * ((2.0 * rule.nodes[:, None] / c) * d + 1.0)
+    return g, _reversal_invariant_sum(g * (1.0 - var / (sigma * sigma)), axis=0)
+
+
 def residual_system(
     levels: np.ndarray | SignalingLevels,
     params: ProblemParams | None = None,
@@ -165,11 +242,10 @@ def residual_system(
     input negates and reverses the output bit-for-bit (the exact sign
     symmetry of the continuous equations, inherited from the exact node and
     weight symmetry of the rule).  f(t) = t - x0 + R(t), with R the
-    first-stage sum of _signal_pull evaluated at the levels themselves.
+    first-stage sum evaluated at the levels themselves.
     """
     t, params, rule = _level_vector(levels, params, rule)
-    x0 = math.sqrt(2.0) * params.sigma_x * rule.nodes
-    return t - x0 + _signal_pull(t, t, params, rule, with_slope=False)[0]
+    return _collocation_point(t, params, rule).f
 
 
 def residual_jacobian(
@@ -192,23 +268,7 @@ def residual_jacobian(
     residual_system; the n x n x n posterior tensor is 2 MB at n = 64.
     """
     t, params, rule = _level_vector(levels, params, rule)
-    z = rule.nodes
-    lam = rule.weights
-    sv = params.sigma
-    var_scale = sv * sv
-    c = math.sqrt(2.0) * sv
-
-    y = c * z[:, None] + t[None, :]
-    w, mass, b, var = _posterior_moments(y, t, np.log(lam), sv)
-    g = lam[:, None] * ((2.0 * z[:, None] / c) * (t[None, :] - b) + 1.0)
-    diag = _reversal_invariant_sum(g * (1.0 - var / var_scale), axis=0)
-    # p_ilm = w_mil / mass_il (the weights hold the levels m on axis 0); the
-    # normalization rides on g.  The node sum runs along axis 1 and gives
-    # the cross term as [m, l].
-    t_m = t[:, None, None]
-    dev = (t_m - b) * (y - t_m) / var_scale
-    cross = _reversal_invariant_sum(g / mass * w * (1.0 + dev), axis=1)
-    return np.eye(t.size) + (np.diag(diag) - cross.T) / (SQRT_PI * params.k**2)
+    return _collocation_jacobian(_collocation_point(t, params, rule), params, rule)
 
 
 def _signal_pull(
@@ -234,7 +294,9 @@ def _signal_pull(
     the level count; each value depends on its own g alone, not on the
     piece.  Pieces of _BLOCK observations would hold _BLOCK x levels
     weights, which outgrow a core's cache and are returned to the system
-    and faulted back in piece after piece.
+    and faulted back in piece after piece.  The first-stage inverter is the
+    one caller; the collocation system evaluates its levels in one pass
+    (_collocation_point).
     """
     g = np.asarray(g, dtype=float)
     z = rule.nodes[:, None]
@@ -253,8 +315,7 @@ def _signal_pull(
         d = part - b
         pull[a : a + step] = _first_stage_sum(d, rule, params)
         if with_slope:
-            gain = rule.weights[:, None] * ((2.0 * z / c) * d + 1.0) * (1.0 - var / (sv * sv))
-            slope[a : a + step] = _reversal_invariant_sum(gain, axis=0) / (SQRT_PI * params.k**2)
+            slope[a : a + step] = _node_gain(d, var, rule, sv)[1] / (SQRT_PI * params.k**2)
     return pull, slope
 
 
@@ -296,6 +357,37 @@ def _quantizer_init(
     return delta * np.round(x0 / delta)
 
 
+class _OnePointSystem:
+    """fun and jac of one least-squares solve, sharing the state of the
+    last point evaluated.
+
+    least_squares asks for the Jacobian only at the point whose residual
+    it has just evaluated, so jac(x) puts the Jacobian tail on the cached
+    state of fun(x) and evaluates afresh only at another x.  One point is
+    held at a time: its state, and its Jacobian once asked for.
+    """
+
+    def __init__(self, params: ProblemParams, rule: QuadratureRule) -> None:
+        self._params = params
+        self._rule = rule
+        self._point: _CollocationPoint | None = None
+        self._jac: np.ndarray | None = None
+
+    def fun(self, x: np.ndarray) -> np.ndarray:
+        if self._point is None or not np.array_equal(x, self._point.t):
+            # Drop the old state before the new one is built.
+            self._point = None
+            self._jac = None
+            self._point = _collocation_point(np.array(x, dtype=float), self._params, self._rule)
+        return self._point.f
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        self.fun(x)
+        if self._jac is None:
+            self._jac = _collocation_jacobian(self._point, self._params, self._rule)
+        return self._jac
+
+
 def _single_solve(
     params: ProblemParams,
     rule: QuadratureRule,
@@ -306,12 +398,13 @@ def _single_solve(
 ) -> SolveReport:
     if iterate:
         # least_squares begins with the residual and Jacobian at the start:
-        # they are evaluated once here, checked and handed over.  A
-        # non-finite one would end inside SciPy (its start check, or the
-        # SVD of J).
+        # they are evaluated once here, checked, and kept in the cache that
+        # its first calls read.  A non-finite one would end inside SciPy
+        # (its start check, or the SVD of J).
+        system = _OnePointSystem(params, rule)
         with np.errstate(over="ignore", invalid="ignore"):
-            f0 = residual_system(start, params, rule)
-            j0 = residual_jacobian(start, params, rule) if np.all(np.isfinite(f0)) else None
+            f0 = system.fun(start)
+            j0 = system.jac(start) if np.all(np.isfinite(f0)) else None
         if j0 is None or not np.all(np.isfinite(j0)):
             raise ConfigurationError(
                 f"the {tag} start gives a non-finite residual or Jacobian "
@@ -319,9 +412,9 @@ def _single_solve(
                 "start nearer the scale of the prior"
             )
         result = least_squares(
-            lambda x: f0 if np.array_equal(x, start) else residual_system(x, params, rule),
+            system.fun,
             start,
-            jac=lambda x: j0 if np.array_equal(x, start) else residual_jacobian(x, params, rule),
+            jac=system.jac,
             method="trf",
             xtol=3e-16,
             ftol=3e-16,
@@ -329,13 +422,15 @@ def _single_solve(
             max_nfev=500 * (rule.order + 1),
         )
         t = result.x
+        residual = result.fun
         iterations = int(result.nfev)
         jacobian_evaluations = int(result.njev)
     else:
         t = np.asarray(start, dtype=float)
+        residual = residual_system(t, params, rule)
         iterations = 0
         jacobian_evaluations = 0
-    norm = float(np.linalg.norm(residual_system(t, params, rule)))
+    norm = float(np.linalg.norm(residual))
     return SolveReport(
         levels=SignalingLevels(t, rule.order, params),
         residual_norm=norm,

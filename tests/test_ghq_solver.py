@@ -34,7 +34,7 @@ from pbpsolve import (
 )
 from pbpsolve.counterexample import _BLOCK
 from pbpsolve.errors import ConfigurationError, NumericError
-from pbpsolve import ghq_solver
+from pbpsolve import counterexample, ghq_solver
 from pbpsolve.ghq_solver import (
     _TABLE_POINTS,
     _affine_init,
@@ -257,27 +257,54 @@ def test_benchmark_solves_converge_far_below_the_tolerance(bench_params, order, 
 def test_solve_counts_every_residual_and_jacobian_evaluation(
     bench_params, rule7, monkeypatch
 ):
-    calls = {"residual": 0, "jacobian": 0}
-    residual, jacobian = ghq_solver.residual_system, ghq_solver.residual_jacobian
+    """Each least-squares point computes its posterior weights once: one
+    weight pass per residual evaluation (nfev) and none in the Jacobian
+    tails, one tail per Jacobian evaluation (njev)."""
+    calls = {"weights": 0, "tails": 0}
+    weights, tail = counterexample._posterior_weights, ghq_solver._collocation_jacobian
 
-    def counting_residual(*args):
-        calls["residual"] += 1
-        return residual(*args)
+    def counting_weights(*args):
+        calls["weights"] += 1
+        return weights(*args)
 
-    def counting_jacobian(*args):
-        calls["jacobian"] += 1
-        return jacobian(*args)
+    def counting_tail(*args):
+        calls["tails"] += 1
+        return tail(*args)
 
-    monkeypatch.setattr(ghq_solver, "residual_system", counting_residual)
-    monkeypatch.setattr(ghq_solver, "residual_jacobian", counting_jacobian)
+    monkeypatch.setattr(counterexample, "_posterior_weights", counting_weights)
+    monkeypatch.setattr(ghq_solver, "_collocation_jacobian", counting_tail)
     report = solve_signaling_levels(bench_params, rule7, init="quantizer", tol=1e-10)
     assert report.converged
     assert report.jacobian_evaluations >= 1
-    # one more residual evaluation measures residual_norm
-    assert calls == {"residual": report.iterations + 1,
-                     "jacobian": report.jacobian_evaluations}
+    assert calls == {"weights": report.iterations, "tails": report.jacobian_evaluations}
     start_only = solve_signaling_levels(bench_params, rule7, init="quantizer", iterate=False)
     assert (start_only.iterations, start_only.jacobian_evaluations) == (0, 0)
+
+
+def test_one_point_system_evaluates_afresh_at_another_point(bench_params, rule7):
+    """jac(x) reuses the state of fun(x) only while x is the point last
+    evaluated; the cache keeps its own copy of that point."""
+    a = _quantizer_init(bench_params, rule7)
+    b = a + 0.25
+    system = ghq_solver._OnePointSystem(bench_params, rule7)
+    system.fun(a)
+    system.fun(b)
+    assert np.array_equal(system.jac(a), residual_jacobian(a, bench_params, rule7))
+    assert np.array_equal(system.fun(b), residual_system(b, bench_params, rule7))
+    x = b.copy()
+    system.fun(x)
+    x[0] += 1.0
+    assert np.array_equal(system.jac(x), residual_jacobian(x, bench_params, rule7))
+
+
+def test_residual_norm_is_the_norm_of_the_residual_at_the_levels(bench_report, bench_params):
+    """residual_norm comes from the least-squares iteration's own last
+    residual; it is the norm of residual_system at the returned levels,
+    bit for bit, whether or not the solve converged."""
+    stalled = solve_signaling_levels(bench_params, build_hermite_rule(40), init="affine")
+    assert bench_report.converged and not stalled.converged
+    for report in (bench_report, stalled):
+        assert report.residual_norm == np.linalg.norm(residual_system(report.levels))
 
 
 # ---------------------------------------------------------------------------

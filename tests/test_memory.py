@@ -1,4 +1,5 @@
-"""Peak memory of the payoff estimators and the first-stage inverter.
+"""Peak memory of the payoff estimators, the first-stage inverter and the
+collocation solve.
 
 The estimators and the inverter work in blocks of _BLOCK observations, so
 their temporaries do not grow with samples x levels or with outer x inner
@@ -13,8 +14,16 @@ import tracemalloc
 
 import numpy as np
 
-from pbpsolve import SignalingLevels, collocation_pair, payoff_quadrature
+from pbpsolve import (
+    SignalingLevels,
+    collocation_pair,
+    payoff_quadrature,
+    residual_jacobian,
+    solve_signaling_levels,
+)
 from pbpsolve.counterexample import _BLOCK
+from pbpsolve.ghq_solver import _collocation_point, _quantizer_init
+from pbpsolve.quadrature import build_hermite_rule
 
 MB = 1e6
 
@@ -51,3 +60,21 @@ def test_gamma1bar_peak_does_not_grow_with_the_queries(bench_report):
     inverter(np.array([x.min(), x.max()]))
     peak = _peak_above_entry(lambda: inverter(x))
     assert peak < 16 * MB
+
+
+def test_collocation_solve_holds_one_point_at_a_time(bench_params):
+    # The residual and the Jacobian of a least-squares point share one
+    # point's state (2.2 MB of posterior weights and moments at n = 64), and
+    # the solve holds one point at a time.  Its peak is near that of one
+    # residual_jacobian call, 7.6 MB; a cache that kept the points of its
+    # 112 residual evaluations would grow by 2.2 MB a point.
+    rule = build_hermite_rule(64)
+    start = _quantizer_init(bench_params, rule)
+    point = _collocation_point(start, bench_params, rule)
+    state = sum(a.nbytes for a in (point.t, point.y, point.w, point.mass, point.mean, point.f))
+    del point
+    jacobian_peak = _peak_above_entry(lambda: residual_jacobian(start, bench_params, rule))
+    peak = _peak_above_entry(
+        lambda: solve_signaling_levels(bench_params, rule, init="quantizer", tol=1e-10)
+    )
+    assert peak <= jacobian_peak + state
