@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .counterexample import (
     _BLOCK,
@@ -397,6 +396,8 @@ def _single_solve(
     iterate: bool,
 ) -> SolveReport:
     if iterate:
+        from scipy.optimize import least_squares
+
         # least_squares begins with the residual and Jacobian at the start:
         # they are evaluated once here, checked, and kept in the cache that
         # its first calls read.  A non-finite one would end inside SciPy

@@ -29,16 +29,17 @@ at all periods) to confirm that global optima are person-by-person optimal.
 The (state, observation) paths of a model are enumerated once, as a table
 of index arrays.  Profiles are scored in blocks against that table: actions
 follow period by period from each station's information, vectorised over
-the block; probabilities multiply in path order; each distinct (state path,
-action path) sums its costs once with fsum; and each profile's total is an
-fsum over its trajectories of nonzero probability.  Every product is the
-one a recursion over the trajectory tree forms, so the costs do not depend
-on the block size.  The reference probabilities and Lambda, M and Theta
-are multiplied in one place, _likelihood_ratios, on the rows of a table:
-payoff_equivalence weights the costs with them, rnd_process reads them off
-a one-row table, and verify_martingale sums them over the rows that share
-a path prefix.  Every enumeration refuses models with more than 1e7
-trajectories.
+the block; probabilities multiply in path order; each (state path, action
+path) sums its costs once with fsum, in one table over every such path when
+that table is no larger than a block and per block otherwise; and each
+profile's total is an fsum over its trajectories of nonzero probability.
+Every product is the one a recursion over the trajectory tree forms, so the
+costs do not depend on the block size.  The reference probabilities and
+Lambda, M and Theta are multiplied in one place, _likelihood_ratios, on the
+rows of a table: payoff_equivalence weights the costs with them,
+rnd_process reads them off a one-row table, and verify_martingale sums them
+over the rows that share a path prefix.  Every enumeration refuses models
+with more than 1e7 trajectories.
 """
 
 from __future__ import annotations
@@ -412,26 +413,63 @@ def _block_probabilities(
     return p
 
 
+def _code_costs(model: FiniteTeamModel) -> np.ndarray | None:
+    """fsum of the stage costs and the terminal cost of every path code.
+
+    A path code is the mixed-radix number of a (state path, action path)
+    pair over (x_0, u_0, x_1, u_1, ...), as _path_costs forms it.  The table
+    is built, once per scoring call, only when the code space
+    (num_states * total_actions)^horizon is at most _BLOCK_CELLS, so it is
+    never larger than one block of cells; otherwise returns None.  fsum is
+    correctly rounded, so an entry has the bits of the same sum taken per
+    block.  Also returns None when some code's sum overflows: per block, only
+    a cell on that path raises.
+    """
+    n = model.horizon
+    if (model.num_states * model.total_actions) ** n > _BLOCK_CELLS:
+        return None
+    paths = np.indices((model.num_states, model.total_actions) * n).reshape(2 * n, -1)
+    x, u = paths[0::2], paths[1::2]
+    columns = [model.stage_costs[t][x[t], u[t]] for t in range(n)]
+    columns.append(model.terminal_cost[x[-1]])
+    try:
+        return np.array([math.fsum(row) for row in np.stack(columns, axis=1).tolist()])
+    except OverflowError:
+        return None
+
+
 def _path_costs(
-    model: FiniteTeamModel, table: _TrajectoryTable, actions: list[np.ndarray]
+    model: FiniteTeamModel,
+    table: _TrajectoryTable,
+    actions: list[np.ndarray],
+    code_costs: np.ndarray | None,
 ) -> np.ndarray:
     """fsum of the stage costs and the terminal cost of every cell.
 
-    The sum depends only on the (state path, action path) pair, so each
-    distinct pair is summed once.
+    The sum depends only on the cell's path code.  With code_costs (see
+    _code_costs) the cells read their sums from it.  Without it (a code
+    space too large to tabulate, or a sum that overflows), each distinct code
+    of the block is summed once; the codes are renumbered densely before
+    they could pass _CODE_LIMIT.
     """
     x = table.states
-    shape = actions[0].shape
     width = model.num_states * model.total_actions
-    code = np.zeros(shape, dtype=np.int64)
-    bound = 1
-    for t in range(model.horizon):
-        if bound * width > _CODE_LIMIT:
+    # in place: every block array freed is one glibc may trim and the next
+    # block page-faults back
+    code = x[:, 0] * model.total_actions + actions[0]
+    shape = code.shape
+    bound = width
+    for t in range(1, model.horizon):
+        if code_costs is None and bound * width > _CODE_LIMIT:
             _, inverse = np.unique(code.ravel(), return_inverse=True)
             code = inverse.reshape(shape)
             bound = int(inverse.max()) + 1
-        code = code * width + (x[:, t] * model.total_actions + actions[t])
+        code *= width
+        code += x[:, t] * model.total_actions
+        code += actions[t]
         bound *= width
+    if code_costs is not None:
+        return code_costs[code]
     _, first, inverse = np.unique(code.ravel(), return_index=True, return_inverse=True)
     b, i = np.unravel_index(first, shape)
     columns = [model.stage_costs[t][x[i, t], actions[t][b, i]] for t in range(model.horizon)]
@@ -624,7 +662,8 @@ def payoff_equivalence(
     table = _trajectory_table(model)
     block = _block_actions(model, table, *_single_block(profile))
     probabilities = _block_probabilities(model, table, block)[0]
-    original = math.fsum((probabilities * _path_costs(model, table, block)[0]).tolist())
+    costs = _path_costs(model, table, block, _code_costs(model))[0]
+    original = math.fsum((probabilities * costs).tolist())
 
     x = table.states
     weighted = []
@@ -649,6 +688,7 @@ def _profile_costs(
     table: _TrajectoryTable,
     stacks: list[list[np.ndarray]],
     choices: Sequence[np.ndarray],
+    code_costs: np.ndarray | None,
 ) -> list[float]:
     """Exact expected cost of each profile of a block.
 
@@ -657,7 +697,7 @@ def _profile_costs(
     """
     actions = _block_actions(model, table, stacks, choices)
     probabilities = _block_probabilities(model, table, actions)
-    terms = probabilities * _path_costs(model, table, actions)
+    terms = probabilities * _path_costs(model, table, actions, code_costs)
     return [
         math.fsum(row[keep].tolist()) for row, keep in zip(terms, probabilities != 0.0)
     ]
@@ -666,7 +706,8 @@ def _profile_costs(
 def expected_cost(model: FiniteTeamModel, profile: StrategyProfile) -> float:
     """Exact expected total cost of a profile under the original measure."""
     validate_profile(model, profile)
-    return _profile_costs(model, _trajectory_table(model), *_single_block(profile))[0]
+    table = _trajectory_table(model)
+    return _profile_costs(model, table, *_single_block(profile), _code_costs(model))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -694,16 +735,24 @@ def _all_profile_costs(
     model: FiniteTeamModel, spaces: Sequence[Sequence[tuple[np.ndarray, ...]]]
 ) -> list[float]:
     """Expected cost of every profile, in itertools.product order of the
-    station strategy indices, scored _BLOCK_CELLS table cells at a time."""
+    station strategy indices, scored _BLOCK_CELLS table cells at a time.
+
+    The path costs come from one table over every path code (_code_costs),
+    built once here when the code space (num_states * total_actions)^horizon
+    is at most _BLOCK_CELLS.  A larger code space would not fit in a block,
+    so there each block sums its own distinct codes, renumbered below
+    _CODE_LIMIT; both paths give the same bits.
+    """
     table = _trajectory_table(model)
     stacks = _stacked_maps(spaces)
     sizes = [len(space) for space in spaces]
     total = math.prod(sizes)
     block = max(1, _BLOCK_CELLS // table.size)
+    code_costs = _code_costs(model)
     costs: list[float] = []
     for start in range(0, total, block):
         choices = np.unravel_index(np.arange(start, min(start + block, total)), sizes)
-        costs += _profile_costs(model, table, stacks, choices)
+        costs += _profile_costs(model, table, stacks, choices, code_costs)
     return costs
 
 
@@ -742,7 +791,10 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
 
     Every profile is scored, in blocks of _BLOCK_CELLS table cells, against
     one table of the model's trajectories; the costs are bit-identical to
-    scoring each profile alone with expected_cost.  Profiles are ordered as
+    scoring each profile alone with expected_cost.  Path costs are read from
+    one fsum table over every (state path, action path) code when there are
+    at most _BLOCK_CELLS codes, and summed per block otherwise, where the
+    table would outgrow a block.  Profiles are ordered as
     itertools.product over the stations' strategy indices, and the first
     profile of least cost is best_profile.  Refuses models with more than
     1e6 profiles or 1e7 trajectories.

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, NumericError
 
@@ -114,6 +113,8 @@ def build_hermite_rule(order: int) -> QuadratureRule:
     n = int(order)
     if n == 1:
         return QuadratureRule(1, np.array([0.0]), np.array([SQRT_PI]))
+
+    from scipy.linalg import eigh_tridiagonal
 
     off_diag = np.sqrt(np.arange(1, n) / 2.0)
     nodes = eigh_tridiagonal(np.zeros(n), off_diag, eigvals_only=True)

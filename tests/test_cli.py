@@ -680,6 +680,46 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert json.loads(result.stdout)["passed"] is True
 
 
+# Runs cli.main on its argv in a fresh interpreter and prints the exit code
+# and the names in sys.modules afterwards.
+_MODULES_AFTER_MAIN = """
+import contextlib, io, json, sys
+from pbpsolve import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, not_loaded",
+    [
+        (["verify", "identity", "--pbp"], set(), {"scipy"}),
+        (["verify", "random42", "--pbp"], set(), {"scipy"}),
+        (["baseline", "--k", "1", "--sigma-x", "1", "--method", "wit", "--samples", "1000"],
+         {"scipy.linalg"}, {"scipy.optimize"}),
+        (["solve", "--k", "1", "--sigma-x", "1", "--init", "affine", "--samples", "1000"],
+         {"scipy.linalg", "scipy.optimize"}, set()),
+    ],
+    ids=["verify-identity", "verify-random42", "baseline-wit", "solve"],
+)
+def test_scipy_is_imported_only_by_the_commands_that_call_it(argv, loaded, not_loaded):
+    env = dict(os.environ)
+    src = str(Path(pbpsolve.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["code"] == 0
+    modules = set(report["modules"])
+    assert loaded <= modules
+    for name in not_loaded:
+        assert not {m for m in modules if m == name or m.startswith(name + ".")}
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from pbpsolve import (
     profile_count,
     random_model,
     rnd_process,
+    uniform_profile,
     verify_martingale,
 )
 from pbpsolve import measure_change
@@ -401,13 +402,44 @@ def test_a_benchmark_shaped_model_matches_the_recursion_across_blocks():
     assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
 
 
+def test_a_model_with_more_path_codes_than_a_block_matches_the_recursion():
+    """28**3 path codes are more than a block holds, so no cost table is built."""
+    model = random_model(11, horizon=3, num_states=7, obs_sizes=(2, 1),
+                         action_sizes=(2, 2), max_info_items=1)
+    assert (model.num_states * model.total_actions) ** model.horizon > measure_change._BLOCK_CELLS
+    assert measure_change._code_costs(model) is None
+    assert profile_count(model) == 128
+    scored = measure_change._all_profile_costs(model, _spaces(model))
+    _, _, profiles = oracle_profiles(model)
+    assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
+
+
+def test_a_path_sum_that_overflows_off_the_profile_changes_no_bit():
+    """Paths that play action 1 in both periods sum 1e308 twice, past the
+    float range; a profile that never plays it is scored as before."""
+    model = random_model(1, horizon=2, num_states=2, obs_sizes=(2,), action_sizes=(2,))
+    model = dataclasses.replace(
+        model, stage_costs=tuple(np.array([[0.5, 1e308], [0.25, 1e308]]) for _ in range(2))
+    )
+    profile = uniform_profile(model)
+    assert bits(expected_cost(model, profile)) == bits(oracle_expected_cost(model, profile))
+    report = payoff_equivalence(model, profile)
+    original, via_reference = oracle_payoff_equivalence(model, profile)
+    assert bits(report.original) == bits(original)
+    assert bits(report.via_reference) == bits(via_reference)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(small_models())
 def test_renumbering_the_path_codes_changes_no_bit(model):
     spaces = _spaces(model)
     plain = [bits(c) for c in measure_change._all_profile_costs(model, spaces)]
+    code_space = (model.num_states * model.total_actions) ** model.horizon
     with pytest.MonkeyPatch.context() as mp:
-        # renumber before every period, as a model too large for int64 codes would
+        # renumber before every period, as a model too large for int64 codes
+        # would; a block below the code space builds no cost table
         mp.setattr(measure_change, "_CODE_LIMIT", 1)
+        mp.setattr(measure_change, "_BLOCK_CELLS", code_space - 1)
+        assert measure_change._code_costs(model) is None
         renumbered = [bits(c) for c in measure_change._all_profile_costs(model, spaces)]
     assert renumbered == plain
