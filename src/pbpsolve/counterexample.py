@@ -519,11 +519,10 @@ def payoff_mc(
     plus the standard error of the total.  Raises NumericError when a
     sampled cost is not finite or too large for its standard error.
 
-    gamma1bar sees every sample in one call (an inverter sizes its table
-    on the whole draw); v is drawn and gamma2 evaluated _BLOCK samples at
-    a time, which continues the same stream.  Only the squared misses of
-    both stages and the cost are kept at full length: the means and the
-    standard error read them whole, so they round as one pass would.
+    gamma1bar sees every sample in one call; v is drawn and gamma2 run
+    _BLOCK samples at a time, continuing the same stream.  Only the squared
+    misses of both stages and the cost are kept at full length: the means
+    and the standard error read them whole, so they round as one pass would.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")

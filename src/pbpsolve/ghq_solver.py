@@ -22,18 +22,17 @@ _posterior_mean_parts (the one beneath gaussian_posterior_mean) and
 _first_stage_sum of counterexample; a least-squares point computes them
 once for its residual and its Jacobian.  The second
 stage is the posterior mean of the levels; the first stage gamma1bar(x0)
-solves H(g) = g + R(g) = x0 (R is independent of x0, so one dense table of
-H serves every x0, and one batch inverter serves every caller).  H is
-increasing within branches and drops at finitely many jumps, so an x0 can
-have several preimages; the returned value is the preimage closest to one of
-the signaling levels.
+is the root of H(g) = g + R(g) = x0 closest to a signaling level (H is not
+monotone, so an x0 can have several).  R is independent of x0, so one
+table of H and H' per pair locates the exact switch points of that choice
+and inverts H by the cubic Hermite interpolant of one table cell per query.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,20 +48,14 @@ from .counterexample import (
     _reversal_invariant_sum,
     affine_optimal,
     gaussian_posterior_mean,
-    jump_breakpoints,
     payoff_quadrature,
 )
 from .errors import ConfigurationError, NumericError
 from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
 _TABLE_POINTS = 200_001
-# Newton steps of the batch inverter.  From the interpolated start a step
-# with the exact slope converges quadratically, so once a step is below
-# _NEWTON_SETTLED relative to max(1, |g|) the remaining error is far below
-# rounding.  On a table spread over a wide query window the start is
-# coarser and a query may need another step, up to _NEWTON_STEPS in all.
-_NEWTON_STEPS = 3
-_NEWTON_SETTLED = 1e-8
+# Half-width, in prior scales, of the x0 window of payoff_quadrature and _scan_points.
+_REACH = 8.5
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +69,7 @@ class SignalingLevels:
     levels[l] is the first-stage value at the collocation point
     x0_l = sqrt(2) sigma_x z_l of the order rule_order Gauss-Hermite rule.
     The strategy pair that collocation_pair builds is kept on the instance,
-    so every caller shares one inverter table per level vector.
+    so every caller shares one first-stage table per level vector.
     """
 
     levels: np.ndarray
@@ -271,12 +264,8 @@ def residual_jacobian(
 
 
 def _signal_pull(
-    g: np.ndarray,
-    t: np.ndarray,
-    params: ProblemParams,
-    rule: QuadratureRule,
-    with_slope: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    g: np.ndarray, t: np.ndarray, params: ProblemParams, rule: QuadratureRule
+) -> tuple[np.ndarray, np.ndarray]:
     """R(g) and its derivative R'(g) at a vector of first-stage values g.
 
     R(g) is _first_stage_sum when the second stage is the posterior mean of
@@ -287,34 +276,28 @@ def _signal_pull(
         R'(g) = (1 / (sqrt(pi) k^2)) sum_i lambda_i (2 z_i d_i / c + 1)
                 (1 - V_i / sigma^2).
 
-    with_slope=False skips V and returns None for R'.  All noise nodes are
-    handled at once, on pieces of _BLOCK // (order x levels) values of g, so
-    each piece holds at most _BLOCK posterior weights whatever the order and
-    the level count; each value depends on its own g alone, not on the
-    piece.  Pieces of _BLOCK observations would hold _BLOCK x levels
-    weights, which outgrow a core's cache and are returned to the system
-    and faulted back in piece after piece.  The first-stage inverter is the
-    one caller; the collocation system evaluates its levels in one pass
-    (_collocation_point).
+    All noise nodes are handled at once, on pieces of _BLOCK // (order x
+    levels) values of g, so each piece holds at most _BLOCK posterior
+    weights whatever the order and the level count; each value depends on
+    its own g alone, not on the piece.  Pieces of _BLOCK observations would
+    hold _BLOCK x levels weights, which outgrow a core's cache and are
+    returned to the system and faulted back in piece after piece.  The
+    first-stage table's build is the one caller; the collocation system
+    evaluates its levels in one pass (_collocation_point).
     """
     g = np.asarray(g, dtype=float)
     z = rule.nodes[:, None]
     sv = params.sigma
     c = math.sqrt(2.0) * sv
     pull = np.empty_like(g)
-    slope = np.empty_like(g) if with_slope else None
+    slope = np.empty_like(g)
     step = max(1, _BLOCK // (rule.order * t.size))
     for a in range(0, g.size, step):
         part = g[a : a + step]
-        y = c * z + part
-        if with_slope:
-            _, _, b, var = _posterior_moments(y, t, np.log(rule.weights), sv)
-        else:
-            b = gaussian_posterior_mean(y, t, rule.weights, sv)
+        _, _, b, var = _posterior_moments(c * z + part, t, np.log(rule.weights), sv)
         d = part - b
         pull[a : a + step] = _first_stage_sum(d, rule, params)
-        if with_slope:
-            slope[a : a + step] = _node_gain(d, var, rule, sv)[1] / (SQRT_PI * params.k**2)
+        slope[a : a + step] = _node_gain(d, var, rule, sv)[1] / (SQRT_PI * params.k**2)
     return pull, slope
 
 
@@ -521,153 +504,173 @@ def solve_signaling_levels(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _InverterTable:
-    """H = g + R(g) tabulated on [lo, hi], split into monotone branches.
-
-    Each branch is a pair (h, g) of views into the table with h ascending.
-    h_min and h_max bound the tabulated values of H.
-    """
+class _FirstStage:
+    """gamma1bar of a collocation pair: H = g + R(g) and H' at the nodes
+    lo + c step, and the monotone branch of H that serves each tread, from
+    span[0] (the bottom of the tabulated range of H) and from each switch
+    on.  A query is inverted in the cell of its tread's branch that holds
+    it, whatever its batch; the table never changes once built."""
 
     lo: float
-    hi: float
-    h_min: float
-    h_max: float
-    branches: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-class _TableInverter:
-    """Batch inversion of H(g) = g + R(g) via one dense table.
-
-    Because R does not depend on x0, a single table of H over a window
-    covering all queried x0 serves every evaluation.  When the table is
-    built it is split at slope-sign changes into monotone branches; each
-    branch is inverted by linear interpolation for the queries inside its
-    range of H, each x0 keeps the candidate preimage nearest to a signaling
-    level, and Newton steps with the exact slope 1 + R'(g) restore full
-    accuracy (one step suffices on a fine table).  The table is cached and
-    rebuilt only when a query falls outside its window.
-
-    A call sizes the table once, from the minimum and maximum of all its
-    queries, then sorts, picks preimages and takes the Newton steps one
-    block of _BLOCK queries at a time, so its temporaries do not grow with
-    the number of queries.  Each preimage depends on its own query and the
-    table alone, so the blocks never change a bit.
-
-    The table is an immutable record published by a single assignment and
-    each call works on the record it obtained, so concurrent calls never
-    mix two tables; a concurrent rebuild can at worst drop another thread's
-    window from the cache, which costs a later rebuild.
-    """
-
-    def __init__(self, levels: SignalingLevels, rule: QuadratureRule) -> None:
-        # The level vector and problem, not the SignalingLevels object: that
-        # object keeps this inverter's pair, and a reference back would form
-        # a cycle that holds the table until the cyclic collector runs.
-        self._t = levels.levels
-        self._params = levels.params
-        self._rule = rule
-        self._table: _InverterTable | None = None
-
-    def _ensure_table(self, x_min: float, x_max: float) -> _InverterTable:
-        table = self._table
-        t = self._t
-        params = self._params
-        pad = 6.0 * params.sigma + 1.0
-        lo = min(float(t.min()), x_min) - pad
-        hi = max(float(t.max()), x_max) + pad
-        if table is not None:
-            if lo >= table.lo and hi <= table.hi:
-                return table
-            lo = min(lo, table.lo)
-            hi = max(hi, table.hi)
-        grid = np.linspace(lo, hi, _TABLE_POINTS)
-        h = grid + _signal_pull(grid, t, params, self._rule, with_slope=False)[0]
-
-        # Split the table into maximal runs of constant slope sign.
-        rising = np.diff(h) > 0.0
-        boundaries = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1), h.size - 1]
-        branches = []
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            seg_h = h[a : b + 1]
-            seg_g = grid[a : b + 1]
-            if seg_h[0] > seg_h[-1]:
-                seg_h, seg_g = seg_h[::-1], seg_g[::-1]
-            branches.append((seg_h, seg_g))
-        table = _InverterTable(lo, hi, float(h.min()), float(h.max()), tuple(branches))
-        self._table = table
-        return table
+    step: float
+    h: np.ndarray
+    slope: np.ndarray
+    span: tuple[float, float] = (math.inf, -math.inf)
+    switches: tuple[float, ...] = ()
+    treads: tuple[tuple[np.ndarray, int, int], ...] = ()
 
     def __call__(self, x0: np.ndarray) -> np.ndarray:
         x = np.asarray(x0, dtype=float)
         flat = np.ravel(x)
-        if flat.size == 0:
-            return np.reshape(flat, np.shape(x0))
         if not np.all(np.isfinite(flat)):
             raise NumericError("gamma1bar evaluation requires finite x0")
-        table = self._ensure_table(float(flat.min()), float(flat.max()))
+        outside = np.count_nonzero((flat < self.span[0]) | (flat > self.span[1]))
+        if outside:
+            raise NumericError(
+                f"{outside} of {flat.size} first-stage queries lie outside "
+                f"[{self.span[0]:.6g}, {self.span[1]:.6g}], the tabulated range of H"
+            )
         out = np.empty_like(flat)
         for a in range(0, flat.size, _BLOCK):
-            out[a : a + _BLOCK] = self._invert_block(flat[a : a + _BLOCK], table)
-        return np.reshape(out, np.shape(x))
+            order = np.argsort(flat[a : a + _BLOCK])
+            xs = flat[a : a + _BLOCK][order]
+            ends = [0, *np.searchsorted(xs, self.switches), xs.size]
+            cells = [_branch_cells(b, xs[i:j]) for b, i, j in zip(self.treads, ends, ends[1:])]
+            out[a : a + _BLOCK][order] = self.inverse(np.concatenate(cells), xs)
+        return np.reshape(out, x.shape)
 
-    def _invert_block(self, x0: np.ndarray, table: _InverterTable) -> np.ndarray:
-        """The preimages of one block of queries on the given table."""
-        t = self._t
-        order = np.argsort(x0, kind="stable")
-        xs = x0[order]
-        best = _nearest_preimages(xs, table.branches, t)
-
-        # Queries beyond the tabulated range of H clamp to the table ends.
-        best = np.where(np.isnan(best) & (xs <= table.h_min), table.lo, best)
-        best = np.where(np.isnan(best), np.where(xs >= table.h_max, table.hi, best), best)
-
-        active = np.arange(best.size)
-        for _ in range(_NEWTON_STEPS):
-            g_act = best[active]
-            r, r_slope = _signal_pull(g_act, t, self._params, self._rule)
-            f0 = g_act + r - xs[active]
-            slope = 1.0 + r_slope
-            step = np.clip(np.where(np.abs(slope) > 1e-12, f0 / slope, 0.0), -1.0, 1.0)
-            best[active] = g_act - step
-            active = active[np.abs(step) > _NEWTON_SETTLED * np.maximum(1.0, np.abs(g_act))]
-
-        out = np.empty_like(best)
-        out[order] = best
-        return out
+    def inverse(self, cell: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """g with H(g) = x in the given cells (from node c to c + 1): the
+        root of the cubic in g that matches H and H' at both nodes, by two
+        Newton steps from the chord, kept inside the cell.  A cubic in x
+        through g and dg/dH = 1 / H' would lose accuracy as H' falls toward
+        a turn of H."""
+        h, step = self.h, self.step
+        h0 = h[cell]
+        dh = h[cell + 1] - h0
+        a0 = step * self.slope[cell] - dh
+        a1 = step * self.slope[cell + 1] - dh
+        u = (x - h0) / dh
+        for _ in range(2):
+            v = 1.0 - u
+            w = a0 * v - a1 * u
+            u -= (h0 + u * (dh + v * w) - x) / (dh + (v - u) * w - u * v * (a0 + a1))
+            u = np.fmin(np.fmax(u, 0.0), 1.0)
+        return self.lo + step * (cell + u)
 
 
-def _nearest_preimages(
-    xs: np.ndarray, branches: Sequence[tuple[np.ndarray, np.ndarray]], t: np.ndarray
+def _branch_cells(branch: tuple[np.ndarray, int, int], x: np.ndarray) -> np.ndarray:
+    """The cells of a branch (H at its nodes in ascending order, the first
+    of those nodes and the node step, +1 or -1) that hold x."""
+    hs, first, way = branch
+    j = np.clip(np.searchsorted(hs, x, side="right") - 1, 0, hs.size - 2)
+    return first + way * j - (way < 0)
+
+
+def _nearest_branch(
+    x: np.ndarray, branches: Sequence[tuple], levels: np.ndarray, inverse: Callable
 ) -> np.ndarray:
-    """For ascending queries xs, the interpolated preimage over the
-    monotone branches that lies nearest to a level of t; NaN where no
-    branch covers a query.  A later branch replaces a kept candidate only
-    when it is strictly nearer.  Each branch visits only the queries inside
-    its range of H, and the distance to the nearest level is taken by one
-    elementwise pass per level (no queries x levels temporary)."""
-    best = np.full(xs.shape, np.nan)
-    best_dist = np.full(xs.shape, np.inf)
-    for seg_h, seg_g in branches:
-        a = np.searchsorted(xs, seg_h[0], side="left")
-        b = np.searchsorted(xs, seg_h[-1], side="right")
-        cand = np.interp(xs[a:b], seg_h, seg_g)
-        dist = np.abs(cand - t[0])
-        gap = np.empty_like(cand)
-        for level in t[1:]:
-            np.abs(np.subtract(cand, level, out=gap), out=gap)
-            np.minimum(dist, gap, out=dist)
-        take = dist < best_dist[a:b]
-        best[a:b][take] = cand[take]
-        best_dist[a:b][take] = dist[take]
-    return best
+    """At each x, the branch whose preimage inverse(k, x) lies nearest to one
+    of the ascending levels, the earlier branch on ties; -1 where no branch
+    covers x.  branches[k] starts with H at its nodes, ascending."""
+    choice = np.full(x.shape, -1, dtype=np.intp)
+    best = np.full(x.shape, np.inf)
+    for k, (hs, *_) in enumerate(branches):
+        inside = np.flatnonzero((x >= hs[0]) & (x <= hs[-1]))
+        if not inside.size:
+            continue
+        g = inverse(k, x[inside])
+        i = np.searchsorted(levels, g)
+        below, above = levels[np.maximum(i - 1, 0)], levels[np.minimum(i, levels.size - 1)]
+        dist = np.minimum(np.abs(g - below), np.abs(g - above))
+        nearer = dist < best[inside]
+        best[inside[nearer]] = dist[nearer]
+        choice[inside[nearer]] = k
+    return choice
+
+
+def _first_stage_table(levels: SignalingLevels, rule: QuadratureRule) -> _FirstStage:
+    """The first stage of collocation_pair: H and H' on _TABLE_POINTS nodes
+    out to _REACH sigma_x, or the outermost level, plus 6 sigma + 1.  The
+    rule picks the monotone branch of H whose preimage lies nearest a level
+    at every value of H in the table (on interpolated preimages, and on the
+    table's own near each change), and bisects each switch of the pick."""
+    t, params = levels.levels, levels.params
+    pad = 6.0 * params.sigma + 1.0
+    lo = min(float(t.min()), -_REACH * params.sigma_x) - pad
+    step = (max(float(t.max()), _REACH * params.sigma_x) + pad - lo) / (_TABLE_POINTS - 1)
+    if not step <= params.sigma:
+        # H turns on the scale of the noise, which a coarser table misses.
+        raise NumericError(
+            f"the first-stage table from {lo:.6g} would have nodes {step:.3g} apart, "
+            f"wider than sigma = {params.sigma:.6g}"
+        )
+    h, slope = _signal_pull(lo + step * np.arange(_TABLE_POINTS), t, params, rule)
+    h += lo + step * np.arange(_TABLE_POINTS)
+    if not np.all(np.isfinite(h)):
+        raise NumericError(f"H = g + R(g) overflows on the first-stage table from {lo:.6g}")
+    slope += 1.0
+    table = _FirstStage(lo, step, h, slope)
+    rising = np.diff(h) > 0.0
+    edges = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1).tolist(), h.size - 1]
+    branches = [
+        (h[a : b + 1], a, 1) if rising[a] else (h[a : b + 1][::-1], b, -1)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    t = np.sort(t)
+
+    def interpolated(k: int, x: np.ndarray) -> np.ndarray:
+        hs, first, way = branches[k]
+        return np.interp(x, hs, lo + step * (first + way * np.arange(hs.size)))
+
+    def pick(x: np.ndarray) -> np.ndarray:
+        return _nearest_branch(
+            x, branches, t, lambda k, x: table.inverse(_branch_cells(branches[k], x), x)
+        )
+
+    samples = np.sort(h)
+    choice = np.concatenate([
+        _nearest_branch(samples[a : a + _BLOCK], branches, t, interpolated)
+        for a in range(0, samples.size, _BLOCK)
+    ])
+    change = np.flatnonzero(choice[1:] != choice[:-1])
+    near = np.union1d(np.clip(change[:, None] + np.arange(-2, 4), 0, samples.size - 1), [0])
+    choice[near] = pick(samples[near])
+    change = np.flatnonzero(choice[1:] != choice[:-1])
+    # Each pass bisects, to adjacent floats, where the branch picked at the
+    # left end of an interval stops being picked; the next goes on from it.
+    left, right = samples[change], samples[change + 1]
+    switches = [np.empty(0)]
+    while left.size:
+        first = pick(left)
+        keep = first != pick(right)
+        left, right, first = left[keep], right[keep], first[keep]
+        low, high = left, right
+        while True:
+            mid = low + 0.5 * (high - low)
+            open_ = (mid > low) & (mid < high)
+            if not open_.any():
+                break
+            move = open_ & (pick(mid) != first)
+            high, low = np.where(move, mid, high), np.where(open_ & ~move, mid, low)
+        switches.append(high)
+        left = high
+    switches = np.sort(np.concatenate(switches))
+    serving = pick(np.concatenate([samples[:1], switches]))
+    return replace(
+        table,
+        span=(float(samples[0]), float(samples[-1])),
+        switches=tuple(switches.tolist()),
+        treads=tuple(branches[k] for k in serving),
+    )
 
 
 def solved_pair(report: SolveReport) -> StrategyPair:
     """Evaluable strategy pair from a converged solve.
 
     Requires report.converged; otherwise the levels do not solve the system
-    and a ConfigurationError is raised.  gamma1bar uses the cached-table
-    batch inverter; gamma2 is the posterior mean of the levels.
+    and a ConfigurationError is raised.  gamma1bar is the pair's first-stage
+    table; gamma2 is the posterior mean of the levels.
     """
     if not report.converged:
         raise ConfigurationError(
@@ -681,19 +684,18 @@ def collocation_pair(levels: SignalingLevels) -> StrategyPair:
     """Evaluable strategy pair defined by a collocation level vector.
 
     gamma2 is the posterior mean of the levels, with the rule weights (the
-    prior masses of the collocation points) as mixture weights; gamma1bar
-    is the batch inverter, the root of g + R(g) = x0 nearest to a signaling
-    level.  The breakpoints are the jumps jump_breakpoints finds in
-    gamma1bar on the 20,001 points of _scan_points, sampled once here: the
-    pair does not know its jumps exactly.  The pair is built once per
-    levels object and returned again on later calls, so its inverter table
-    is built once, sized by that scan.  Two threads that race on the first
-    call may each build a pair; the last one is kept.
+    prior masses of the collocation points) as mixture weights.  gamma1bar
+    is the root of g + R(g) = x0 nearest to a signaling level, read from
+    the one table _first_stage_table builds here; the breakpoints are those
+    of its switch points inside +-_REACH sigma_x where gamma1bar jumps.  The pair
+    is built once per levels object and returned again on later calls.  Two
+    threads that race on the first call may each build a pair; the last
+    one is kept.
     """
     if levels._pair is not None:
         return levels._pair
     rule = build_hermite_rule(levels.rule_order)
-    inverter = _TableInverter(levels, rule)
+    table = _first_stage_table(levels, rule)
     sv = levels.params.sigma
     weights = rule.weights
     level_values = levels.levels
@@ -701,11 +703,13 @@ def collocation_pair(levels: SignalingLevels) -> StrategyPair:
     def gamma2(y: np.ndarray) -> np.ndarray:
         return gaussian_posterior_mean(np.asarray(y, dtype=float), level_values, weights, sv)
 
-    xs = _scan_points(levels.params)
+    # A switch between two branches at their shared turn is not a jump.
+    s = np.array(table.switches)
+    jumps = np.abs(table(s) - table(np.nextafter(s, -np.inf))) > table.step
     pair = StrategyPair(
-        gamma1bar=inverter,
+        gamma1bar=table,
         gamma2=gamma2,
-        breakpoints=tuple(jump_breakpoints(xs, inverter(xs))),
+        breakpoints=tuple(s[jumps & (np.abs(s) < _REACH * levels.params.sigma_x)].tolist()),
     )
     object.__setattr__(levels, "_pair", pair)
     return pair
@@ -737,8 +741,8 @@ class StaircaseSummary:
 
 def _scan_points(params: ProblemParams) -> np.ndarray:
     """The 20,001 points on [-8.5 sigma_x, 8.5 sigma_x] at which
-    collocation_pair looks for jumps and summarize_staircase fits treads."""
-    return np.linspace(-8.5 * params.sigma_x, 8.5 * params.sigma_x, 20001)
+    summarize_staircase fits treads."""
+    return np.linspace(-_REACH * params.sigma_x, _REACH * params.sigma_x, 20001)
 
 
 def summarize_staircase(pair: StrategyPair, params: ProblemParams) -> StaircaseSummary:
@@ -790,17 +794,5 @@ def distinct_levels(levels: SignalingLevels) -> np.ndarray:
     its mean.  A zero-range vector is a single level.
     """
     t = np.sort(np.asarray(levels.levels, dtype=float))
-    if t.size == 1:
-        return t.copy()
-    gaps = np.diff(t)
-    threshold = 0.02 * float(t[-1] - t[0])
-    if threshold == 0.0:
-        return np.array([float(t.mean())])
-    reps = []
-    start = 0
-    for i, gap in enumerate(gaps):
-        if gap > threshold:
-            reps.append(float(np.mean(t[start : i + 1])))
-            start = i + 1
-    reps.append(float(np.mean(t[start:])))
-    return np.asarray(reps)
+    cuts = np.flatnonzero(np.diff(t) > 0.02 * float(t[-1] - t[0])) + 1
+    return np.array([float(np.mean(part)) for part in np.split(t, cuts)])

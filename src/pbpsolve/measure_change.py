@@ -797,13 +797,21 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
     table would outgrow a block.  Profiles are ordered as
     itertools.product over the stations' strategy indices, and the first
     profile of least cost is best_profile.  Refuses models with more than
-    1e6 profiles or 1e7 trajectories.
+    1e6 profiles or 1e7 trajectories, or costs that can overflow a path sum.
     """
     total = profile_count(model)
     if total > _MAX_PROFILES:
         raise ConfigurationError(
             f"model has {total} strategy profiles, above the {_MAX_PROFILES} cap"
         )
+    try:
+        # No path's fsum overflows while the largest costs have a finite fsum.
+        math.fsum(float(np.max(np.abs(c))) for c in (*model.stage_costs, model.terminal_cost))
+    except OverflowError:
+        raise ConfigurationError(
+            "the model's costs can sum past the float range on a path: its largest stage "
+            f"and terminal costs in absolute value sum beyond {np.finfo(float).max:.6g}"
+        ) from None
     spaces = [_station_strategy_space(model, j) for j in range(model.stations)]
     keys = itertools.product(*(range(len(s)) for s in spaces))
     costs = dict(zip(keys, _all_profile_costs(model, spaces)))

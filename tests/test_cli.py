@@ -31,7 +31,6 @@ from pbpsolve import (
 from pbpsolve import cli, ghq_solver
 from pbpsolve.cli import RunConfig, _parse_init, main
 from pbpsolve.errors import ConfigurationError, NumericError
-from pbpsolve.ghq_solver import _TableInverter
 from pbpsolve.quadrature import build_hermite_rule
 
 FAST_SOLVE = [
@@ -382,29 +381,29 @@ def test_collocation_with_the_two_point_prior_exits_two(capsys, subcommand, init
 
 
 def count_table_builds(monkeypatch) -> list:
-    """Record the window of every inverter table built from now on."""
+    """Record the level vector of every first-stage table built from now on."""
     builds = []
-    original = _TableInverter._ensure_table
+    original = ghq_solver._first_stage_table
 
-    def counting(self, x_min, x_max):
-        before = self._table
-        table = original(self, x_min, x_max)
-        if table is not before:
-            builds.append((table.lo, table.hi))
-        return table
+    def counting(levels, rule):
+        builds.append(levels.levels)
+        return original(levels, rule)
 
-    monkeypatch.setattr(_TableInverter, "_ensure_table", counting)
+    monkeypatch.setattr(ghq_solver, "_first_stage_table", counting)
     return builds
 
 
 def test_default_solve_builds_one_inverter_table(capsys, monkeypatch):
     """At the benchmark both auto candidates reach one solution, so neither
-    is scored: the output builds the winner's pair and its one table."""
+    is scored: the output builds the winner's pair and its one table, which
+    serves the pair's breakpoints and every payoff query."""
     builds = count_table_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "solve", "--k", "0.2", "--sigma-x", "5")
     assert code == 0
-    assert json.loads(out)["init"] == "auto:affine"
+    doc = json.loads(out)
+    assert doc["init"] == "auto:affine"
     assert len(builds) == 1
+    assert np.array_equal(builds[0], doc["levels"])
 
 
 def test_default_solve_reuses_the_auto_pick_quadrature(capsys, monkeypatch):
@@ -531,7 +530,7 @@ def test_picard_curves_plot_the_solved_pair(capsys):
 
 def test_default_curves_reuses_the_solve_pair_and_estimates_no_payoff(capsys, monkeypatch):
     """curves plots the solve's own pair: no payoff estimate and no second
-    inverter table (the auto candidates coincide and are not scored), and
+    first-stage table (the auto candidates coincide and are not scored), and
     the same curves and summary as a fresh pair built on the solved
     levels."""
     builds = count_table_builds(monkeypatch)
@@ -666,6 +665,26 @@ def test_verify_refuses_a_model_above_the_trajectory_cap(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "43046721 trajectories, above the 10000000 cap" in err
+
+
+def test_verify_refuses_a_model_whose_path_costs_overflow(capsys, tmp_path):
+    """Two stage costs of 1e308 on one action overflow the fsum of a path
+    through both: the brute-force sweep refuses the model with exit 2
+    before its first block, and the checks without it still run."""
+    model = random_model(5, horizon=2, num_states=2, obs_sizes=(2,), action_sizes=(2,))
+    data = model_to_dict(model)
+    data["stage_costs"][0][0][1] = 1e308
+    data["stage_costs"][1][0][1] = 1e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", str(path), "--pbp")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the model's costs can sum past the float range")
+    assert "Traceback" not in err
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -38,7 +38,8 @@ from pbpsolve import counterexample, ghq_solver
 from pbpsolve.ghq_solver import (
     _TABLE_POINTS,
     _affine_init,
-    _nearest_preimages,
+    _branch_cells,
+    _nearest_branch,
     _quantizer_init,
     _scan_points,
     _signal_pull,
@@ -559,20 +560,37 @@ def test_first_stage_batch_matches_scalar(bench_report, bench_pair, rule7):
         )
 
 
-def _nearest_preimages_by_reduction(xs, branches, t):
+def _nearest_branch_by_reduction(xs, branches, t, inverse):
     """The branch selection with the level distance taken by a reduction
-    over a queries x levels array, the reference for the level passes."""
-    best = np.full(xs.shape, np.nan)
-    best_dist = np.full(xs.shape, np.inf)
-    for seg_h, seg_g in branches:
-        a = np.searchsorted(xs, seg_h[0], side="left")
-        b = np.searchsorted(xs, seg_h[-1], side="right")
-        cand = np.interp(xs[a:b], seg_h, seg_g)
+    over a queries x levels array, the reference for the two-level lookup."""
+    choice = np.full(xs.shape, -1)
+    best = np.full(xs.shape, np.inf)
+    for k, (hs, *_) in enumerate(branches):
+        inside = np.flatnonzero((xs >= hs[0]) & (xs <= hs[-1]))
+        cand = inverse(k, xs[inside])
         dist = np.min(np.abs(cand[:, None] - t[None, :]), axis=1)
-        take = dist < best_dist[a:b]
-        best[a:b][take] = cand[take]
-        best_dist[a:b][take] = dist[take]
-    return best
+        take = dist < best[inside]
+        best[inside[take]] = dist[take]
+        choice[inside[take]] = k
+    return choice
+
+
+def _table_branches(first_stage):
+    """The monotone branches of a first-stage table as its build forms them
+    (H at the nodes in ascending order, the first of those nodes and the
+    node step), and the table's inverse on each."""
+    h = first_stage.h
+    rising = np.diff(h) > 0.0
+    edges = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1), h.size - 1]
+    branches = [
+        (h[a : b + 1], a, 1) if rising[a] else (h[a : b + 1][::-1], b, -1)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+
+    def inverse(k, x):
+        return first_stage.inverse(_branch_cells(branches[k], x), x)
+
+    return branches, inverse
 
 
 def test_nearest_preimage_keeps_the_first_of_tied_branches():
@@ -584,27 +602,42 @@ def test_nearest_preimage_keeps_the_first_of_tied_branches():
         (np.array([0.0, 4.0]), np.array([0.0, 4.0])),
         (np.array([1.0, 3.0]), np.array([4.0, -4.0])),
     )
+
+    def inverse(k, x):
+        return np.interp(x, *branches[k])
+
     xs = np.array([-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    got = _nearest_preimages(xs, branches, t)
-    assert got.tobytes() == _nearest_preimages_by_reduction(xs, branches, t).tobytes()
-    assert np.array_equal(got, [np.nan, -2.0, -1.0, 0.0, 1.0, 2.0, np.nan], equal_nan=True)
+    got = _nearest_branch(xs, branches, t, inverse)
+    assert np.array_equal(got, _nearest_branch_by_reduction(xs, branches, t, inverse))
+    assert np.array_equal(got, [-1, 0, 0, 0, 0, 0, -1])
 
 
-def test_nearest_preimage_matches_the_reduction_on_the_benchmark_table(
-    bench_pair, bench_report
-):
+def test_nearest_preimage_matches_the_reduction_on_the_benchmark_table(bench_pair, bench_report):
     levels = bench_report.levels.levels
-    table = bench_pair.gamma1bar._table
+    h = bench_pair.gamma1bar.h
+    branches, inverse = _table_branches(bench_pair.gamma1bar)
     t = np.sort(levels)
     rng = np.random.default_rng(13)
-    xs = np.sort(np.concatenate([
-        rng.uniform(table.h_min, table.h_max, 20_000),
-        0.5 * (t[:-1] + t[1:]),
-        t,
-    ]))
-    got = _nearest_preimages(xs, table.branches, levels)
-    want = _nearest_preimages_by_reduction(xs, table.branches, levels)
-    assert got.tobytes() == want.tobytes()
+    xs = np.concatenate([rng.uniform(h.min(), h.max(), 20_000), 0.5 * (t[:-1] + t[1:]), t])
+    got = _nearest_branch(xs, branches, t, inverse)
+    assert np.array_equal(got, _nearest_branch_by_reduction(xs, branches, levels, inverse))
+
+
+def test_each_tread_is_served_by_the_branch_the_rule_picks(bench_pair, bench_report):
+    """Away from the switch points, the table's answer is the preimage that
+    the rule picks when it is applied to every branch at the query."""
+    h = bench_pair.gamma1bar.h
+    branches, inverse = _table_branches(bench_pair.gamma1bar)
+    rng = np.random.default_rng(17)
+    xs = np.concatenate([rng.uniform(h.min(), h.max(), 5_000), rng.normal(0, 5, 20_000)])
+    switches = np.asarray(bench_pair.gamma1bar.switches)
+    xs = xs[np.min(np.abs(xs[:, None] - switches[None, :]), axis=1) > 1e-9]
+    choice = _nearest_branch_by_reduction(xs, branches, bench_report.levels.levels, inverse)
+    assert np.all(choice >= 0)
+    want = np.empty_like(xs)
+    for k in np.unique(choice):
+        want[choice == k] = inverse(k, xs[choice == k])
+    assert np.array_equal(bench_pair.gamma1bar(xs), want)
 
 
 def test_first_stage_is_odd(bench_pair):
@@ -644,8 +677,8 @@ def test_a_dropped_levels_object_frees_its_table_without_the_cycle_collector(ben
 # ---------------------------------------------------------------------------
 
 def _three_step_reference(levels, rule, x0):
-    """The batch inverter as it was before the branch split moved into the
-    table build: the table is split on every call, every branch interpolates
+    """The first stage as an earlier batch inverter computed it: a table
+    sized by the queries is split on every call, every branch interpolates
     every query, and three Newton steps use a central-difference slope."""
     t = levels.levels
     params = levels.params
@@ -702,8 +735,7 @@ def test_signal_pull_slope_matches_central_differences(bench_report, bench_pair,
 @pytest.mark.parametrize("order", [7, 40])
 def test_signal_pull_values_do_not_depend_on_the_batch(bench_params, order):
     """Each R(g) and R'(g) is the same bits whether g comes alone, with a
-    few others, or in a batch that _signal_pull splits into pieces; R is the
-    same bits with and without the slope."""
+    few others, or in a batch that _signal_pull splits into pieces."""
     rule = build_hermite_rule(order)
     t = _quantizer_init(bench_params, rule)
     piece = _BLOCK // (order * t.size)
@@ -714,34 +746,62 @@ def test_signal_pull_values_do_not_depend_on_the_batch(bench_params, order):
         assert (alone[0][0], alone[1][0]) == (pull[j], slope[j])
     pair = _signal_pull(g[piece - 1 : piece + 1], t, bench_params, rule)
     assert np.array_equal(pair[0], pull[piece - 1 : piece + 1])
-    only_pull, none = _signal_pull(g, t, bench_params, rule, with_slope=False)
-    assert none is None
-    assert np.array_equal(only_pull, pull)
 
 
 def test_batch_inverter_is_chunk_invariant(bench_report):
     """A call is inverted in blocks of _BLOCK queries; calls cut at other
-    points, each straddling a block boundary of the whole call, give the
-    same bits as the whole call."""
-    inverter = collocation_pair(bench_report.levels).gamma1bar
+    points, each straddling a block boundary of the whole call, and single
+    queries give the same bits as the whole call."""
+    first_stage = collocation_pair(bench_report.levels).gamma1bar
     x = np.random.default_rng(21).normal(0.0, 5.0, 3 * _BLOCK + 17)
-    whole = inverter(x)
+    whole = first_stage(x)
     cuts = [0, 17, _BLOCK + 5, 2 * _BLOCK + 300, x.size]
-    pieces = [inverter(x[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    pieces = [first_stage(x[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
     assert np.array_equal(whole, np.concatenate(pieces))
+    for j in (0, 16, _BLOCK - 1, _BLOCK, x.size - 1):
+        assert first_stage(x[j]) == whole[j]
 
 
 @pytest.mark.parametrize("sigma_x", [5.0, 4.0])
 def test_batch_inverter_matches_three_step_reference(sigma_x, rule7):
+    """The table's cubic inverse gives the roots that three Newton steps
+    polish from an interpolated start, on draws from the prior, on far
+    queries and on both ends of the tabulated range of H.  Draws within
+    1e-3 of a switch point are left out: there the reference picks its
+    branch on linearly interpolated preimages of a table sized by the far
+    queries, and the scan-plus-Brent oracle sides with the table
+    (test_collocation_breakpoints_are_where_the_brent_reference_changes_branch)."""
     params = ProblemParams(k=0.2, sigma=1.0, sigma_x=sigma_x)
     report = solve_signaling_levels(params, rule7, init="quantizer", tol=1e-10)
     assert report.converged
+    first_stage = collocation_pair(report.levels).gamma1bar
     draws = np.random.default_rng(7).normal(0.0, sigma_x, 20_000)
-    # far queries widen the table window and so coarsen the interpolated start
-    x = np.concatenate([draws, [-1000.0, -200.0, -60.0, 60.0, 200.0, 1000.0]])
+    switches = np.asarray(first_stage.switches)
+    draws = draws[np.min(np.abs(draws[:, None] - switches[None, :]), axis=1) > 1e-3]
+    assert draws.size > 19_900
+    ends = list(first_stage.span)
+    x = np.concatenate([draws, [-200.0, -60.0, 60.0, 200.0], ends])
     ref = _three_step_reference(report.levels, rule7, x)
-    got = collocation_pair(report.levels).gamma1bar(x)
+    got = first_stage(x)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_first_stage_counts_the_queries_outside_the_table(bench_pair):
+    first_stage = bench_pair.gamma1bar
+    h_min, h_max = first_stage.span
+    assert h_min < -8.5 * 5.0 and h_max > 8.5 * 5.0
+    assert first_stage(np.array([h_min, h_max])).shape == (2,)
+    far = np.array([0.0, np.nextafter(h_max, np.inf), 3.0, 2.0 * h_min, 1.0])
+    with pytest.raises(NumericError, match="2 of 5 first-stage queries lie outside"):
+        first_stage(far)
+
+
+def test_a_table_too_coarse_for_the_noise_is_refused(bench_params):
+    """Levels so far out that the table's nodes lie wider apart than sigma
+    end in a NumericError before any table is computed."""
+    far = SignalingLevels(np.linspace(-1e6, 1e6, 7), 7, bench_params)
+    with pytest.raises(NumericError, match="wider than sigma"):
+        collocation_pair(far)
 
 
 def test_batch_inverter_shapes_and_bad_input(bench_pair):
@@ -761,11 +821,10 @@ def test_batch_inverter_shapes_and_bad_input(bench_pair):
 
 
 def test_concurrent_queries_match_single_threaded(bench_report):
-    """Threads whose queries each force a table rebuild get the answers of a
-    private inverter.  The tables differ in their windows, so the answers
-    agree to rounding rather than bit for bit.  Each inverter comes from its
-    own copy of the levels, since collocation_pair keeps one pair per levels
-    object."""
+    """Threads that share one first-stage table get the answers of a
+    private table, bit for bit: the table is complete before the first
+    query and never changes.  Each table comes from its own copy of the
+    levels, since collocation_pair keeps one pair per levels object."""
     levels = bench_report.levels
 
     def fresh_pair():
@@ -795,7 +854,7 @@ def test_concurrent_queries_match_single_threaded(bench_report):
     assert not any(thread.is_alive() for thread in threads)
     for got, want in zip(results, expected):
         assert got is not None
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -817,15 +876,76 @@ def test_staircase_summary_of_benchmark_solution(bench_pair, bench_params):
     assert max(abs(s) for s in summary.tread_slopes) < 0.05
 
 
-def test_collocation_breakpoints_are_the_jump_scan(bench_pair, bench_params):
-    """The pair lists the jumps of gamma1bar on the 20,001 scan points, bit
-    for bit, and the staircase summary reads them."""
+def test_collocation_breakpoints_are_where_the_brent_reference_changes_branch(
+    bench_pair, bench_report, bench_params, rule7
+):
+    """Each breakpoint is an exact switch: the scan-plus-Brent reference
+    jumps across it within 1e-9, and nowhere else on a grid between them.
+    The breakpoints lie within one scan step of the jumps the sampled jump
+    scan finds, and the staircase summary reads them."""
+    breaks = bench_pair.breakpoints
+    assert len(breaks) == 6
+    for b in breaks[3:]:
+        eps = 1e-9 * max(1.0, abs(b))
+        below = _scan_brentq_inverter(bench_report.levels, rule7, b - eps)
+        above = _scan_brentq_inverter(bench_report.levels, rule7, b + eps)
+        assert abs(above - below) > 1.0
+    edges = [0.0, *breaks[3:], 20.0]
+    for a, b in zip(edges[:-1], edges[1:]):
+        xs = np.linspace(a, b, 9)[1:-1]
+        refs = [_scan_brentq_inverter(bench_report.levels, rule7, float(x)) for x in xs]
+        assert np.max(np.abs(np.diff(refs))) < 1.0
     xs = _scan_points(bench_params)
     assert xs.size == 20001 and xs[-1] == 8.5 * bench_params.sigma_x == -xs[0]
-    jumps = tuple(jump_breakpoints(xs, bench_pair.gamma1bar(xs)))
-    assert len(jumps) == 6
-    assert bench_pair.breakpoints == jumps
-    assert summarize_staircase(bench_pair, bench_params).breakpoints == jumps
+    scanned = jump_breakpoints(xs, bench_pair.gamma1bar(xs))
+    assert np.max(np.abs(np.subtract(scanned, breaks))) < xs[1] - xs[0]
+    assert summarize_staircase(bench_pair, bench_params).breakpoints == breaks
+
+
+def test_breakpoints_are_the_switch_points_where_the_first_stage_jumps(rule7):
+    """At k = 2, sigma_x = 5 some switches pass between two branches at
+    their shared turn of H, where gamma1bar is continuous: the pair lists
+    every switch inside +-8.5 sigma_x at which gamma1bar jumps by more than
+    a table step, and no other.  Its jumps of 0.23 to 0.96 lie below the
+    threshold of the sampled jump scan, which finds none."""
+    params = ProblemParams(k=2.0, sigma=1.0, sigma_x=5.0)
+    report = solve_signaling_levels(params, rule7, init="affine", tol=1e-10)
+    assert report.converged
+    pair = collocation_pair(report.levels)
+    first_stage = pair.gamma1bar
+    s = np.array([x for x in first_stage.switches if abs(x) < 8.5 * params.sigma_x])
+    jumps = np.abs(first_stage(s) - first_stage(np.nextafter(s, -np.inf)))
+    assert np.array_equal(pair.breakpoints, s[jumps > first_stage.step])
+    assert len(pair.breakpoints) == 8 and len(s) > 8
+    assert np.all(jumps[jumps > first_stage.step] > 0.2)
+    assert np.all(jumps[jumps <= first_stage.step] < 1e-9)
+    xs = _scan_points(params)
+    assert jump_breakpoints(xs, first_stage(xs)) == []
+
+
+@pytest.mark.parametrize(("k", "sigma_x"), [(0.2, 5.0), (1.0, 5.0), (2.0, 5.0)])
+def test_first_stage_roots_solve_h_to_rounding(k, sigma_x, rule7):
+    """The cell cubic's root is a root of H itself: |H(g) - x0| stays at
+    rounding on draws from the prior, also where treads end next to a turn
+    of H (k = 1 and k = 2)."""
+    params = ProblemParams(k=k, sigma=1.0, sigma_x=sigma_x)
+    report = solve_signaling_levels(params, rule7, init="affine", tol=1e-10)
+    first_stage = collocation_pair(report.levels).gamma1bar
+    x = np.random.default_rng(5).normal(0.0, sigma_x, 20_000)
+    g = first_stage(x)
+    defect = g + _signal_pull(g, report.levels.levels, params, rule7)[0] - x
+    assert np.max(np.abs(defect)) < 1e-11
+
+
+def test_benchmark_quadrature_total_agrees_across_outer_orders(bench_pair, bench_params):
+    """With panels split at the exact jumps the quadrature total converges:
+    outer orders 20, 40 and 64 agree to 1e-12."""
+    totals = []
+    for order in (20, 40, 64):
+        rule = build_hermite_rule(order)
+        totals.append(payoff_quadrature(bench_params, bench_pair, rule, rule).total)
+    assert max(totals) - min(totals) <= 1e-12
+    assert totals[0] == pytest.approx(0.1779722135579, abs=1e-12)
 
 
 def test_staircase_summary_of_wit_splits_at_its_jump(unit_params):

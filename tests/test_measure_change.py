@@ -170,6 +170,17 @@ def test_product_model_matches_a_nested_loop_oracle():
                     assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_brute_force_refuses_costs_that_can_overflow_a_path_sum():
+    m = random_model(5, horizon=2, num_states=2, obs_sizes=(2,), action_sizes=(2,))
+    costs = [np.array(c) for c in m.stage_costs]
+    costs[0][0, 1] = costs[1][0, 1] = 1e308
+    far = dataclasses.replace(m, stage_costs=tuple(costs))
+    with pytest.raises(ConfigurationError, match="sum past the float range"):
+        brute_force_pbp(far)
+    costs[1][0, 1] = 7e307
+    assert brute_force_pbp(dataclasses.replace(m, stage_costs=tuple(costs))).num_profiles == 32
+
+
 def test_joint_law_is_a_probability_measure():
     m = random_model(3, horizon=2, num_states=3, obs_sizes=(2,), action_sizes=(3,))
     law = joint_measure_original(m, uniform_profile(m))
