@@ -410,6 +410,13 @@ def cmd_curves(cfg: RunConfig, started: float) -> int:
     pair, ok = _curves_pair(cfg, params)
     half = 8.5 * cfg.sigma_x
     x_lo, x_hi = cfg.x_range if cfg.x_range else (-half, half)
+    # A collocation pair's first stage answers inside the range of its table.
+    span = getattr(pair.gamma1bar, "span", None)
+    if cfg.x_range and span is not None and not span[0] <= x_lo < x_hi <= span[1]:
+        raise ConfigurationError(
+            f"--x-range {x_lo!r} {x_hi!r} leaves [{span[0]:.6g}, {span[1]:.6g}], "
+            "the range of x0 this pair's first stage covers"
+        )
     y_lo, y_hi = cfg.y_range if cfg.y_range else (-half, half)
     xs = np.linspace(x_lo, x_hi, cfg.points)
     ys = np.linspace(y_lo, y_hi, cfg.points)

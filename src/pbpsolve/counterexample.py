@@ -468,7 +468,8 @@ def wit_nonlinear(params: ProblemParams) -> StrategyPair:
     scale = sx / params.sigma**2
 
     def gamma1bar(x: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(x, dtype=float) >= 0.0, sx, -sx)
+        # 2 sx - sx and 0 - sx are exact, so these are np.where's bits.
+        return (np.asarray(x, dtype=float) >= 0.0) * (2.0 * sx) - sx
 
     def gamma2(y: np.ndarray) -> np.ndarray:
         return sx * np.tanh(scale * np.asarray(y, dtype=float))
@@ -523,6 +524,11 @@ def payoff_mc(
     _BLOCK samples at a time, continuing the same stream.  Only the squared
     misses of both stages and the cost are kept at full length: the means
     and the standard error read them whole, so they round as one pass would.
+    Each is formed in place: y = gamma1bar(x_0) + v in v's buffer before
+    gamma2 reads it, the second-stage miss in a buffer of its own, and the
+    first-stage miss in x_0's buffer last, when gamma1bar's values (which
+    may be x_0 itself) are no longer read.  No array gamma2 returned or
+    read is written afterwards.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -533,15 +539,18 @@ def payoff_mc(
     rng_v = np.random.default_rng(seq_v)
     x0 = params.prior.sample(rng_x, samples)
     g1 = np.asarray(pair.gamma1bar(x0), dtype=float)
-    miss1 = (g1 - x0) ** 2
-    del x0
     miss2 = np.empty_like(g1)
     for a in range(0, samples, _BLOCK):
-        part = g1[a : a + _BLOCK]
-        v = rng_v.normal(0.0, params.sigma, part.size)
-        miss2[a : a + _BLOCK] = (part - pair.gamma2(part + v)) ** 2
+        seg = miss2[a : a + _BLOCK]
+        v = rng_v.normal(0.0, params.sigma, seg.size)
+        v += g1[a : a + _BLOCK]
+        np.subtract(g1[a : a + _BLOCK], pair.gamma2(v), out=seg)
+        np.square(seg, out=seg)
+    miss1 = np.subtract(g1, x0, out=x0)
+    np.square(miss1, out=miss1)
     del g1
-    cost = params.k**2 * miss1 + miss2
+    cost = np.multiply(params.k**2, miss1)
+    cost += miss2
     top = float(np.max(cost))
     if not top < _MC_COST_LIMIT:
         raise NumericError(

@@ -14,12 +14,14 @@ fixed point of the operator F = (F1, F2):
 where P is the prior of x0.  F1 is the stationarity condition of the first
 stage given gamma2 and F2 is the posterior-mean best response of the second
 stage given gamma1bar.  This module represents strategies by piecewise-
-linear interpolation of samples on a common grid, applies F by Gauss-Hermite
-quadrature, iterates s <- (1 - alpha) s + alpha F(s) (damped Picard), and
-supplies the pointwise derivative kernels of the two integrands together
-with a probed local Lipschitz estimate of F: a lower bound on the local
-Lipschitz constant, so a value below one is necessary for local contraction,
-not sufficient.
+linear interpolation of samples on a common grid (the pair a grid strategy
+hands to the payoff estimators finds each query's cell directly, in O(1);
+apply_F keeps np.interp, whose guessed search is already O(1) on queries in
+grid order), applies F by Gauss-Hermite quadrature, iterates
+s <- (1 - alpha) s + alpha F(s) (damped Picard), and supplies the pointwise
+derivative kernels of the two integrands together with a probed local
+Lipschitz estimate of F: a lower bound on the local Lipschitz constant, so
+a value below one is necessary for local contraction, not sufficient.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 from .counterexample import (
     _BLOCK,
     ProblemParams,
+    Strategy,
     StrategyPair,
     _first_stage_sum,
     _jump_mask,
@@ -53,7 +56,10 @@ class GridStrategy:
 
     values1 samples gamma1bar, values2 samples gamma2, both at the common
     strictly increasing grid; queries outside the grid return the boundary
-    values (constant extrapolation).
+    values (constant extrapolation).  interp1 and interp2 are np.interp:
+    apply_F queries them in grid order, where its guessed search is O(1).
+    The callables of to_pair give the same bits for random queries, such as
+    Monte Carlo draws, by finding each query's cell directly.
     """
 
     grid: np.ndarray
@@ -85,13 +91,105 @@ class GridStrategy:
         return np.interp(np.asarray(x, dtype=float), self.grid, self.values2)
 
     def to_pair(self) -> StrategyPair:
-        """The interpolating pair.  Its breakpoints are both ends of every
-        grid cell across which values1 jumps by the rule of jump_breakpoints:
-        gamma1bar is continuous, but those cells hold ramps too steep for a
-        quadrature panel that spans them."""
+        """The interpolating pair.  Its callables give np.interp's bits but
+        find each query's cell directly, from one _CellTable of the grid
+        built here.  Its breakpoints are both ends of every grid cell across
+        which values1 jumps by the rule of jump_breakpoints: gamma1bar is
+        continuous, but those cells hold ramps too steep for a quadrature
+        panel that spans them."""
+        table = _CellTable.of(self.grid)
         cells = np.flatnonzero(_jump_mask(self.values1))
         ends = np.unique(np.concatenate([self.grid[cells], self.grid[cells + 1]]))
-        return StrategyPair(gamma1bar=self.interp1, gamma2=self.interp2, breakpoints=tuple(ends))
+        return StrategyPair(
+            gamma1bar=_interpolant(table, self.values1),
+            gamma2=_interpolant(table, self.values2),
+            breakpoints=tuple(ends),
+        )
+
+
+@dataclass(frozen=True)
+class _CellTable:
+    """Direct cell lookup on a strictly increasing grid of n nodes.
+
+    A query x in [grid[0], grid[-1]] falls in bin floor((x - grid[0]) scale),
+    with scale = 2 (n - 1) / (grid[-1] - grid[0]) (two bins per cell of a
+    uniform grid) and the bin capped at the top one.  The bin is a
+    nondecreasing function of x, so a node whose bin lies below x's bin
+    lies at or below x, and one whose bin lies above lies above x.
+    first[b] is the lowest cell those bounds leave to a query of bin b, and
+    steps the most cells any bin leaves past first: that many compares
+    against the next node find the cell of np.interp's search, the largest
+    j with grid[j] <= x.  Any grid runs the same code; a uniform one takes
+    one step, where one bin per cell would take two wherever rounding puts
+    a node into the bin below its own.  upper[j] is grid[j + 1], with NaN
+    after the last node, which no query passes.
+    """
+
+    grid: np.ndarray
+    upper: np.ndarray
+    first: np.ndarray
+    steps: int
+    scale: float
+
+    @classmethod
+    def of(cls, grid: np.ndarray) -> _CellTable:
+        top = 2 * (grid.size - 1)
+        scale = top / (grid[-1] - grid[0])
+        bins = np.fmin((grid - grid[0]) * scale, top).astype(np.intp)
+        b = np.arange(top + 1)
+        first = np.maximum(np.searchsorted(bins, b, "left") - 1, 0)
+        last = np.searchsorted(bins, b, "right") - 1
+        return cls(
+            grid=grid,
+            upper=np.append(grid[1:], np.nan),
+            first=first,
+            steps=int(np.max(last - first)),
+            scale=float(scale),
+        )
+
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """The cell of each x, clamped to the grid or NaN (a NaN query's
+        cell is the last bin's and serves no value)."""
+        t = x - self.grid[0]
+        t *= self.scale
+        np.fmin(t, self.first.size - 1, out=t)
+        j = self.first[t.astype(np.intp)]
+        for _ in range(self.steps):
+            j += x >= self.upper[j]
+        return j
+
+
+def _interpolant(table: _CellTable, values: np.ndarray) -> Strategy:
+    """np.interp(x, table.grid, values), bit for bit, _BLOCK queries at a
+    time.  Every query takes np.interp's own formula in its cell,
+    slope[j] (x - grid[j]) + values[j] with slope = diff(values) /
+    diff(grid); queries beyond an end are clamped to it.  Node hits, whose
+    formula can differ from values[j] in the sign of zero, and NaN results
+    go to np.interp itself, which rules on them (ends and NaN queries
+    included)."""
+    grid = table.grid
+    lo, hi = grid[0], grid[-1]
+    slope = np.append(np.diff(values) / np.diff(grid), 0.0)
+
+    def interpolate(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        flat = np.ravel(x)
+        out = np.empty_like(flat)
+        for a in range(0, flat.size, _BLOCK):
+            piece, res = flat[a : a + _BLOCK], out[a : a + _BLOCK]
+            xc = np.maximum(piece, lo)
+            np.minimum(xc, hi, out=xc)
+            j = table.cells(xc)
+            d = np.subtract(xc, grid[j], out=xc)
+            np.multiply(slope[j], d, out=res)
+            res += values[j]
+            routed = d == 0.0
+            routed |= np.isnan(res)
+            if routed.any():
+                res[routed] = np.interp(piece[routed], grid, values)
+        return np.reshape(out, x.shape)
+
+    return interpolate
 
 
 def default_grid(params: ProblemParams, points: int = 201, span: float = 6.0) -> np.ndarray:

@@ -242,6 +242,10 @@ def test_bad_argv_exits_with_a_code_not_an_exception(capsys, argv):
         (["curves", "--x-range", "nan", "1"], "--x-range needs finite LO < HI"),
         (["curves", "--x-range", "2", "1"], "--x-range needs finite LO < HI"),
         (["curves", "--y-range", "inf", "1"], "--y-range needs finite LO < HI"),
+        (
+            ["curves", "--x-range", "-1000", "1000", "--points", "5"],
+            "--x-range -1000.0 1000.0 leaves [-792.006, 792.006]",
+        ),
     ],
 )
 def test_negative_seeds_overflowing_starts_and_bad_ranges_exit_two(capsys, argv, message):

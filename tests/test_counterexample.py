@@ -26,12 +26,14 @@ from pbpsolve import (
     affine_cost,
     affine_optimal,
     affine_pair,
+    default_grid,
     gaussian_posterior_mean,
     jump_breakpoints,
     payoff_mc,
     payoff_quadrature,
     rnd_density,
     stationarity_residual,
+    strategy_from_pair,
     wit_nonlinear,
 )
 from numpy.polynomial.legendre import leggauss
@@ -183,6 +185,13 @@ def test_wit_first_stage_takes_exactly_two_values(bench_params):
     assert values == {-5.0, 5.0}
 
 
+def test_wit_first_stage_maps_both_zeros_to_plus_sigma_x(bench_params):
+    # sgn(0) = +1 on either sign of zero.
+    got = wit_nonlinear(bench_params).gamma1bar(np.array([0.0, -0.0, -1e-300, 1e-300]))
+    assert got.tolist() == [5.0, 5.0, -5.0, 5.0]
+    assert not np.any(np.signbit(got[:2]))
+
+
 def test_wit_second_stage_is_exact_conditional_mean(bench_params):
     pair = wit_nonlinear(bench_params)
     sx, s = bench_params.sigma_x, bench_params.sigma
@@ -268,23 +277,38 @@ def test_payoff_mc_rejects_a_seed_that_is_not_a_non_negative_integer(bench_param
         payoff_mc(bench_params, wit_nonlinear(bench_params), 100, seed)
 
 
-def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair):
+MC_PAIRS = {
+    "collocation": lambda params, solved: solved,
+    "affine": lambda params, solved: affine_optimal(params),
+    "wit": lambda params, solved: wit_nonlinear(params),
+    "grid": lambda params, solved: strategy_from_pair(
+        solved, params, default_grid(params, 2049, 8.0)
+    ).to_pair(),
+    # Both stages return their own input, so a write into an array a
+    # strategy received or returned changes the estimate.
+    "identity": lambda params, solved: StrategyPair(gamma1bar=lambda x: x, gamma2=lambda y: y),
+}
+
+
+@pytest.mark.parametrize("name", MC_PAIRS)
+def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair, name):
     """gamma2 sees at most _BLOCK samples per call, and the estimate is
     the same bits as one gamma2 call over every sample."""
+    pair = MC_PAIRS[name](bench_params, bench_pair)
     sizes = []
 
     def gamma2(y):
         sizes.append(np.size(y))
-        return bench_pair.gamma2(y)
+        return pair.gamma2(y)
 
     samples = 2 * _BLOCK + 123
-    got = payoff_mc(bench_params, dataclasses.replace(bench_pair, gamma2=gamma2), samples, 5)
+    got = payoff_mc(bench_params, dataclasses.replace(pair, gamma2=gamma2), samples, 5)
     assert max(sizes) <= _BLOCK and sum(sizes) == samples
     seq_x, seq_v = np.random.SeedSequence(5).spawn(2)
     x0 = bench_params.prior.sample(np.random.default_rng(seq_x), samples)
     v = np.random.default_rng(seq_v).normal(0.0, bench_params.sigma, samples)
-    g1 = bench_pair.gamma1bar(x0)
-    g2 = bench_pair.gamma2(g1 + v)
+    g1 = pair.gamma1bar(x0)
+    g2 = pair.gamma2(g1 + v)
     assert got.stage1 == float(bench_params.k**2 * np.mean((g1 - x0) ** 2))
     assert got.stage2 == float(np.mean((g1 - g2) ** 2))
     cost = bench_params.k**2 * (g1 - x0) ** 2 + (g1 - g2) ** 2

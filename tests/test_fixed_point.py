@@ -91,6 +91,48 @@ def test_round_trip_through_pair_preserves_samples(unit_params):
     assert np.array_equal(back.values2, s.values2)
 
 
+GRIDS = {
+    "default": lambda params: default_grid(params, 2049, 8.0),
+    "non-uniform": lambda params: np.sort(np.random.default_rng(4).uniform(-30.0, 50.0, 300)),
+    "two-node": lambda params: np.array([-1.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_grid_pair_is_np_interp_bit_for_bit(monkeypatch, bench_params, name):
+    grid = GRIDS[name](bench_params)
+    rng = np.random.default_rng(7)
+    values1 = np.round(3.0 * np.tanh(grid / 4.0))  # flat treads and jumps
+    values2 = rng.normal(size=grid.size)
+    values1[grid.size // 2] = values2[0] = -0.0
+    s = GridStrategy(grid=grid, values1=values1, values2=values2)
+    sizes = []
+    cells = fixed_point._CellTable.cells
+
+    def spy(table, x):
+        sizes.append(x.size)
+        return cells(table, x)
+
+    monkeypatch.setattr(fixed_point._CellTable, "cells", spy)
+    pair = s.to_pair()
+    span = grid[-1] - grid[0]
+    queries = np.concatenate([
+        grid,
+        np.nextafter(grid, np.inf),
+        np.nextafter(grid, -np.inf),
+        [grid[0] - span, grid[-1] + span, -1e300, 1e300, 0.0, -0.0, np.inf, -np.inf],
+        rng.uniform(grid[0] - 1.0, grid[-1] + 1.0, 2 * fixed_point._BLOCK + 5),
+    ])
+    queries = queries[: queries.size // 4 * 4]
+    for f, values in ((pair.gamma1bar, s.values1), (pair.gamma2, s.values2)):
+        for q in (queries, queries.reshape(4, -1)):
+            got, want = f(q), np.interp(q, grid, values)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert sizes and max(sizes) <= fixed_point._BLOCK
+    assert sum(sizes) == 4 * queries.size
+
+
 def test_grid_pair_lists_both_ends_of_each_jumping_cell():
     grid = np.linspace(-4.0, 4.0, 9)
     values = np.array([-3.0, -3.0, -3.0, 0.0, 0.0, 0.0, 3.0, 3.0, 3.1])

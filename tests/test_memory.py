@@ -13,13 +13,18 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from pbpsolve import (
     SignalingLevels,
+    affine_optimal,
     collocation_pair,
+    default_grid,
+    payoff_mc,
     payoff_quadrature,
     residual_jacobian,
     solve_signaling_levels,
+    strategy_from_pair,
 )
 from pbpsolve.counterexample import _BLOCK
 from pbpsolve.ghq_solver import _collocation_point, _quantizer_init
@@ -46,6 +51,20 @@ def test_payoff_quadrature_peak_stays_bounded(bench_params, bench_pair, rule20):
     bench_pair.gamma1bar(np.linspace(-60.0, 60.0, 11))
     peak = _peak_above_entry(lambda: payoff_quadrature(bench_params, bench_pair, rule20, rule20))
     assert peak < 30 * MB
+
+
+@pytest.mark.parametrize("name", ["affine", "grid"])
+def test_payoff_mc_peak_stays_below_five_sample_arrays(bench_params, name):
+    # 600k samples are 4.8 MB an array.  Computing out of place held five
+    # (24.1 MB): x_0's or gamma1bar's values, both misses, the cost and the
+    # standard error's deviations.  In place, the first miss takes x_0's
+    # buffer and the peak is near 19.3 MB.
+    pair = affine_optimal(bench_params)
+    if name == "grid":
+        grid = default_grid(bench_params, 2049, 8.0)
+        pair = strategy_from_pair(pair, bench_params, grid).to_pair()
+    peak = _peak_above_entry(lambda: payoff_mc(bench_params, pair, 600_000, 3))
+    assert peak < 22 * MB
 
 
 def test_gamma1bar_peak_does_not_grow_with_the_queries(bench_report):
