@@ -199,65 +199,23 @@ def affine_pair(lam: float, mu: float) -> StrategyPair:
 def _reversal_invariant_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum along an axis, bitwise invariant under reversal of that axis.
 
-    Mirror-image entries are added pairwise first (float addition is
-    commutative, so each pair sum is identical for the reversed array), then
-    the pair sums and the odd middle entry are accumulated in a fixed order.
-    Along a leading axis NumPy sums in index order only while the other axes
-    hold more than one element, so a single column goes through cumsum,
-    which keeps that order: a column's sum never depends on the batch.
-
-    Fewer than 8 pairs (the posterior sums over a handful of levels) are
-    accumulated column by column, left to right.  That is NumPy's own
-    order there: its pairwise sum runs a plain loop below 8 terms, and a
-    reduction along a leading axis adds row after row.  A NumPy reduction
-    starts from +0.0 and cumsum from its first entry, and the first pair
-    is added to the matching start, so the sign of a zero total is NumPy's
-    too.  The column passes are elementwise, several times faster than a
-    reduction along a last axis this short.  From 8 pairs on NumPy
-    switches to 8 interleaved accumulators, so those sums stay with it.
+    Mirror-image entries are added to each other first (float addition is
+    commutative, so each pair sum is identical for the reversed array).
+    The pair sums are then accumulated left to right from +0.0, one
+    elementwise pass each, and the odd middle entry is added last.  A sum
+    of at most 32 pair sums in this order has an error bound of 31 units
+    in the last place times the sum of their magnitudes (Higham 2002,
+    sec. 4.2), so NumPy's pairwise order would gain no accuracy here.
     """
-    a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
-    n = a.shape[-1]
+    a = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+    n = a.shape[0]
     h = n // 2
-    single_column = a.size == n and axis not in (-1, a.ndim - 1)
-    if h >= 8:
-        pairs = a[..., :h] + a[..., : n - h - 1 : -1]
-        if single_column:
-            total = np.cumsum(pairs, axis=-1)[..., -1]
-        else:
-            total = pairs.sum(axis=-1)
-    elif h:
-        total = a[..., 0] + a[..., n - 1]
-        if not single_column:
-            total += 0.0  # the reduction's +0.0 start: a -0.0 pair becomes +0.0
-        for j in range(1, h):
-            total += a[..., j] + a[..., n - 1 - j]
-    else:
-        total = np.zeros(a.shape[:-1])
-    if n % 2:
-        total = total + a[..., h]
+    total = np.zeros(a.shape[1:])
+    for j in range(h):
+        total += a[j] + a[n - 1 - j]
+    for middle in a[h : n - h]:  # one entry when n is odd, none when even
+        total += middle
     return total
-
-
-def _location_sum(w: np.ndarray) -> np.ndarray:
-    """Sum over axis 0, the locations of posterior weights, bitwise
-    invariant under reversal of the locations.
-
-    The order is that of _reversal_invariant_sum along a last axis of
-    locations, for every shape of the rest, one observation included: there
-    is no single-column rule.  Fewer than 8 mirror pairs are accumulated by
-    elementwise passes over the contiguous rows from +0.0, the middle row
-    last.  From 8 pairs on the pairs are laid out along a contiguous last
-    axis for NumPy's pairwise sum; a reduction over a leading or strided
-    axis would add row after row instead.
-    """
-    n = w.shape[0]
-    if n < 16:
-        return _reversal_invariant_sum(np.moveaxis(w, 0, -1))
-    h = n // 2
-    pairs = w[:h] + w[: n - h - 1 : -1]
-    total = np.moveaxis(pairs, 0, -1).copy().sum(axis=-1)
-    return total + w[h] if n % 2 else total
 
 
 def _as_rows(v: np.ndarray, ndim: int) -> np.ndarray:
@@ -344,8 +302,8 @@ def _posterior_mean_parts(
     0), their total and the posterior mean of a finite mixture observed
     through G(0, sigma^2) noise.  Broadcasts over y."""
     w = _posterior_weights(y, locations, log_masses, sigma)
-    mass = _location_sum(w)
-    mean = _location_sum(w * _as_rows(locations, w.ndim - 1)) / mass
+    mass = _reversal_invariant_sum(w, axis=0)
+    mean = _reversal_invariant_sum(w * _as_rows(locations, w.ndim - 1), axis=0) / mass
     return w, mass, mean
 
 
@@ -355,7 +313,7 @@ def _posterior_variance(
     """The posterior variance from the weights, mass and mean of
     _posterior_mean_parts."""
     m = _as_rows(locations, w.ndim - 1)
-    return _location_sum(w * (m * m)) / mass - mean * mean
+    return _reversal_invariant_sum(w * (m * m), axis=0) / mass - mean * mean
 
 
 def _posterior_moments(
@@ -377,9 +335,9 @@ def gaussian_posterior_mean(
     Returns sum_j q_j(y) m_j with posterior weights
     q_j(y) proportional to prior_weights_j exp(-(y - m_j)^2 / (2 sigma^2)),
     evaluated in log space (log-sum-exp) so the ratio stays defined for every
-    finite y.  The sums run through _location_sum, so negating y and
-    negating and reversing the locations (with the weights reversed)
-    negates the result bit for bit.  Broadcasts over any y shape.
+    finite y.  The sums over the locations are reversal invariant, so
+    negating y and negating and reversing the locations (with the weights
+    reversed) negates the result bit for bit.  Broadcasts over any y shape.
     """
     locations = np.asarray(locations, dtype=float)
     # NumPy's vectorized log can round a strided (say, reversed) view

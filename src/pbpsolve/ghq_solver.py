@@ -54,6 +54,10 @@ from .errors import ConfigurationError, NumericError
 from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
 _TABLE_POINTS = 200_001
+# A first-stage query whose cell cubic misses x by more than this share of
+# the cubic's coefficient scale after the Newton steps is bisected; a
+# converged Newton root misses by a few units of rounding (below 4e-15).
+_CUBIC_TOL = 1e-12
 # Half-width, in prior scales, of the x0 window of payoff_quadrature and _scan_points.
 _REACH = 8.5
 
@@ -324,17 +328,15 @@ def _affine_init(params: ProblemParams, rule: QuadratureRule) -> np.ndarray:
     return lam_aff * math.sqrt(2.0) * params.sigma_x * rule.nodes
 
 
-def _quantizer_init(
-    params: ProblemParams, rule: QuadratureRule, scale: float = 1.0
-) -> np.ndarray:
+def _quantizer_init(params: ProblemParams, rule: QuadratureRule) -> np.ndarray:
     """Uniform quantizer seed: each collocation abscissa snapped to the
-    nearest multiple of a spacing chosen so the outermost level sits at
-    scale times the outermost abscissa."""
+    nearest multiple of a spacing chosen so the outermost level sits at the
+    outermost abscissa."""
     x0 = math.sqrt(2.0) * params.sigma_x * rule.nodes
     half_steps = max((rule.order - 1) / 2.0, 1.0)
-    delta = scale * math.sqrt(2.0) * params.sigma_x * float(rule.nodes[-1]) / half_steps
+    delta = math.sqrt(2.0) * params.sigma_x * float(rule.nodes[-1]) / half_steps
     if delta == 0.0:
-        # A single node at 0 (or scale 0) leaves no lattice to snap to.
+        # A single node at 0 leaves no lattice to snap to.
         return x0
     return delta * np.round(x0 / delta)
 
@@ -432,14 +434,13 @@ def solve_signaling_levels(
     init: str | Sequence[float] | np.ndarray = "auto",
     tol: float = 1e-12,
     iterate: bool = True,
-    quantizer_scale: float = 1.0,
 ) -> SolveReport:
     """Solve the collocation system for a signaling level vector.
 
     init selects the starting vector: "affine" (the optimal affine slope
     applied to the collocation points), "quantizer" (collocation points
-    rounded to a uniform lattice whose spacing is controlled by
-    quantizer_scale), "auto" (both starts are solved; of two distinct
+    rounded to a uniform lattice whose outermost rung is the outermost
+    collocation point), "auto" (both starts are solved; of two distinct
     converged results the one with the lower quadrature payoff is kept, of
     two within tol of each other the affine one), or an explicit list of
     level values, each collocation point receiving the nearest listed value
@@ -456,7 +457,7 @@ def solve_signaling_levels(
         if key == "affine":
             return _single_solve(params, rule, _affine_init(params, rule), "affine", tol, iterate)
         if key == "quantizer":
-            start = _quantizer_init(params, rule, quantizer_scale)
+            start = _quantizer_init(params, rule)
             return _single_solve(params, rule, start, "quantizer", tol, iterate)
         if key != "auto":
             raise ConfigurationError(
@@ -465,12 +466,7 @@ def solve_signaling_levels(
         reports = [
             _single_solve(params, rule, _affine_init(params, rule), "auto:affine", tol, iterate),
             _single_solve(
-                params,
-                rule,
-                _quantizer_init(params, rule, quantizer_scale),
-                "auto:quantizer",
-                tol,
-                iterate,
+                params, rule, _quantizer_init(params, rule), "auto:quantizer", tol, iterate
             ),
         ]
         converged = [r for r in reports if r.converged]
@@ -544,7 +540,15 @@ class _FirstStage:
         root of the cubic in g that matches H and H' at both nodes, by two
         Newton steps from the chord, kept inside the cell.  A cubic in x
         through g and dg/dH = 1 / H' would lose accuracy as H' falls toward
-        a turn of H."""
+        a turn of H.
+
+        Where |a0| + |a1| is at most |dh| / 64, the cubic stays within
+        |dh| / 256 of its chord and the two steps end within 3e-14 of the
+        root in u, a miss far below _CUBIC_TOL.  Elsewhere, next to a turn
+        of H, the cubic need not be monotone and the steps can stop short
+        or at a cell end, so a query whose cubic still misses x by more
+        than _CUBIC_TOL of the cubic's scale is solved by bisection on the
+        whole cell."""
         h, step = self.h, self.step
         h0 = h[cell]
         dh = h[cell + 1] - h0
@@ -556,7 +560,35 @@ class _FirstStage:
             w = a0 * v - a1 * u
             u -= (h0 + u * (dh + v * w) - x) / (dh + (v - u) * w - u * v * (a0 + a1))
             u = np.fmin(np.fmax(u, 0.0), 1.0)
+        bent = np.flatnonzero(np.abs(a0) + np.abs(a1) > np.abs(dh) / 64.0)
+        if bent.size:
+            c, dh, a0, a1 = h0[bent] - x[bent], dh[bent], a0[bent], a1[bent]
+            scale = np.abs(h0[bent]) + np.abs(dh) + np.abs(a0) + np.abs(a1)
+            stuck = np.abs(_cell_cubic(u[bent], c, dh, a0, a1)) > _CUBIC_TOL * scale
+            if stuck.any():
+                u[bent[stuck]] = _cell_cubic_root(c[stuck], dh[stuck], a0[stuck], a1[stuck])
         return self.lo + step * (cell + u)
+
+
+def _cell_cubic(
+    u: np.ndarray, c: np.ndarray, dh: np.ndarray, a0: np.ndarray, a1: np.ndarray
+) -> np.ndarray:
+    """c + u (dh + v (a0 v - a1 u)), v = 1 - u: a cell's cubic, shifted by c."""
+    v = 1.0 - u
+    return c + u * (dh + v * (a0 * v - a1 * u))
+
+
+def _cell_cubic_root(c: np.ndarray, dh: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """A root in [0, 1] of _cell_cubic(u, c, dh, a0, a1), whose values c at
+    u = 0 and c + dh at u = 1 have opposite signs (or one is 0), by 60
+    bisections: the bracket ends 2^-60 wide, below the rounding of cell + u."""
+    low, high = np.zeros_like(c), np.ones_like(c)
+    negative_at_low = c < 0.0
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        right = (_cell_cubic(mid, c, dh, a0, a1) < 0.0) == negative_at_low
+        low, high = np.where(right, mid, low), np.where(right, high, mid)
+    return 0.5 * (low + high)
 
 
 def _branch_cells(branch: tuple[np.ndarray, int, int], x: np.ndarray) -> np.ndarray:

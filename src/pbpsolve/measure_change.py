@@ -733,7 +733,7 @@ def _station_strategy_space(
 
 def _all_profile_costs(
     model: FiniteTeamModel, spaces: Sequence[Sequence[tuple[np.ndarray, ...]]]
-) -> list[float]:
+) -> np.ndarray:
     """Expected cost of every profile, in itertools.product order of the
     station strategy indices, scored _BLOCK_CELLS table cells at a time.
 
@@ -749,10 +749,10 @@ def _all_profile_costs(
     total = math.prod(sizes)
     block = max(1, _BLOCK_CELLS // table.size)
     code_costs = _code_costs(model)
-    costs: list[float] = []
+    costs = np.empty(total)
     for start in range(0, total, block):
         choices = np.unravel_index(np.arange(start, min(start + block, total)), sizes)
-        costs += _profile_costs(model, table, stacks, choices, code_costs)
+        costs[start : start + block] = _profile_costs(model, table, stacks, choices, code_costs)
     return costs
 
 
@@ -813,21 +813,18 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
             f"and terminal costs in absolute value sum beyond {np.finfo(float).max:.6g}"
         ) from None
     spaces = [_station_strategy_space(model, j) for j in range(model.stations)]
-    keys = itertools.product(*(range(len(s)) for s in spaces))
-    costs = dict(zip(keys, _all_profile_costs(model, spaces)))
-    best_key = min(costs, key=lambda k: costs[k])
-    best_cost = costs[best_key]
+    costs = _all_profile_costs(model, spaces).reshape([len(s) for s in spaces])
+    best_key = np.unravel_index(np.argmin(costs), costs.shape)
+    best_cost = float(costs[best_key])
     scale = max(1.0, abs(best_cost))
-    global_keys = [k for k, c in costs.items() if c <= best_cost + tol * scale]
+    global_keys = np.argwhere(costs <= best_cost + tol * scale)
 
     worst_gain = -math.inf
-    for key in global_keys:
+    for key in map(tuple, global_keys.tolist()):
         for j in range(model.stations):
-            for alt in range(len(spaces[j])):
-                if alt == key[j]:
-                    continue
-                alt_key = tuple(alt if jj == j else key[jj] for jj in range(model.stations))
-                worst_gain = max(worst_gain, costs[key] - costs[alt_key])
+            # station j's deviations: its axis line through key, key's own entry deleted
+            line = np.delete(costs[key[:j] + (slice(None),) + key[j + 1 :]], key[j])
+            worst_gain = max(worst_gain, float(np.max(costs[key] - line, initial=-math.inf)))
     if worst_gain == -math.inf:
         worst_gain = 0.0
     return BruteForceReport(

@@ -46,6 +46,8 @@ from pbpsolve.ghq_solver import (
 )
 from pbpsolve.quadrature import SQRT_PI, build_hermite_rule
 
+from test_counterexample import _reversal_invariant_sum_by_loop
+
 
 # ---------------------------------------------------------------------------
 # residual vector
@@ -73,18 +75,6 @@ def test_residual_negation_reversal_equivariance_is_bitwise(bench_params, rule7)
         assert np.array_equal(f_mirror, -f[::-1])
 
 
-def _numpy_reversal_invariant_sum(a, axis=-1):
-    """The reversal-invariant sum with the pair sums reduced by NumPy along
-    any axis, as the residual used it before the shared kernels."""
-    a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
-    n = a.shape[-1]
-    h = n // 2
-    total = (a[..., :h] + a[..., : n - h - 1 : -1]).sum(axis=-1) if h else np.zeros(a.shape[:-1])
-    if n % 2:
-        total = total + a[..., h]
-    return total
-
-
 def _written_out_residual(t, params, rule):
     """residual_system as it was written out before it went through the
     shared posterior-mean and first-stage kernels."""
@@ -96,10 +86,10 @@ def _written_out_residual(t, params, rule):
     log_a = -((y[..., None] - t) ** 2) / (2.0 * sv * sv) + np.log(lam)
     log_a -= log_a.max(axis=-1, keepdims=True)
     w = np.exp(log_a)
-    b = _numpy_reversal_invariant_sum(w * t) / _numpy_reversal_invariant_sum(w)
+    b = _reversal_invariant_sum_by_loop(w * t) / _reversal_invariant_sum_by_loop(w)
     d = t[None, :] - b
     inner = (z[:, None] / c) * d * d + d
-    s = _numpy_reversal_invariant_sum(lam[:, None] * inner, axis=0)
+    s = _reversal_invariant_sum_by_loop(lam[:, None] * inner, axis=0)
     return t - (math.sqrt(2.0) * params.sigma_x) * z + s / (SQRT_PI * params.k**2)
 
 
@@ -392,21 +382,13 @@ def test_short_tread_list_expands_by_nearest(bench_params, rule7):
     )
 
 
-def test_quantizer_scale_controls_the_lattice(bench_params, rule7):
+def test_quantizer_start_is_the_uniform_lattice(bench_params, rule7):
     outer = math.sqrt(2.0) * 5.0 * rule7.nodes[-1]
     base = solve_signaling_levels(bench_params, rule7, init="quantizer", iterate=False)
     assert base.levels.levels[-1] == pytest.approx(outer, abs=1e-12)
     assert np.unique(base.levels.levels) == pytest.approx(
         np.arange(-3, 4) * outer / 3.0, abs=1e-12
     )
-    # a coarser lattice merges the two inner abscissas onto one rung
-    coarse = solve_signaling_levels(
-        bench_params, rule7, init="quantizer", iterate=False, quantizer_scale=1.3
-    )
-    delta = 1.3 * outer / 3.0
-    rungs = np.unique(coarse.levels.levels)
-    assert rungs.size == 5
-    assert np.allclose(rungs / delta, np.round(rungs / delta), atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", ["nope", [], [np.nan, 1.0]])
@@ -935,6 +917,28 @@ def test_first_stage_roots_solve_h_to_rounding(k, sigma_x, rule7):
     g = first_stage(x)
     defect = g + _signal_pull(g, report.levels.levels, params, rule7)[0] - x
     assert np.max(np.abs(defect)) < 1e-11
+
+
+def test_first_stage_roots_solve_h_next_to_every_turn(rule7):
+    """In a table cell that holds a turn of H the cell cubic is not
+    monotone, and Newton steps alone can stop at a cell end (|H(g) - x0|
+    reached 5.1e-6 here).  Queries drawn uniformly over the values of H on
+    the three cells each side of every turn get roots of H to 1e-9."""
+    params = ProblemParams(k=2.0, sigma=1.0, sigma_x=20.0)
+    report = solve_signaling_levels(params, rule7, init="auto")
+    assert report.converged
+    first_stage = collocation_pair(report.levels).gamma1bar
+    h = first_stage.h
+    rising = np.diff(h) > 0.0
+    turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
+    assert turns.size == 60
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        rng.uniform(h[e - 3 : e + 4].min(), h[e - 3 : e + 4].max(), 2_000) for e in turns
+    ])
+    g = first_stage(x)
+    defect = g + _signal_pull(g, report.levels.levels, params, rule7)[0] - x
+    assert np.max(np.abs(defect)) <= 1e-9
 
 
 def test_benchmark_quadrature_total_agrees_across_outer_orders(bench_pair, bench_params):

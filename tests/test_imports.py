@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level definition is read somewhere in the package.
 
 Each src/pbpsolve/*.py is parsed with ast.  A name counts as used when the
 module reads it (a bare name, or the head of an attribute chain such as
-np.exp) or lists it in __all__; __future__ imports are skipped.
+np.exp) or lists it in __all__; __future__ imports are skipped.  A private
+function, class or constant (a module-level name with one leading
+underscore) counts as read when some package module loads it as a bare
+name or an attribute (counterexample._BLOCK) or imports it.
 """
 
 from __future__ import annotations
@@ -50,3 +54,46 @@ def test_every_imported_name_is_used(module):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert unused == {}, f"{module.name}: imported and never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private names a module defines at its top level, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _read_anywhere(trees: list[ast.Module]) -> set[str]:
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_every_private_definition_is_read():
+    trees = {m.name: ast.parse(m.read_text(encoding="utf-8"), filename=str(m)) for m in MODULES}
+    read = _read_anywhere(list(trees.values()))
+    unread = {
+        f"{module}:{line}": name
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    }
+    assert unread == {}, f"private definitions the package never reads: {unread}"

@@ -5,8 +5,7 @@ weights are one contiguous row.  The copies below are the kernels as they
 were written with the locations along the last axis; every output of the
 package must equal theirs bit for bit: the weights (up to the moved axis),
 the posterior moments, the posterior mean and the collocation Jacobian.
-The orders cover both sides of the switch from row passes to NumPy's
-pairwise sum at 8 mirror pairs.  The copies use plain np.exp, so they also
+The orders run from 1 to 64 locations.  The copies use plain np.exp, so they also
 check that the exp fast path of the weights keeps every bit.
 """
 
