@@ -472,6 +472,8 @@ def cmd_verify(cfg: RunConfig, started: float) -> int:
         raise ConfigurationError(
             f"model {name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ConfigurationError(f"model {name}: invalid JSON: nested too deeply") from None
 
     doc: dict = {
         "martingale": None,

@@ -29,10 +29,15 @@ at all periods) to confirm that global optima are person-by-person optimal.
 The (state, observation) paths of a model are enumerated once, as a table
 of index arrays.  Profiles are scored in blocks against that table: actions
 follow period by period from each station's information, vectorised over
-the block; probabilities multiply in path order; each (state path, action
-path) sums its costs once with fsum, in one table over every such path when
-that table is no larger than a block and per block otherwise; and each
-profile's total is an fsum over its trajectories of nonzero probability.
+the block, each read by one gather from the flattened strategy maps;
+probabilities multiply in path order, each factor one gather from a
+flattened kernel; each (state path, action path) sums its costs once, in
+one table over every such path when that table is no larger than a block
+and per block otherwise; and each profile's total is the sum of its row of
+probability * path cost.  Every such sum is math.fsum's, bit for bit:
+_exact_row_sums forms the correctly rounded sums of a whole block with
+TwoSum trees, proves each one, and hands a row it cannot prove to fsum
+(a profile's row then over its trajectories of nonzero probability).
 Every product is the one a recursion over the trajectory tree forms, so the
 costs do not depend on the block size.  The reference probabilities and
 Lambda, M and Theta are multiplied in one place, _likelihood_ratios, on the
@@ -48,6 +53,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -59,18 +65,136 @@ from .errors import ConfigurationError
 _ROW_TOL = 1e-12
 _MAX_TRAJECTORIES = 10_000_000
 _MAX_PROFILES = 1_000_000
-# (profile, trajectory) cells scored at once by the brute-force sweep; the
-# block arrays stay near 1 MB however many profiles a model has.
+# (profile, trajectory) cells scored at once by the brute-force sweep; a
+# float block array holds 8 * _BLOCK_CELLS bytes (128 KiB) at most, however
+# many profiles a model has, and a 50 x 324 block of a 1,024-profile model
+# with 324 trajectories holds 129,600 bytes.
 _BLOCK_CELLS = 1 << 14
 # Path codes are renumbered densely before they could pass this bound.
 _CODE_LIMIT = 2**62
+# The unit roundoff u and the smallest subnormal float.
+_UNIT = 2.0**-53
+_TINIEST = math.ulp(0.0)
+# Row sums over fewer cells than this are taken per row by math.fsum; on a
+# 2-core x86-64 host the tree breaks even near 1,000 to 2,000 cells.
+_TREE_CELLS = 1024
+# A row whose sum of magnitudes is at most this has no partial sum, in any
+# order, that overflows.
+_SAFE_MAGNITUDE = sys.float_info.max / 4
 
 InfoItem = tuple[str, int, int]
 
 
 # ---------------------------------------------------------------------------
+# exact row sums
+# ---------------------------------------------------------------------------
+
+def _exact_row_sums(x: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+    """math.fsum of every row of a 2-D float array, bit for bit.
+
+    The sums are formed a whole block at a time and each is proved to be
+    the float math.fsum returns, the correctly rounded exact sum; a row the
+    proof does not reach is summed by math.fsum itself.
+
+    - A pairwise tree runs along each row with TwoSum at every node
+      (Knuth; Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005):
+      s = a + b, bb = s - a, e = (a - (s - bb)) + (b - bb) gives
+      s + e = a + b exactly, so the row's exact sum T is the root s plus the
+      sum of the k = width - 1 node errors e.
+    - err = fl(sum e), formed in any order, is within gamma_{k-1} sum |e|
+      of sum e, where gamma_j = j u / (1 - j u) and u = 2^-53 (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, 4.2).
+      The computed sum of |e|, S, is at least (1 - gamma_{k-1}) sum |e|,
+      so |err - sum e| <= 2 k u S while k u <= 1/4.  The bound used,
+      fl(4 k u S) + 2^-1074, covers that product's rounding and underflow.
+    - (res, r) = TwoSum(s, err) is exact, so |T - res| <= |r| + bound.
+      res is certified when |r| + bound is below half the gap from res
+      down to its neighbour toward zero, the smaller of its two gaps; T
+      then lies strictly nearer res than any other float and rounds to
+      it, so an exact tie is never certified.  Half the gap is a float,
+      so rounding the test's own sum cannot pass it falsely.  A zero res
+      has no such gap and is never certified.
+    - Every partial sum, here or in math.fsum, is at most about the row's
+      sum of magnitudes, and a TwoSum difference at most twice it, so
+      below _SAFE_MAGNITUDE nothing overflows.  math.fsum raises on an
+      intermediate overflow even where the total is finite, so a row that
+      may pass it (a huge, inf or nan term) is not certified.
+
+    A row that is not certified goes to math.fsum: over its cells where
+    support is nonzero when support (same shape as x) is given, else over
+    the whole row.  fsum raises what it raises there.  An array of fewer
+    than _TREE_CELLS cells goes to math.fsum whole: the tree's fixed cost,
+    some fifty NumPy calls, outweighs what it saves there.
+    """
+    if x.size < _TREE_CELLS:
+        res, fallback = np.empty(len(x)), slice(None)
+    else:
+        res, certified = _tree_row_sums(x)
+        fallback = np.flatnonzero(~certified)
+    rows = x[fallback]
+    if support is None:
+        rows = rows.tolist()
+    else:
+        rows = [row[keep].tolist() for row, keep in zip(rows, support[fallback] != 0.0)]
+    res[fallback] = np.fromiter(map(math.fsum, rows), float, len(rows))
+    return res
+
+
+def _tree_row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum by the TwoSum tree of _exact_row_sums, and whether it
+    is certified to be the correctly rounded exact sum."""
+    rows, width = x.shape
+    # Column-major: each tree level pairs two contiguous runs of columns.
+    s = np.ascontiguousarray(x.T)
+    errors = np.empty((width - 1, rows))
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(s) > 1:
+            half = len(s) // 2
+            a, b = s[:half], s[len(s) - half :]
+            level = np.empty((len(s) - half, rows))
+            total = level[:half]
+            np.add(a, b, out=total)
+            if len(s) % 2:
+                level[half] = s[half]
+            bb = total - a
+            e = errors[done : done + half]
+            np.subtract(total, bb, out=e)
+            np.subtract(a, e, out=e)
+            np.subtract(b, bb, out=bb)
+            e += bb
+            done += half
+            s = level
+        s = s[0]
+        err = errors.sum(axis=0)
+        np.abs(errors, out=errors)
+        bound = (4.0 * (width - 1) * _UNIT) * errors.sum(axis=0) + _TINIEST
+        res = s + err
+        bb = res - s
+        r = (s - (res - bb)) + (err - bb)
+        magnitude = np.abs(res)
+        half_gap = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
+        certified = np.abs(r) + bound < half_gap
+    limit = _SAFE_MAGNITUDE / width
+    if not (x.max() <= limit and x.min() >= -limit):
+        certified &= np.abs(x).max(axis=1) <= limit
+    return res, certified
+
+
+# ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
+
+def _integer(value: object, name: str) -> int:
+    """value as an int; refuses booleans, strings and non-integral numbers."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, (float, np.floating)) and float(value).is_integer():
+                return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
 
 def _check_stochastic(name: str, arr: np.ndarray) -> None:
     if np.any(arr < 0.0):
@@ -122,18 +246,28 @@ class FiniteTeamModel:
             arr.flags.writeable = False
             return arr
 
+        def item(entry: object, where: str) -> InfoItem:
+            kind, s, m = entry
+            return str(kind), _integer(s, f"{where} period"), _integer(m, f"{where} station")
+
         try:
             info = tuple(
-                tuple(tuple((str(k), int(s), int(m)) for k, s, m in items) for items in station)
-                for station in self.info
+                tuple(
+                    tuple(item(entry, f"info[{j}][{t}] item") for entry in items)
+                    for t, items in enumerate(station)
+                )
+                for j, station in enumerate(self.info)
             )
+        except ConfigurationError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed info pattern: {exc}") from exc
         object.__setattr__(self, "info", info)
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "num_states", int(self.num_states))
-        object.__setattr__(self, "obs_sizes", tuple(int(s) for s in self.obs_sizes))
-        object.__setattr__(self, "action_sizes", tuple(int(s) for s in self.action_sizes))
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
+        object.__setattr__(self, "num_states", _integer(self.num_states, "num_states"))
+        for name in ("obs_sizes", "action_sizes"):
+            sizes = tuple(_integer(s, f"{name} entry") for s in getattr(self, name))
+            object.__setattr__(self, name, sizes)
         object.__setattr__(self, "initial", freeze(self.initial))
         object.__setattr__(self, "transitions", tuple(freeze(a) for a in self.transitions))
         object.__setattr__(self, "observations", tuple(freeze(a) for a in self.observations))
@@ -375,13 +509,15 @@ def _block_actions(
     """Joint actions of a block of profiles on every trajectory.
 
     choices[j][b] is station j's strategy index in profile b of the block.
-    Returns, per period, an array of shape (profiles, trajectories).
+    Returns, per period, a read-only array of shape (profiles,
+    trajectories), broadcast from a narrower one when no station's action
+    depends on the trajectory.  Each station's action is one gather from
+    its flattened strategy maps.
     """
     cells = (choices[0].size, table.size)
     station_actions: list[list[np.ndarray]] = [[] for _ in range(model.stations)]
     joint = []
     for t in range(model.horizon):
-        u = 0
         for j in range(model.stations):
             key = 0
             for kind, s, m in model.info[j][t]:
@@ -389,10 +525,12 @@ def _block_actions(
                     key = key * model.obs_sizes[m] + table.obs_parts[m][:, s]
                 else:
                     key = key * model.action_sizes[m] + station_actions[m][s]
-            a = np.broadcast_to(stacks[j][t][choices[j][:, None], key], cells)
+            stack = stacks[j][t]
+            index = choices[j][:, None] * stack.shape[1] + key
+            a = np.take(stack.reshape(-1), index)
             station_actions[j].append(a)
-            u = u * model.action_sizes[j] + a
-        joint.append(u)
+            u = a if j == 0 else u * model.action_sizes[j] + a
+        joint.append(np.broadcast_to(u, cells))
     return joint
 
 
@@ -402,14 +540,20 @@ def _block_probabilities(
     """Original-measure probability of every (profile, trajectory) cell.
 
     Factors multiply in path order, (p * P(x_t)) * Q(y_t), as a recursion
-    over the trajectory tree would.
+    over the trajectory tree would.  Each factor is one gather from the
+    raveled kernel, at a per-trajectory base plus action * stride.
     """
     x, y = table.states, table.observations
+    nx, na, no = model.num_states, model.total_actions, model.total_obs
     p = model.initial[x[:, 0]]
     for t in range(model.horizon):
         if t > 0:
-            p = p * model.transitions[t - 1][x[:, t - 1], actions[t - 1], x[:, t]]
-        p = p * model.observations[t][x[:, t], actions[t], y[:, t]]
+            index = actions[t - 1] * nx
+            index += x[:, t - 1] * (na * nx) + x[:, t]
+            p = p * np.take(model.transitions[t - 1].reshape(-1), index)
+        index = actions[t] * no
+        index += x[:, t] * (na * no) + y[:, t]
+        p = p * np.take(model.observations[t].reshape(-1), index)
     return p
 
 
@@ -433,7 +577,7 @@ def _code_costs(model: FiniteTeamModel) -> np.ndarray | None:
     columns = [model.stage_costs[t][x[t], u[t]] for t in range(n)]
     columns.append(model.terminal_cost[x[-1]])
     try:
-        return np.array([math.fsum(row) for row in np.stack(columns, axis=1).tolist()])
+        return _exact_row_sums(np.stack(columns, axis=1))
     except OverflowError:
         return None
 
@@ -474,8 +618,7 @@ def _path_costs(
     b, i = np.unravel_index(first, shape)
     columns = [model.stage_costs[t][x[i, t], actions[t][b, i]] for t in range(model.horizon)]
     columns.append(model.terminal_cost[x[i, -1]])
-    sums = np.array([math.fsum(row) for row in np.stack(columns, axis=1).tolist()])
-    return sums[inverse].reshape(shape)
+    return _exact_row_sums(np.stack(columns, axis=1))[inverse].reshape(shape)
 
 
 def _single_block(
@@ -627,8 +770,7 @@ def verify_martingale(
         theta = theta[rows]
         unit_mean = math.fsum((p_ref[rows] * theta).tolist())
         unit_mean_error = max(unit_mean_error, abs(unit_mean - 1.0))
-        children = (step[rows] * theta).reshape(parent.size, -1).tolist()
-        sums = np.array([math.fsum(row) for row in children])
+        sums = _exact_row_sums((step[rows] * theta).reshape(parent.size, -1))
         conditional_error = max(conditional_error, float(np.max(np.abs(sums - parent))))
         parent = theta
     return MartingaleReport(
@@ -671,7 +813,7 @@ def payoff_equivalence(
     for t, (p_ref, _, _, _, theta) in enumerate(ratios):
         weighted.append(model.stage_costs[t][x[:, t], block[t][0]] * theta)
     weighted.append(model.terminal_cost[x[:, -1]] * theta)
-    sums = np.array([math.fsum(row) for row in np.stack(weighted, axis=1).tolist()])
+    sums = _exact_row_sums(np.stack(weighted, axis=1))
     via_reference = math.fsum((p_ref * sums).tolist())
     difference = abs(original - via_reference)
     return PayoffEquivalenceReport(
@@ -689,25 +831,26 @@ def _profile_costs(
     stacks: list[list[np.ndarray]],
     choices: Sequence[np.ndarray],
     code_costs: np.ndarray | None,
-) -> list[float]:
+) -> np.ndarray:
     """Exact expected cost of each profile of a block.
 
     Each total is the fsum of probability * path cost over the cells of
-    nonzero probability.
+    nonzero probability.  The exact row sums take whole rows: a cell of
+    zero probability adds a signed zero (its path cost is finite), which
+    changes no nonzero correctly rounded total, and a row they do not
+    certify is summed over its cells of nonzero probability.
     """
     actions = _block_actions(model, table, stacks, choices)
     probabilities = _block_probabilities(model, table, actions)
     terms = probabilities * _path_costs(model, table, actions, code_costs)
-    return [
-        math.fsum(row[keep].tolist()) for row, keep in zip(terms, probabilities != 0.0)
-    ]
+    return _exact_row_sums(terms, support=probabilities)
 
 
 def expected_cost(model: FiniteTeamModel, profile: StrategyProfile) -> float:
     """Exact expected total cost of a profile under the original measure."""
     validate_profile(model, profile)
     table = _trajectory_table(model)
-    return _profile_costs(model, table, *_single_block(profile), _code_costs(model))[0]
+    return float(_profile_costs(model, table, *_single_block(profile), _code_costs(model))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +934,12 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
 
     Every profile is scored, in blocks of _BLOCK_CELLS table cells, against
     one table of the model's trajectories; the costs are bit-identical to
-    scoring each profile alone with expected_cost.  Path costs are read from
-    one fsum table over every (state path, action path) code when there are
-    at most _BLOCK_CELLS codes, and summed per block otherwise, where the
-    table would outgrow a block.  Profiles are ordered as
+    scoring each profile alone with expected_cost, and each is the fsum of
+    its probability-weighted path costs, taken for a whole block at once by
+    _exact_row_sums.  Path costs are read from one table of exact sums over
+    every (state path, action path) code when there are at most
+    _BLOCK_CELLS codes, and summed per block otherwise, where the table
+    would outgrow a block.  Profiles are ordered as
     itertools.product over the stations' strategy indices, and the first
     profile of least cost is best_profile.  Refuses models with more than
     1e6 profiles or 1e7 trajectories, or costs that can overflow a path sum.
@@ -877,8 +1022,9 @@ def model_from_dict(data: dict) -> FiniteTeamModel:
 def load_model(path: str | Path) -> FiniteTeamModel:
     """Load and validate a model JSON file.
 
-    Syntax errors are reported with their line and column; structural errors
-    name the offending field.
+    Syntax errors are reported with their line and column, and a document
+    nested too deeply to parse is refused; structural errors name the
+    offending field.
     """
     text = Path(path).read_text()
     try:
@@ -887,6 +1033,8 @@ def load_model(path: str | Path) -> FiniteTeamModel:
         raise ConfigurationError(
             f"{path}: JSON syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigurationError(f"{path}: JSON nested too deeply") from None
     return model_from_dict(data)
 
 

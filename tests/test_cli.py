@@ -652,6 +652,46 @@ def test_verify_malformed_json_exits_two(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"horizon": }', "invalid JSON at line 1, column 13"),
+        ("[" * 200_000 + "]" * 200_000, "invalid JSON: nested too deeply"),
+        ('{"a": ' * 200_000 + "1" + "}" * 200_000, "invalid JSON: nested too deeply"),
+    ],
+    ids=["syntax", "deep-arrays", "deep-objects"],
+)
+def test_a_model_file_json_cannot_read_exits_two_with_a_message(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: model ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("horizon", 2.5, "horizon must be an integer, got 2.5"),
+        ("num_states", 2.9, "num_states must be an integer, got 2.9"),
+        ("obs_sizes", [2.5], "obs_sizes entry must be an integer, got 2.5"),
+        ("info", [[[], [["y", 0, True]]]], "info[0][1] item station must be an integer"),
+    ],
+)
+def test_verify_reports_a_non_integral_integer_field(capsys, tmp_path, field, value, message):
+    data = model_to_dict(identity_model())
+    data[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(path), "--pbp")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert message in doc["error"]
+
+
 def test_verify_a_model_file_from_disk(capsys, tmp_path):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps(model_to_dict(identity_model())))

@@ -84,6 +84,53 @@ def test_info_station_index_is_checked():
         FiniteTeamModel(**{**_model_fields(m), "info": (((), (("y", 0, 3),)),)})
 
 
+def _identity_document(**changes) -> dict:
+    data = model_to_dict(identity_model())
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("horizon", lambda v: v),
+        ("num_states", lambda v: v),
+        ("obs_sizes", lambda v: [v]),
+        ("action_sizes", lambda v: [v]),
+    ],
+    ids=["horizon", "num_states", "obs_sizes", "action_sizes"],
+)
+def test_non_integral_integer_fields_are_refused_by_name(field, make, value):
+    with pytest.raises(ConfigurationError, match=rf"^{field}( entry)? must be an integer"):
+        model_from_dict(_identity_document(**{field: make(value)}))
+
+
+@pytest.mark.parametrize(
+    "item, part",
+    [
+        (["y", 0.5, 0], "period"),
+        (["y", "0", 0], "period"),
+        (["y", 0, True], "station"),
+        (["y", 0, 0.5], "station"),
+    ],
+)
+def test_non_integral_info_indices_are_refused_by_name(item, part):
+    document = _identity_document(info=[[[], [item]]])
+    with pytest.raises(ConfigurationError, match=rf"info\[0\]\[1\] item {part} must be an integer"):
+        model_from_dict(document)
+
+
+def test_integral_floats_still_load_as_integers():
+    document = _identity_document(
+        horizon=2.0, num_states=2.0, obs_sizes=[2.0], action_sizes=[2.0],
+        info=[[[], [["y", 0.0, 0.0]]]],
+    )
+    model = model_from_dict(document)
+    assert model_to_dict(model) == model_to_dict(identity_model())
+    assert type(model.horizon) is int and type(model.info[0][1][0][1]) is int
+
+
 def test_profile_shape_is_checked():
     model = identity_model()
     bad = StrategyProfile(maps=((np.array(0), np.array(0)),))
@@ -495,6 +542,13 @@ def test_load_model_reports_syntax_position(tmp_path):
     bad.write_text('{\n  "horizon": 2,\n  "oops"\n}')
     with pytest.raises(ConfigurationError, match=r"line \d+ column \d+"):
         load_model(bad)
+
+
+def test_load_model_refuses_a_document_nested_too_deeply(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ConfigurationError, match="nested too deeply"):
+        load_model(deep)
 
 
 def test_random_model_is_seed_deterministic():

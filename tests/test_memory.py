@@ -1,11 +1,12 @@
-"""Peak memory of the payoff estimators, the first-stage inverter and the
-collocation solve.
+"""Peak memory of the payoff estimators, the first-stage inverter, the
+collocation solve and the brute-force profile sweep.
 
 The estimators and the inverter work in blocks of _BLOCK observations, so
 their temporaries do not grow with samples x levels or with outer x inner
-nodes x levels.  tracemalloc sees NumPy's array buffers; the bounds sit
-well above the blocked peaks on the benchmark pair and well below the
-peaks of a single pass over the whole grid or query set.
+nodes x levels; the sweep scores profiles in blocks of _BLOCK_CELLS
+(profile, trajectory) cells.  tracemalloc sees NumPy's array buffers; the
+bounds sit well above the blocked peaks on the benchmark pair and well
+below the peaks of a single pass over the whole grid or query set.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ import pytest
 from pbpsolve import (
     SignalingLevels,
     affine_optimal,
+    brute_force_pbp,
     collocation_pair,
     default_grid,
     payoff_mc,
     payoff_quadrature,
+    profile_count,
+    random_model,
     residual_jacobian,
     solve_signaling_levels,
     strategy_from_pair,
@@ -97,3 +101,13 @@ def test_collocation_solve_holds_one_point_at_a_time(bench_params):
         lambda: solve_signaling_levels(bench_params, rule, init="quantizer", tol=1e-10)
     )
     assert peak <= jacobian_peak + state
+
+
+def test_brute_force_sweep_holds_one_block_at_a_time():
+    # A 1,024-profile model with 324 trajectories is scored in blocks of
+    # 50 profiles; the sweep peaks below 1 MB.  Scoring all 1,024 profiles
+    # in one block holds 2.7 MB an array and peaks near 16 MB.
+    model = random_model(1, horizon=2, num_states=3, obs_sizes=(3, 2), action_sizes=(2, 2))
+    assert profile_count(model) == 1024
+    peak = _peak_above_entry(lambda: brute_force_pbp(model))
+    assert peak < 2 * MB
