@@ -71,6 +71,7 @@ from .ghq_solver import (
     summarize_staircase,
 )
 from .measure_change import (
+    _parse_model_document,
     brute_force_pbp,
     model_from_dict,
     payoff_equivalence,
@@ -466,14 +467,7 @@ def _load_model_text(name_or_path: str) -> tuple[str, str]:
 def cmd_verify(cfg: RunConfig, started: float) -> int:
     tol = 1e-12 if cfg.tol is None else cfg.tol
     name, text = _load_model_text(cfg.model or "")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"model {name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise ConfigurationError(f"model {name}: invalid JSON: nested too deeply") from None
+    data = _parse_model_document(text, name)
 
     doc: dict = {
         "martingale": None,

@@ -27,29 +27,28 @@ optimal profiles (a person-by-person deviation replaces one station's maps
 at all periods) to confirm that global optima are person-by-person optimal.
 
 The (state, observation) paths of a model are enumerated once, as a table
-of index arrays.  Profiles are scored in blocks against that table: actions
-follow period by period from each station's information, vectorised over
-the block, each read by one gather from the flattened strategy maps;
-probabilities multiply in path order, each factor one gather from a
-flattened kernel; each (state path, action path) sums its costs once, in
-one table over every such path when that table is no larger than a block
-and per block otherwise; and each profile's total is the sum of its row of
-probability * path cost.  Every such sum is math.fsum's, bit for bit:
-_exact_row_sums forms the correctly rounded sums of a whole block with
-TwoSum trees, proves each one, and hands a row it cannot prove to fsum
-(a profile's row then over its trajectories of nonzero probability).
-Every product is the one a recursion over the trajectory tree forms, so the
-costs do not depend on the block size.  The reference probabilities and
-Lambda, M and Theta are multiplied in one place, _likelihood_ratios, on the
-rows of a table: payoff_equivalence weights the costs with them,
-rnd_process reads them off a one-row table, and verify_martingale sums them
-over the rows that share a path prefix.  Every enumeration refuses models
-with more than 1e7 trajectories.
+of index arrays, and the maps a station can use in a period once, as the
+rows of one table per (station, period); a profile picks one row of each.
+Profiles are scored in blocks against the path table: actions follow period
+by period from each station's information, vectorised over the block, each
+one gather from a map table; probabilities multiply in path order, each
+factor S_t or Q_t one gather from a flattened kernel; each (state path,
+action path) sums its costs once, in one table over every such path when
+that table is no larger than a block and per block otherwise; and each
+profile's expected cost is the sum of its row of probability * path cost.
+Every such sum is math.fsum's, bit for bit: _exact_row_sums forms the
+correctly rounded sums of a whole block with TwoSum trees, proves each one,
+and hands a row it cannot prove to fsum.  Every product is the one a
+recursion over the trajectory tree forms, so the costs do not depend on the
+block size.  The reference probabilities and Lambda, M and Theta are
+multiplied in one place, _likelihood_ratios, on the rows of a table:
+payoff_equivalence weights the costs with them, rnd_process reads them off
+a one-row table, and verify_martingale sums them over the rows that share a
+path prefix.  Every enumeration refuses more than 1e7 trajectories.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -89,7 +88,7 @@ InfoItem = tuple[str, int, int]
 # exact row sums
 # ---------------------------------------------------------------------------
 
-def _exact_row_sums(x: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+def _exact_row_sums(x: np.ndarray) -> np.ndarray:
     """math.fsum of every row of a 2-D float array, bit for bit.
 
     The sums are formed a whole block at a time and each is proved to be
@@ -120,9 +119,9 @@ def _exact_row_sums(x: np.ndarray, support: np.ndarray | None = None) -> np.ndar
       intermediate overflow even where the total is finite, so a row that
       may pass it (a huge, inf or nan term) is not certified.
 
-    A row that is not certified goes to math.fsum: over its cells where
-    support is nonzero when support (same shape as x) is given, else over
-    the whole row.  fsum raises what it raises there.  An array of fewer
+    A row that is not certified goes to math.fsum whole, which raises what
+    it raises there.  fsum never keeps a zero term, so a cell of +0.0 or
+    -0.0 changes no row's result (fsum([-0.0]) is +0.0).  An array of fewer
     than _TREE_CELLS cells goes to math.fsum whole: the tree's fixed cost,
     some fifty NumPy calls, outweighs what it saves there.
     """
@@ -131,11 +130,7 @@ def _exact_row_sums(x: np.ndarray, support: np.ndarray | None = None) -> np.ndar
     else:
         res, certified = _tree_row_sums(x)
         fallback = np.flatnonzero(~certified)
-    rows = x[fallback]
-    if support is None:
-        rows = rows.tolist()
-    else:
-        rows = [row[keep].tolist() for row, keep in zip(rows, support[fallback] != 0.0)]
+    rows = x[fallback].tolist()
     res[fallback] = np.fromiter(map(math.fsum, rows), float, len(rows))
     return res
 
@@ -197,6 +192,9 @@ def _integer(value: object, name: str) -> int:
 
 
 def _check_stochastic(name: str, arr: np.ndarray) -> None:
+    # NaN passes both comparisons below, so it is refused first.
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{name} has non-finite entries")
     if np.any(arr < 0.0):
         raise ConfigurationError(f"{name} has negative entries")
     sums = arr.sum(axis=-1)
@@ -269,11 +267,9 @@ class FiniteTeamModel:
             sizes = tuple(_integer(s, f"{name} entry") for s in getattr(self, name))
             object.__setattr__(self, name, sizes)
         object.__setattr__(self, "initial", freeze(self.initial))
-        object.__setattr__(self, "transitions", tuple(freeze(a) for a in self.transitions))
-        object.__setattr__(self, "observations", tuple(freeze(a) for a in self.observations))
-        object.__setattr__(self, "obs_reference", tuple(freeze(a) for a in self.obs_reference))
-        object.__setattr__(self, "state_reference", tuple(freeze(a) for a in self.state_reference))
-        object.__setattr__(self, "stage_costs", tuple(freeze(a) for a in self.stage_costs))
+        for name in ("transitions", "observations", "obs_reference", "state_reference",
+                     "stage_costs"):
+            object.__setattr__(self, name, tuple(freeze(a) for a in getattr(self, name)))
         object.__setattr__(self, "terminal_cost", freeze(self.terminal_cost))
 
         n = self.horizon
@@ -422,17 +418,12 @@ def validate_profile(model: FiniteTeamModel, profile: StrategyProfile) -> None:
 
 def uniform_profile(model: FiniteTeamModel, action: int = 0) -> StrategyProfile:
     """The profile in which every station always plays the given action index."""
-    maps = []
-    for j in range(model.stations):
-        if not 0 <= action < model.action_sizes[j]:
-            raise ConfigurationError("action index out of range for some station")
-        maps.append(
-            tuple(
-                np.full(model.info_shape(j, t), action, dtype=int)
-                for t in range(model.horizon)
-            )
-        )
-    return StrategyProfile(maps=tuple(maps))
+    if not 0 <= action < min(model.action_sizes):
+        raise ConfigurationError("action index out of range for some station")
+    return StrategyProfile(maps=tuple(
+        tuple(np.full(model.info_shape(j, t), action, dtype=int) for t in range(model.horizon))
+        for j in range(model.stations)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -490,31 +481,48 @@ def _paths_table(
     return _TrajectoryTable(states, observations, tuple(reversed(parts)))
 
 
-def _stacked_maps(
-    spaces: Sequence[Sequence[tuple[np.ndarray, ...]]],
-) -> list[list[np.ndarray]]:
-    """stacks[j][t][i] is station j's strategy i for period t, flattened."""
+def _map_counts(model: FiniteTeamModel) -> list[int]:
+    """Number of maps station j can use in period t, per (j, t) in station-major
+    order: a map picks one of na_j actions for each value of the information."""
     return [
-        [np.stack([strategy[t].reshape(-1) for strategy in space]) for t in range(len(space[0]))]
-        for space in spaces
+        na ** math.prod(model.info_shape(j, t))
+        for j, na in enumerate(model.action_sizes)
+        for t in range(model.horizon)
+    ]
+
+
+def _map_tables(model: FiniteTeamModel) -> list[list[np.ndarray]]:
+    """tables[j][t][i] is the i-th map station j can use in period t, flattened.
+
+    Rows run in itertools.product order (the last configuration varies
+    fastest).  Each table is C-contiguous, so the flat view _block_actions
+    gathers from is not a copy.
+    """
+    return [
+        [
+            np.indices((na,) * configs).reshape(configs, -1).T.copy()
+            for configs in (math.prod(model.info_shape(j, t)) for t in range(model.horizon))
+        ]
+        for j, na in enumerate(model.action_sizes)
     ]
 
 
 def _block_actions(
     model: FiniteTeamModel,
     table: _TrajectoryTable,
-    stacks: list[list[np.ndarray]],
-    choices: Sequence[np.ndarray],
+    maps: list[list[np.ndarray]],
+    choices: Sequence[Sequence[np.ndarray]],
 ) -> list[np.ndarray]:
     """Joint actions of a block of profiles on every trajectory.
 
-    choices[j][b] is station j's strategy index in profile b of the block.
-    Returns, per period, a read-only array of shape (profiles,
+    maps[j][t] holds station j's period-t maps, one flattened map per row
+    (see _map_tables), and choices[j][t][b] is the row profile b of the
+    block uses.  Returns, per period, a read-only array of shape (profiles,
     trajectories), broadcast from a narrower one when no station's action
     depends on the trajectory.  Each station's action is one gather from
-    its flattened strategy maps.
+    the flat view of its (station, period) table.
     """
-    cells = (choices[0].size, table.size)
+    cells = (choices[0][0].size, table.size)
     station_actions: list[list[np.ndarray]] = [[] for _ in range(model.stations)]
     joint = []
     for t in range(model.horizon):
@@ -525,13 +533,30 @@ def _block_actions(
                     key = key * model.obs_sizes[m] + table.obs_parts[m][:, s]
                 else:
                     key = key * model.action_sizes[m] + station_actions[m][s]
-            stack = stacks[j][t]
-            index = choices[j][:, None] * stack.shape[1] + key
-            a = np.take(stack.reshape(-1), index)
+            rows = maps[j][t]
+            a = np.take(rows.reshape(-1), choices[j][t][:, None] * rows.shape[1] + key)
             station_actions[j].append(a)
             u = a if j == 0 else u * model.action_sizes[j] + a
         joint.append(np.broadcast_to(u, cells))
     return joint
+
+
+def _profile_actions(
+    model: FiniteTeamModel, table: _TrajectoryTable, profile: StrategyProfile
+) -> list[np.ndarray]:
+    """_block_actions of a block that holds one profile: one row per period."""
+    maps = [[m.reshape(1, -1) for m in station] for station in profile.maps]
+    first = [np.zeros(1, dtype=np.intp)] * model.horizon
+    return _block_actions(model, table, maps, [first] * model.stations)
+
+
+def _gather(kernel: np.ndarray, x: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """kernel[x, u, z] by one gather from the raveled kernel, at a per-path
+    base plus action * stride; u may hold one row per profile of a block."""
+    _, na, nz = kernel.shape
+    index = u * nz
+    index += x * (na * nz) + z
+    return np.take(kernel.reshape(-1), index)
 
 
 def _block_probabilities(
@@ -539,26 +564,28 @@ def _block_probabilities(
 ) -> np.ndarray:
     """Original-measure probability of every (profile, trajectory) cell.
 
-    Factors multiply in path order, (p * P(x_t)) * Q(y_t), as a recursion
-    over the trajectory tree would.  Each factor is one gather from the
-    raveled kernel, at a per-trajectory base plus action * stride.
+    Factors multiply in path order, (p * S_t) * Q_t, as a recursion over
+    the trajectory tree would.
     """
     x, y = table.states, table.observations
-    nx, na, no = model.num_states, model.total_actions, model.total_obs
     p = model.initial[x[:, 0]]
     for t in range(model.horizon):
         if t > 0:
-            index = actions[t - 1] * nx
-            index += x[:, t - 1] * (na * nx) + x[:, t]
-            p = p * np.take(model.transitions[t - 1].reshape(-1), index)
-        index = actions[t] * no
-        index += x[:, t] * (na * no) + y[:, t]
-        p = p * np.take(model.observations[t].reshape(-1), index)
+            p = p * _gather(model.transitions[t - 1], x[:, t - 1], actions[t - 1], x[:, t])
+        p = p * _gather(model.observations[t], x[:, t], actions[t], y[:, t])
     return p
 
 
+def _cost_sums(model: FiniteTeamModel, states: Sequence, actions: Sequence) -> np.ndarray:
+    """fsum of the stage costs and the terminal cost along each path, whose
+    period-t state and joint action are states[t] and actions[t]."""
+    columns = [model.stage_costs[t][states[t], actions[t]] for t in range(model.horizon)]
+    columns.append(model.terminal_cost[states[-1]])
+    return _exact_row_sums(np.stack(columns, axis=1))
+
+
 def _code_costs(model: FiniteTeamModel) -> np.ndarray | None:
-    """fsum of the stage costs and the terminal cost of every path code.
+    """_cost_sums of every path code.
 
     A path code is the mixed-radix number of a (state path, action path)
     pair over (x_0, u_0, x_1, u_1, ...), as _path_costs forms it.  The table
@@ -573,11 +600,8 @@ def _code_costs(model: FiniteTeamModel) -> np.ndarray | None:
     if (model.num_states * model.total_actions) ** n > _BLOCK_CELLS:
         return None
     paths = np.indices((model.num_states, model.total_actions) * n).reshape(2 * n, -1)
-    x, u = paths[0::2], paths[1::2]
-    columns = [model.stage_costs[t][x[t], u[t]] for t in range(n)]
-    columns.append(model.terminal_cost[x[-1]])
     try:
-        return _exact_row_sums(np.stack(columns, axis=1))
+        return _cost_sums(model, paths[0::2], paths[1::2])
     except OverflowError:
         return None
 
@@ -588,13 +612,14 @@ def _path_costs(
     actions: list[np.ndarray],
     code_costs: np.ndarray | None,
 ) -> np.ndarray:
-    """fsum of the stage costs and the terminal cost of every cell.
+    """_cost_sums of every cell's (state path, action path).
 
     The sum depends only on the cell's path code.  With code_costs (see
     _code_costs) the cells read their sums from it.  Without it (a code
     space too large to tabulate, or a sum that overflows), each distinct code
     of the block is summed once; the codes are renumbered densely before
-    they could pass _CODE_LIMIT.
+    they could pass _CODE_LIMIT.  Either way a path cost is finite or
+    raises OverflowError.
     """
     x = table.states
     width = model.num_states * model.total_actions
@@ -616,17 +641,7 @@ def _path_costs(
         return code_costs[code]
     _, first, inverse = np.unique(code.ravel(), return_index=True, return_inverse=True)
     b, i = np.unravel_index(first, shape)
-    columns = [model.stage_costs[t][x[i, t], actions[t][b, i]] for t in range(model.horizon)]
-    columns.append(model.terminal_cost[x[i, -1]])
-    return _exact_row_sums(np.stack(columns, axis=1))[inverse].reshape(shape)
-
-
-def _single_block(
-    profile: StrategyProfile,
-) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
-    """Stacked maps and strategy choices of a block holding one profile."""
-    stacks = _stacked_maps([[maps] for maps in profile.maps])
-    return stacks, [np.zeros(1, dtype=np.intp)] * len(stacks)
+    return _cost_sums(model, x[i].T, [u[b, i] for u in actions])[inverse].reshape(shape)
 
 
 def joint_measure_original(
@@ -640,7 +655,7 @@ def joint_measure_original(
     """
     validate_profile(model, profile)
     table = _trajectory_table(model)
-    actions = _block_actions(model, table, *_single_block(profile))
+    actions = _profile_actions(model, table, profile)
     probabilities = _block_probabilities(model, table, actions)[0]
     return {
         (tuple(states), tuple(obs), tuple(acts)): p
@@ -673,10 +688,11 @@ def _likelihood_ratios(
         phi = model.obs_reference[t][y[:, t]]
         if t > 0:
             r = model.state_reference[t - 1][x[:, t]]
-            mart = mart * (model.transitions[t - 1][x[:, t - 1], actions[t - 1], x[:, t]] / r)
+            s = _gather(model.transitions[t - 1], x[:, t - 1], actions[t - 1], x[:, t])
+            mart = mart * (s / r)
             p_ref = p_ref * r
         p_ref = p_ref * phi
-        lam = lam * (model.observations[t][x[:, t], actions[t], y[:, t]] / phi)
+        lam = lam * (_gather(model.observations[t], x[:, t], actions[t], y[:, t]) / phi)
         yield p_ref, r * phi, lam, mart, lam * mart
 
 
@@ -724,7 +740,7 @@ def rnd_process(
         np.array([_path_indices(states, model.num_states, "state")]),
         np.array([_path_indices(observations, model.total_obs, "observation")]),
     )
-    actions = [u[0] for u in _block_actions(model, table, *_single_block(profile))]
+    actions = [u[0] for u in _profile_actions(model, table, profile)]
     _, _, lam, mart, theta = np.array(list(_likelihood_ratios(model, table, actions)))[..., 0].T
     return RadonNikodymPath(lambda_path=lam, martingale_path=mart, thetas=theta)
 
@@ -764,7 +780,7 @@ def verify_martingale(
     width = model.num_states * model.total_obs
     unit_mean_error = conditional_error = 0.0
     parent = np.ones(1)
-    actions = [u[0] for u in _block_actions(model, table, *_single_block(profile))]
+    actions = [u[0] for u in _profile_actions(model, table, profile)]
     for t, (p_ref, step, _, _, theta) in enumerate(_likelihood_ratios(model, table, actions)):
         rows = slice(None, None, width ** (model.horizon - 1 - t))
         theta = theta[rows]
@@ -802,16 +818,14 @@ def payoff_equivalence(
     """Check that Theta-weighting the reference measure reproduces the cost."""
     validate_profile(model, profile)
     table = _trajectory_table(model)
-    block = _block_actions(model, table, *_single_block(profile))
-    probabilities = _block_probabilities(model, table, block)[0]
-    costs = _path_costs(model, table, block, _code_costs(model))[0]
-    original = math.fsum((probabilities * costs).tolist())
+    block = _profile_actions(model, table, profile)
+    original = float(_profile_costs(model, table, block, _code_costs(model))[0])
 
     x = table.states
+    actions = [u[0] for u in block]
     weighted = []
-    ratios = _likelihood_ratios(model, table, [u[0] for u in block])
-    for t, (p_ref, _, _, _, theta) in enumerate(ratios):
-        weighted.append(model.stage_costs[t][x[:, t], block[t][0]] * theta)
+    for t, (p_ref, _, _, _, theta) in enumerate(_likelihood_ratios(model, table, actions)):
+        weighted.append(model.stage_costs[t][x[:, t], actions[t]] * theta)
     weighted.append(model.terminal_cost[x[:, -1]] * theta)
     sums = _exact_row_sums(np.stack(weighted, axis=1))
     via_reference = math.fsum((p_ref * sums).tolist())
@@ -828,84 +842,63 @@ def payoff_equivalence(
 def _profile_costs(
     model: FiniteTeamModel,
     table: _TrajectoryTable,
-    stacks: list[list[np.ndarray]],
-    choices: Sequence[np.ndarray],
+    actions: list[np.ndarray],
     code_costs: np.ndarray | None,
 ) -> np.ndarray:
-    """Exact expected cost of each profile of a block.
-
-    Each total is the fsum of probability * path cost over the cells of
-    nonzero probability.  The exact row sums take whole rows: a cell of
-    zero probability adds a signed zero (its path cost is finite), which
-    changes no nonzero correctly rounded total, and a row they do not
-    certify is summed over its cells of nonzero probability.
+    """Exact expected cost of each profile of a block, given its joint
+    actions (see _block_actions): the fsum of its row of probability * path
+    cost.  A path cost is finite or raises, so a cell of zero probability
+    adds a signed zero, which changes no fsum: the total is also the fsum
+    over the cells of nonzero probability alone.
     """
-    actions = _block_actions(model, table, stacks, choices)
     probabilities = _block_probabilities(model, table, actions)
-    terms = probabilities * _path_costs(model, table, actions, code_costs)
-    return _exact_row_sums(terms, support=probabilities)
+    return _exact_row_sums(probabilities * _path_costs(model, table, actions, code_costs))
 
 
 def expected_cost(model: FiniteTeamModel, profile: StrategyProfile) -> float:
     """Exact expected total cost of a profile under the original measure."""
     validate_profile(model, profile)
     table = _trajectory_table(model)
-    return float(_profile_costs(model, table, *_single_block(profile), _code_costs(model))[0])
+    actions = _profile_actions(model, table, profile)
+    return float(_profile_costs(model, table, actions, _code_costs(model))[0])
 
 
 # ---------------------------------------------------------------------------
 # brute-force optimality
 # ---------------------------------------------------------------------------
 
-def _station_strategy_space(
-    model: FiniteTeamModel, station: int
-) -> list[tuple[np.ndarray, ...]]:
-    per_period = []
-    for t in range(model.horizon):
-        shape = model.info_shape(station, t)
-        configs = math.prod(shape)
-        arrays = [
-            np.asarray(assignment, dtype=int).reshape(shape)
-            for assignment in itertools.product(
-                range(model.action_sizes[station]), repeat=configs
-            )
-        ]
-        per_period.append(arrays)
-    return [tuple(choice) for choice in itertools.product(*per_period)]
+def _all_profile_costs(model: FiniteTeamModel) -> np.ndarray:
+    """Expected cost of every profile, scored _BLOCK_CELLS table cells at a
+    time.
 
-
-def _all_profile_costs(
-    model: FiniteTeamModel, spaces: Sequence[Sequence[tuple[np.ndarray, ...]]]
-) -> np.ndarray:
-    """Expected cost of every profile, in itertools.product order of the
-    station strategy indices, scored _BLOCK_CELLS table cells at a time.
-
-    The path costs come from one table over every path code (_code_costs),
-    built once here when the code space (num_states * total_actions)^horizon
-    is at most _BLOCK_CELLS.  A larger code space would not fit in a block,
-    so there each block sums its own distinct codes, renumbered below
-    _CODE_LIMIT; both paths give the same bits.
+    Profiles run in mixed-radix order over their rows of the (station,
+    period) tables of _map_tables: itertools.product order over each
+    station's strategies, then over the stations.  The path costs come from one
+    table over every path code (_code_costs), built once here when the code
+    space (num_states * total_actions)^horizon is at most _BLOCK_CELLS.  A
+    larger code space would not fit in a block, so there each block sums its
+    own distinct codes, renumbered below _CODE_LIMIT; both paths give the
+    same bits.
     """
     table = _trajectory_table(model)
-    stacks = _stacked_maps(spaces)
-    sizes = [len(space) for space in spaces]
-    total = math.prod(sizes)
+    maps = _map_tables(model)
+    counts = _map_counts(model)
+    total = math.prod(counts)
     block = max(1, _BLOCK_CELLS // table.size)
     code_costs = _code_costs(model)
     costs = np.empty(total)
+    n = model.horizon
     for start in range(0, total, block):
-        choices = np.unravel_index(np.arange(start, min(start + block, total)), sizes)
-        costs[start : start + block] = _profile_costs(model, table, stacks, choices, code_costs)
+        digits = np.unravel_index(np.arange(start, min(start + block, total)), counts)
+        choices = [digits[j * n : (j + 1) * n] for j in range(model.stations)]
+        actions = _block_actions(model, table, maps, choices)
+        costs[start : start + block] = _profile_costs(model, table, actions, code_costs)
     return costs
 
 
 def profile_count(model: FiniteTeamModel) -> int:
     """Number of deterministic strategy profiles of the model."""
-    total = 1
-    for j in range(model.stations):
-        for t in range(model.horizon):
-            total *= model.action_sizes[j] ** math.prod(model.info_shape(j, t))
-    return total
+    return math.prod(_map_counts(model))
 
 
 @dataclass(frozen=True)
@@ -939,9 +932,10 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
     _exact_row_sums.  Path costs are read from one table of exact sums over
     every (state path, action path) code when there are at most
     _BLOCK_CELLS codes, and summed per block otherwise, where the table
-    would outgrow a block.  Profiles are ordered as
-    itertools.product over the stations' strategy indices, and the first
-    profile of least cost is best_profile.  Refuses models with more than
+    would outgrow a block.  Profiles are ordered as _all_profile_costs
+    orders them, itertools.product over the stations' strategy indices, and
+    the first profile of least cost is best_profile, its maps read off the
+    (station, period) tables of _map_tables.  Refuses models with more than
     1e6 profiles or 1e7 trajectories, or costs that can overflow a path sum.
     """
     total = profile_count(model)
@@ -957,10 +951,13 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
             "the model's costs can sum past the float range on a path: its largest stage "
             f"and terminal costs in absolute value sum beyond {np.finfo(float).max:.6g}"
         ) from None
-    spaces = [_station_strategy_space(model, j) for j in range(model.stations)]
-    costs = _all_profile_costs(model, spaces).reshape([len(s) for s in spaces])
-    best_key = np.unravel_index(np.argmin(costs), costs.shape)
-    best_cost = float(costs[best_key])
+    costs = _all_profile_costs(model)
+    best = int(np.argmin(costs))
+    best_cost = float(costs[best])
+    counts, n = _map_counts(model), model.horizon
+    best_rows = iter(np.unravel_index(best, counts))
+    # one axis per station: a deviation replaces a station's maps at all periods
+    costs = costs.reshape([math.prod(counts[j : j + n]) for j in range(0, len(counts), n)])
     scale = max(1.0, abs(best_cost))
     global_keys = np.argwhere(costs <= best_cost + tol * scale)
 
@@ -975,7 +972,11 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
     return BruteForceReport(
         best_cost=best_cost,
         best_profile=StrategyProfile(
-            maps=tuple(spaces[j][best_key[j]] for j in range(model.stations))
+            maps=tuple(
+                tuple(rows[next(best_rows)].reshape(model.info_shape(j, t))
+                      for t, rows in enumerate(station))
+                for j, station in enumerate(_map_tables(model))
+            )
         ),
         num_profiles=total,
         num_global_optima=len(global_keys),
@@ -1019,23 +1020,26 @@ def model_from_dict(data: dict) -> FiniteTeamModel:
         raise ConfigurationError(f"malformed model document: {exc}") from exc
 
 
+def _parse_model_document(text: str, name: str) -> object:
+    """The JSON value of a model document; refuses bad syntax (by line and
+    column) and a document nested too deeply to parse."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"model {name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise ConfigurationError(f"model {name}: invalid JSON: nested too deeply") from None
+
+
 def load_model(path: str | Path) -> FiniteTeamModel:
     """Load and validate a model JSON file.
 
-    Syntax errors are reported with their line and column, and a document
-    nested too deeply to parse is refused; structural errors name the
-    offending field.
+    Syntax errors are reported by line and column, and structural errors
+    name the offending field.
     """
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: JSON syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError:
-        raise ConfigurationError(f"{path}: JSON nested too deeply") from None
-    return model_from_dict(data)
+    return model_from_dict(_parse_model_document(Path(path).read_text(), str(path)))
 
 
 def _random_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

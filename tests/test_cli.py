@@ -655,7 +655,7 @@ def test_verify_malformed_json_exits_two(capsys, tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"horizon": }', "invalid JSON at line 1, column 13"),
+        ('{"horizon": }', "invalid JSON at line 1, column 13: Expecting value"),
         ("[" * 200_000 + "]" * 200_000, "invalid JSON: nested too deeply"),
         ('{"a": ' * 200_000 + "1" + "}" * 200_000, "invalid JSON: nested too deeply"),
     ],
@@ -667,7 +667,8 @@ def test_a_model_file_json_cannot_read_exits_two_with_a_message(capsys, tmp_path
     code, out, err = run_cli(capsys, "verify", str(bad))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: model ") and message in err
+    # the format load_model reports too
+    assert err == f"error: model {bad}: {message}\n"
     assert "Traceback" not in err
 
 
@@ -690,6 +691,31 @@ def test_verify_reports_a_non_integral_integer_field(capsys, tmp_path, field, va
     doc = json.loads(out)
     assert doc["passed"] is False
     assert message in doc["error"]
+
+
+def test_verify_reports_a_nan_kernel_entry_by_name(capsys, tmp_path):
+    # json reads NaN; the model is refused before any check could pass it
+    data = model_to_dict(identity_model())
+    data["observations"][0][0][0] = [math.nan, 1.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(path), "--pbp")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False and doc["martingale"] is None
+    assert doc["error"] == "observation kernel 0 has non-finite entries"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["identity", "random42"])
+def test_verify_pbp_prints_the_committed_document(capsys, name):
+    """The exact enumeration's whole output, byte for byte, against a
+    committed copy: refactors of measure_change keep every bit."""
+    code, out, _ = run_cli(capsys, "verify", name, "--pbp")
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"verify-{name}-pbp.json").read_bytes()
 
 
 def test_verify_a_model_file_from_disk(capsys, tmp_path):

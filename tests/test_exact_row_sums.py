@@ -188,12 +188,3 @@ def test_a_block_of_positive_products_is_certified_without_fsum(monkeypatch):
     assert calls == []
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
-
-def test_the_fallback_sums_only_the_supported_cells(monkeypatch):
-    # an exactly cancelling row is never certified; the fallback skips the
-    # cells whose support is zero
-    x = np.array([[0.5, -0.5, 0.0, -0.0]])
-    support = np.array([[0.1, 0.2, 0.0, 0.0]])
-    calls = _fsum_calls(monkeypatch)
-    assert _exact_row_sums(x, support=support).view(np.int64).tolist() == [0]
-    assert calls == [2]

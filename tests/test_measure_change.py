@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,29 @@ def test_negative_entries_are_rejected():
 def test_references_must_have_full_support():
     with pytest.raises(ConfigurationError, match="full support"):
         _trivial_model(obs_reference=(np.array([1.0, 0.0]),))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "field, where, name",
+    [
+        ("initial", (0,), "initial law"),
+        ("transitions", (0, 1, 0, 0), "transition kernel 0"),
+        ("observations", (1, 0, 1, 1), "observation kernel 1"),
+        ("obs_reference", (1, 0), "observation reference 1"),
+        ("state_reference", (0, 1), "state reference 0"),
+    ],
+)
+def test_a_non_finite_law_entry_is_refused_by_name(field, where, name, value):
+    # NaN passes the sign and row-sum comparisons, and max() in
+    # verify_martingale would drop a NaN error
+    data = model_to_dict(identity_model())
+    row = data[field]
+    for i in where[:-1]:
+        row = row[i]
+    row[where[-1]] = value
+    with pytest.raises(ConfigurationError, match=f"^{name} has non-finite entries$"):
+        model_from_dict(data)
 
 
 def test_info_must_be_strictly_causal():
@@ -540,7 +564,10 @@ def test_load_model_reports_syntax_position(tmp_path):
     assert expected_cost(load_model(good), uniform_profile(identity_model())) == 1.0
     bad = tmp_path / "broken.json"
     bad.write_text('{\n  "horizon": 2,\n  "oops"\n}')
-    with pytest.raises(ConfigurationError, match=r"line \d+ column \d+"):
+    with pytest.raises(
+        ConfigurationError,
+        match=rf"^model {re.escape(str(bad))}: invalid JSON at line 4, column 1: ",
+    ):
         load_model(bad)
 
 

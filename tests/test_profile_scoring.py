@@ -289,8 +289,37 @@ def small_models(draw) -> FiniteTeamModel:
     return model
 
 
-def _spaces(model):
-    return [measure_change._station_strategy_space(model, j) for j in range(model.stations)]
+# ---------------------------------------------------------------------------
+# the (station, period) map tables
+# ---------------------------------------------------------------------------
+
+@ORACLE_SETTINGS
+@given(small_models())
+def test_each_map_table_lists_every_map_once_in_product_order(model):
+    tables = measure_change._map_tables(model)
+    assert [len(station) for station in tables] == [model.horizon] * model.stations
+    for j, station in enumerate(tables):
+        for t, rows in enumerate(station):
+            configs = math.prod(model.info_shape(j, t))
+            assert rows.shape == (model.action_sizes[j] ** configs, configs)
+            # C-contiguous, so the flat view the scorer gathers from is no copy
+            assert rows.flags.c_contiguous
+            want = itertools.product(range(model.action_sizes[j]), repeat=configs)
+            assert rows.tolist() == [list(m) for m in want]
+
+
+def test_two_stations_reading_each_others_action_over_three_periods():
+    """1,024 profiles: each station reads the other's previous action."""
+    model = random_model(8, horizon=3, num_states=2, obs_sizes=(2, 1), action_sizes=(2, 2))
+    model = dataclasses.replace(model, info=tuple(
+        ((),) + tuple((("u", t - 1, 1 - j),) for t in range(1, 3)) for j in range(2)
+    ))
+    assert profile_count(model) == 1024
+    tables = measure_change._map_tables(model)
+    assert [[len(rows) for rows in station] for station in tables] == [[2, 4, 4]] * 2
+    scored = measure_change._all_profile_costs(model)
+    _, _, profiles = oracle_profiles(model)
+    assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +329,7 @@ def _spaces(model):
 @ORACLE_SETTINGS
 @given(small_models())
 def test_every_profile_cost_matches_the_recursion(model):
-    scored = measure_change._all_profile_costs(model, _spaces(model))
+    scored = measure_change._all_profile_costs(model)
     _, _, profiles = oracle_profiles(model)
     want = [bits(oracle_expected_cost(model, p)) for p in profiles]
     assert [bits(c) for c in scored] == want
@@ -326,12 +355,11 @@ def test_brute_force_report_matches_the_recursion(model):
 @ORACLE_SETTINGS
 @given(small_models())
 def test_block_size_changes_no_bit(model):
-    spaces = _spaces(model)
     runs = []
     for cells in (1, 7, 1 << 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measure_change, "_BLOCK_CELLS", cells)
-            runs.append([bits(c) for c in measure_change._all_profile_costs(model, spaces)])
+            runs.append([bits(c) for c in measure_change._all_profile_costs(model)])
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -397,7 +425,7 @@ def test_a_benchmark_shaped_model_matches_the_recursion_across_blocks():
                          action_sizes=(2, 2))
     assert profile_count(model) == 1024
     assert measure_change._BLOCK_CELLS // 324 < 1024
-    scored = measure_change._all_profile_costs(model, _spaces(model))
+    scored = measure_change._all_profile_costs(model)
     _, _, profiles = oracle_profiles(model)
     assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
 
@@ -409,7 +437,7 @@ def test_a_model_with_more_path_codes_than_a_block_matches_the_recursion():
     assert (model.num_states * model.total_actions) ** model.horizon > measure_change._BLOCK_CELLS
     assert measure_change._code_costs(model) is None
     assert profile_count(model) == 128
-    scored = measure_change._all_profile_costs(model, _spaces(model))
+    scored = measure_change._all_profile_costs(model)
     _, _, profiles = oracle_profiles(model)
     assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
 
@@ -432,8 +460,7 @@ def test_a_path_sum_that_overflows_off_the_profile_changes_no_bit():
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(small_models())
 def test_renumbering_the_path_codes_changes_no_bit(model):
-    spaces = _spaces(model)
-    plain = [bits(c) for c in measure_change._all_profile_costs(model, spaces)]
+    plain = [bits(c) for c in measure_change._all_profile_costs(model)]
     code_space = (model.num_states * model.total_actions) ** model.horizon
     with pytest.MonkeyPatch.context() as mp:
         # renumber before every period, as a model too large for int64 codes
@@ -441,5 +468,5 @@ def test_renumbering_the_path_codes_changes_no_bit(model):
         mp.setattr(measure_change, "_CODE_LIMIT", 1)
         mp.setattr(measure_change, "_BLOCK_CELLS", code_space - 1)
         assert measure_change._code_costs(model) is None
-        renumbered = [bits(c) for c in measure_change._all_profile_costs(model, spaces)]
+        renumbered = [bits(c) for c in measure_change._all_profile_costs(model)]
     assert renumbered == plain
