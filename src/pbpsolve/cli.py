@@ -50,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .counterexample import (
+    _REACH,
     GaussianPrior,
     PayoffBreakdown,
     ProblemParams,
@@ -409,7 +410,7 @@ def _curves_pair(cfg: RunConfig, params: ProblemParams) -> tuple[StrategyPair, b
 def cmd_curves(cfg: RunConfig, started: float) -> int:
     params = cfg.problem_params()
     pair, ok = _curves_pair(cfg, params)
-    half = 8.5 * cfg.sigma_x
+    half = _REACH * cfg.sigma_x
     x_lo, x_hi = cfg.x_range if cfg.x_range else (-half, half)
     # A collocation pair's first stage answers inside the range of its table.
     span = getattr(pair.gamma1bar, "span", None)

@@ -37,6 +37,10 @@ Strategy = Callable[[np.ndarray], np.ndarray]
 # samples, nodes or queries times the number of levels.  Every value
 # depends on its own observation alone, so the blocks never change a bit.
 _BLOCK = 65_536
+# Half-width, in prior scales sigma_x, of the x0 window: payoff_quadrature's
+# outer panels, the first-stage table and its jump scan in ghq_solver, and
+# the default range of the curves command all span +-_REACH sigma_x.
+_REACH = 8.5
 # The largest cost whose square is finite: the standard error squares the
 # deviations of the costs, and whether that overflows beyond this bound
 # would depend on the rounding of their mean.
@@ -623,7 +627,7 @@ def payoff_quadrature(
     else:
         if gaussian:
             x0, px = _gauss_panels(
-                params.sigma_x, pair.breakpoints, max(16, outer_rule.order), 8.5, 1.0
+                params.sigma_x, pair.breakpoints, max(16, outer_rule.order), _REACH, 1.0
             )
         else:
             x0, px = prior.quad_points(outer_rule)

@@ -38,6 +38,7 @@ import numpy as np
 
 from .counterexample import (
     _BLOCK,
+    _REACH,
     PayoffBreakdown,
     ProblemParams,
     StrategyPair,
@@ -58,8 +59,6 @@ _TABLE_POINTS = 200_001
 # the cubic's coefficient scale after the Newton steps is bisected; a
 # converged Newton root misses by a few units of rounding (below 4e-15).
 _CUBIC_TOL = 1e-12
-# Half-width, in prior scales, of the x0 window of payoff_quadrature and _scan_points.
-_REACH = 8.5
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +771,7 @@ class StaircaseSummary:
 
 
 def _scan_points(params: ProblemParams) -> np.ndarray:
-    """The 20,001 points on [-8.5 sigma_x, 8.5 sigma_x] at which
+    """The 20,001 points on [-_REACH sigma_x, _REACH sigma_x] at which
     summarize_staircase fits treads."""
     return np.linspace(-_REACH * params.sigma_x, _REACH * params.sigma_x, 20001)
 

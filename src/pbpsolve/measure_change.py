@@ -36,11 +36,11 @@ factor S_t or Q_t one gather from a flattened kernel; each (state path,
 action path) sums its costs once, in one table over every such path when
 that table is no larger than a block and per block otherwise; and each
 profile's expected cost is the sum of its row of probability * path cost.
-Every such sum is math.fsum's, bit for bit: _exact_row_sums forms the
-correctly rounded sums of a whole block with TwoSum trees, proves each one,
-and hands a row it cannot prove to fsum.  Every product is the one a
-recursion over the trajectory tree forms, so the costs do not depend on the
-block size.  The reference probabilities and Lambda, M and Theta are
+Every path cost and every reported expected cost is math.fsum's, bit for
+bit.  Brute force ranks the profiles by plain row sums with an error bound
+and takes fsum only of the profiles its report reads.  Every product is the
+one a recursion over the trajectory tree forms, so the costs do not depend
+on the block size.  The reference probabilities and Lambda, M and Theta are
 multiplied in one place, _likelihood_ratios, on the rows of a table:
 payoff_equivalence weights the costs with them, rnd_process reads them off
 a one-row table, and verify_martingale sums them over the rows that share a
@@ -52,7 +52,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -74,106 +73,15 @@ _CODE_LIMIT = 2**62
 # The unit roundoff u and the smallest subnormal float.
 _UNIT = 2.0**-53
 _TINIEST = math.ulp(0.0)
-# Row sums over fewer cells than this are taken per row by math.fsum; on a
-# 2-core x86-64 host the tree breaks even near 1,000 to 2,000 cells.
-_TREE_CELLS = 1024
-# A row whose sum of magnitudes is at most this has no partial sum, in any
-# order, that overflows.
-_SAFE_MAGNITUDE = sys.float_info.max / 4
 
 InfoItem = tuple[str, int, int]
 
 
-# ---------------------------------------------------------------------------
-# exact row sums
-# ---------------------------------------------------------------------------
-
 def _exact_row_sums(x: np.ndarray) -> np.ndarray:
-    """math.fsum of every row of a 2-D float array, bit for bit.
-
-    The sums are formed a whole block at a time and each is proved to be
-    the float math.fsum returns, the correctly rounded exact sum; a row the
-    proof does not reach is summed by math.fsum itself.
-
-    - A pairwise tree runs along each row with TwoSum at every node
-      (Knuth; Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005):
-      s = a + b, bb = s - a, e = (a - (s - bb)) + (b - bb) gives
-      s + e = a + b exactly, so the row's exact sum T is the root s plus the
-      sum of the k = width - 1 node errors e.
-    - err = fl(sum e), formed in any order, is within gamma_{k-1} sum |e|
-      of sum e, where gamma_j = j u / (1 - j u) and u = 2^-53 (Higham,
-      Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, 4.2).
-      The computed sum of |e|, S, is at least (1 - gamma_{k-1}) sum |e|,
-      so |err - sum e| <= 2 k u S while k u <= 1/4.  The bound used,
-      fl(4 k u S) + 2^-1074, covers that product's rounding and underflow.
-    - (res, r) = TwoSum(s, err) is exact, so |T - res| <= |r| + bound.
-      res is certified when |r| + bound is below half the gap from res
-      down to its neighbour toward zero, the smaller of its two gaps; T
-      then lies strictly nearer res than any other float and rounds to
-      it, so an exact tie is never certified.  Half the gap is a float,
-      so rounding the test's own sum cannot pass it falsely.  A zero res
-      has no such gap and is never certified.
-    - Every partial sum, here or in math.fsum, is at most about the row's
-      sum of magnitudes, and a TwoSum difference at most twice it, so
-      below _SAFE_MAGNITUDE nothing overflows.  math.fsum raises on an
-      intermediate overflow even where the total is finite, so a row that
-      may pass it (a huge, inf or nan term) is not certified.
-
-    A row that is not certified goes to math.fsum whole, which raises what
-    it raises there.  fsum never keeps a zero term, so a cell of +0.0 or
-    -0.0 changes no row's result (fsum([-0.0]) is +0.0).  An array of fewer
-    than _TREE_CELLS cells goes to math.fsum whole: the tree's fixed cost,
-    some fifty NumPy calls, outweighs what it saves there.
-    """
-    if x.size < _TREE_CELLS:
-        res, fallback = np.empty(len(x)), slice(None)
-    else:
-        res, certified = _tree_row_sums(x)
-        fallback = np.flatnonzero(~certified)
-    rows = x[fallback].tolist()
-    res[fallback] = np.fromiter(map(math.fsum, rows), float, len(rows))
-    return res
-
-
-def _tree_row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's sum by the TwoSum tree of _exact_row_sums, and whether it
-    is certified to be the correctly rounded exact sum."""
-    rows, width = x.shape
-    # Column-major: each tree level pairs two contiguous runs of columns.
-    s = np.ascontiguousarray(x.T)
-    errors = np.empty((width - 1, rows))
-    done = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(s) > 1:
-            half = len(s) // 2
-            a, b = s[:half], s[len(s) - half :]
-            level = np.empty((len(s) - half, rows))
-            total = level[:half]
-            np.add(a, b, out=total)
-            if len(s) % 2:
-                level[half] = s[half]
-            bb = total - a
-            e = errors[done : done + half]
-            np.subtract(total, bb, out=e)
-            np.subtract(a, e, out=e)
-            np.subtract(b, bb, out=bb)
-            e += bb
-            done += half
-            s = level
-        s = s[0]
-        err = errors.sum(axis=0)
-        np.abs(errors, out=errors)
-        bound = (4.0 * (width - 1) * _UNIT) * errors.sum(axis=0) + _TINIEST
-        res = s + err
-        bb = res - s
-        r = (s - (res - bb)) + (err - bb)
-        magnitude = np.abs(res)
-        half_gap = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
-        certified = np.abs(r) + bound < half_gap
-    limit = _SAFE_MAGNITUDE / width
-    if not (x.max() <= limit and x.min() >= -limit):
-        certified &= np.abs(x).max(axis=1) <= limit
-    return res, certified
+    """math.fsum of every row of a 2-D float array, raising what fsum raises:
+    each row's correctly rounded sum, whatever the order of its cells."""
+    # row by row: a whole block's Python floats would raise the peak RSS
+    return np.fromiter((math.fsum(row.tolist()) for row in x), float, len(x))
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +657,12 @@ def rnd_process(
 # the identities
 # ---------------------------------------------------------------------------
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance outside [0, inf), as the command line does."""
+    if not 0.0 <= tol < math.inf:
+        raise ConfigurationError(f"tol must be positive or zero, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class MartingaleReport:
     """Exact verification of the likelihood-ratio martingale identities.
@@ -774,7 +688,9 @@ def verify_martingale(
     once, with the children of each shorter prefix consecutive.  Both
     checks are fsums over those rows: of p_ref Theta_t, and per parent of
     (r phi) Theta_t, against the parent's Theta (1 for the empty prefix).
+    Refuses a tol outside [0, inf).
     """
+    _check_tol(tol)
     validate_profile(model, profile)
     table = _trajectory_table(model)
     width = model.num_states * model.total_obs
@@ -815,11 +731,13 @@ class PayoffEquivalenceReport:
 def payoff_equivalence(
     model: FiniteTeamModel, profile: StrategyProfile, tol: float = 1e-12
 ) -> PayoffEquivalenceReport:
-    """Check that Theta-weighting the reference measure reproduces the cost."""
+    """Check that Theta-weighting the reference measure reproduces the cost;
+    refuses a tol outside [0, inf)."""
+    _check_tol(tol)
     validate_profile(model, profile)
     table = _trajectory_table(model)
     block = _profile_actions(model, table, profile)
-    original = float(_profile_costs(model, table, block, _code_costs(model))[0])
+    original = math.fsum(_profile_cells(model, table, block, _code_costs(model))[0].tolist())
 
     x = table.states
     actions = [u[0] for u in block]
@@ -839,20 +757,20 @@ def payoff_equivalence(
     )
 
 
-def _profile_costs(
+def _profile_cells(
     model: FiniteTeamModel,
     table: _TrajectoryTable,
     actions: list[np.ndarray],
     code_costs: np.ndarray | None,
 ) -> np.ndarray:
-    """Exact expected cost of each profile of a block, given its joint
-    actions (see _block_actions): the fsum of its row of probability * path
-    cost.  A path cost is finite or raises, so a cell of zero probability
-    adds a signed zero, which changes no fsum: the total is also the fsum
-    over the cells of nonzero probability alone.
+    """probability * path cost of every (profile, trajectory) cell of a
+    block, given its joint actions (see _block_actions); a profile's exact
+    expected cost is the fsum of its row.  A path cost is finite or raises,
+    so a cell of zero probability adds a signed zero, which changes no fsum
+    (fsum keeps no zero term: fsum([-0.0]) is +0.0).
     """
     probabilities = _block_probabilities(model, table, actions)
-    return _exact_row_sums(probabilities * _path_costs(model, table, actions, code_costs))
+    return probabilities * _path_costs(model, table, actions, code_costs)
 
 
 def expected_cost(model: FiniteTeamModel, profile: StrategyProfile) -> float:
@@ -860,40 +778,64 @@ def expected_cost(model: FiniteTeamModel, profile: StrategyProfile) -> float:
     validate_profile(model, profile)
     table = _trajectory_table(model)
     actions = _profile_actions(model, table, profile)
-    return float(_profile_costs(model, table, actions, _code_costs(model))[0])
+    return math.fsum(_profile_cells(model, table, actions, _code_costs(model))[0].tolist())
 
 
 # ---------------------------------------------------------------------------
 # brute-force optimality
 # ---------------------------------------------------------------------------
 
-def _all_profile_costs(model: FiniteTeamModel) -> np.ndarray:
-    """Expected cost of every profile, scored _BLOCK_CELLS table cells at a
-    time.
-
-    Profiles run in mixed-radix order over their rows of the (station,
-    period) tables of _map_tables: itertools.product order over each
-    station's strategies, then over the stations.  The path costs come from one
-    table over every path code (_code_costs), built once here when the code
-    space (num_states * total_actions)^horizon is at most _BLOCK_CELLS.  A
-    larger code space would not fit in a block, so there each block sums its
-    own distinct codes, renumbered below _CODE_LIMIT; both paths give the
-    same bits.
+def _block_cells(model: FiniteTeamModel, index: np.ndarray) -> Iterator[np.ndarray]:
+    """The cells (see _profile_cells) of the profiles with the given
+    indices, _BLOCK_CELLS at a time.  Profiles are numbered in
+    mixed-radix order over their rows of the (station, period) tables of
+    _map_tables.  Path costs come from one table over every path code
+    (_code_costs) when the code space fits in a block, and from each block's
+    own distinct codes otherwise; both give the same bits.
     """
     table = _trajectory_table(model)
     maps = _map_tables(model)
     counts = _map_counts(model)
-    total = math.prod(counts)
     block = max(1, _BLOCK_CELLS // table.size)
     code_costs = _code_costs(model)
-    costs = np.empty(total)
     n = model.horizon
-    for start in range(0, total, block):
-        digits = np.unravel_index(np.arange(start, min(start + block, total)), counts)
+    for start in range(0, len(index), block):
+        digits = np.unravel_index(index[start : start + block], counts)
         choices = [digits[j * n : (j + 1) * n] for j in range(model.stations)]
         actions = _block_actions(model, table, maps, choices)
-        costs[start : start + block] = _profile_costs(model, table, actions, code_costs)
-    return costs
+        yield _profile_cells(model, table, actions, code_costs)
+
+
+def _all_profile_costs(model: FiniteTeamModel) -> tuple[np.ndarray, np.ndarray]:
+    """Every profile's plain row sum of cells, in the order of _block_cells,
+    and a bound on its distance from the exact sum.
+
+    - In any order, each of a row's w cells c goes through at most w - 1
+      roundings, so the row sum is within gamma_{w-1} sum |c| of the exact
+      sum, gamma_j = j u / (1 - j u) and u = 2^-53 (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed. 2002, 4.2).  The computed
+      sum of magnitudes S is at least (1 - gamma_{w-1}) sum |c|, so the
+      distance is at most 2 w u S while w u <= 1/4; the bound, fl(4 w u S)
+      + 2^-1074, covers that product's own rounding and underflow.
+    - Rounding is monotone, so a profile's exact cost F, the fsum of its
+      cells, lies between fl(sum - bound) and fl(sum + bound), and the least
+      cost m between the least lower end L and the least upper end H.  For
+      tol >= 0 the report's threshold fl(m + fl(tol max(1, |m|))) is then
+      at most fl(H + fl(tol max(1, -L, H))).
+    - On a station's axis line, the least cost among the profiles other
+      than any one is at most the line's second least upper end.
+    """
+    sums, bounds = np.empty((2, profile_count(model)))
+    start = 0
+    for cells in _block_cells(model, np.arange(len(sums))):
+        stop = start + len(cells)
+        cells.sum(axis=1, out=sums[start:stop])
+        np.abs(cells, out=cells).sum(axis=1, out=bounds[start:stop])
+        start = stop
+    # every block has one column per trajectory
+    bounds *= 4.0 * cells.shape[1] * _UNIT
+    bounds += _TINIEST
+    return sums, bounds
 
 
 def profile_count(model: FiniteTeamModel) -> int:
@@ -925,19 +867,17 @@ class BruteForceReport:
 def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceReport:
     """Exhaustively confirm that global optima are person-by-person optimal.
 
-    Every profile is scored, in blocks of _BLOCK_CELLS table cells, against
-    one table of the model's trajectories; the costs are bit-identical to
-    scoring each profile alone with expected_cost, and each is the fsum of
-    its probability-weighted path costs, taken for a whole block at once by
-    _exact_row_sums.  Path costs are read from one table of exact sums over
-    every (state path, action path) code when there are at most
-    _BLOCK_CELLS codes, and summed per block otherwise, where the table
-    would outgrow a block.  Profiles are ordered as _all_profile_costs
-    orders them, itertools.product over the stations' strategy indices, and
-    the first profile of least cost is best_profile, its maps read off the
-    (station, period) tables of _map_tables.  Refuses models with more than
-    1e6 profiles or 1e7 trajectories, or costs that can overflow a path sum.
+    Every profile is ranked by the plain row sum of its cells and an error
+    bound (see _all_profile_costs).  The profiles the report can read are
+    then scored in one more blocked pass, each the fsum of its cells,
+    bit-identical to expected_cost, and every reported number comes from
+    those exact costs.  Profiles run in itertools.product order over the
+    stations' strategy indices; the first profile of least cost is
+    best_profile, its maps read off the tables of _map_tables.  Refuses a
+    tol outside [0, inf), models with more than 1e6 profiles or 1e7
+    trajectories, and costs that can overflow a path sum.
     """
+    _check_tol(tol)
     total = profile_count(model)
     if total > _MAX_PROFILES:
         raise ConfigurationError(
@@ -951,13 +891,31 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
             "the model's costs can sum past the float range on a path: its largest stage "
             f"and terminal costs in absolute value sum beyond {np.finfo(float).max:.6g}"
         ) from None
-    costs = _all_profile_costs(model)
-    best = int(np.argmin(costs))
-    best_cost = float(costs[best])
     counts, n = _map_counts(model), model.horizon
-    best_rows = iter(np.unravel_index(best, counts))
     # one axis per station: a deviation replaces a station's maps at all periods
-    costs = costs.reshape([math.prod(counts[j : j + n]) for j in range(0, len(counts), n)])
+    shape = [math.prod(counts[j : j + n]) for j in range(0, len(counts), n)]
+    sums, bounds = (a.reshape(shape) for a in _all_profile_costs(model))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = sums - bounds, sums + bounds
+    # Score exactly every profile that may be the least cost, lie within tol
+    # of it, or be a deviation's least cost (see _all_profile_costs); every
+    # profile when a sum or bound has left the float range.
+    wanted = np.ones(shape, dtype=bool)
+    if np.isfinite(lower).all() and np.isfinite(upper).all():
+        least = float(upper.min())
+        near = lower <= least + tol * max(1.0, -float(lower.min()), least)
+        wanted = near.copy()
+        for j, size in enumerate(shape):
+            k = min(1, size - 1)
+            second = np.take(np.partition(upper, k, axis=j), [k], axis=j)
+            wanted |= near.any(axis=j, keepdims=True) & (lower <= second)
+    index = np.flatnonzero(wanted)
+    # a profile not scored exactly is no optimum and no least deviation
+    costs = np.full(shape, math.inf)
+    costs.flat[index] = np.concatenate([_exact_row_sums(c) for c in _block_cells(model, index)])
+    best = int(np.argmin(costs))
+    best_cost = float(costs.flat[best])
+    best_rows = iter(np.unravel_index(best, counts))
     scale = max(1.0, abs(best_cost))
     global_keys = np.argwhere(costs <= best_cost + tol * scale)
 

@@ -709,11 +709,22 @@ def test_verify_reports_a_nan_kernel_entry_by_name(capsys, tmp_path):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["identity", "random42"])
-def test_verify_pbp_prints_the_committed_document(capsys, name):
+@pytest.mark.parametrize("name", ["identity", "random42", "random-4"])
+def test_verify_pbp_prints_the_committed_document(capsys, monkeypatch, tmp_path, name):
     """The exact enumeration's whole output, byte for byte, against a
-    committed copy: refactors of measure_change keep every bit."""
-    code, out, _ = run_cli(capsys, "verify", name, "--pbp")
+    committed copy: refactors of measure_change keep every bit.
+
+    random-4 is a benchmark-shaped model written to the working directory:
+    1,024 profiles on 324 trajectories, 64 exactly tied global optima and a
+    worst deviation gain of exactly 0.0.
+    """
+    model_arg = name
+    if name == "random-4":
+        monkeypatch.chdir(tmp_path)
+        model = random_model(4, horizon=2, num_states=3, obs_sizes=(3, 2), action_sizes=(2, 2))
+        model_arg = "random-4.json"
+        Path(model_arg).write_text(json.dumps(model_to_dict(model)))
+    code, out, _ = run_cli(capsys, "verify", model_arg, "--pbp")
     assert code == 0
     assert out.encode() == (GOLDEN / f"verify-{name}-pbp.json").read_bytes()
 

@@ -1,10 +1,9 @@
-"""The vectorised exact row sum is math.fsum, bit for bit.
+"""The exact row sum is math.fsum, bit for bit.
 
-_exact_row_sums certifies each row's correctly rounded sum or hands the row
-to math.fsum (and hands arrays of fewer than _TREE_CELLS cells to it
-whole).  Whichever way a row goes, its bits (nan payloads included)
-must be the ones math.fsum gives, and a row on which fsum raises must make
-the block raise the same error.
+_exact_row_sums sums every path cost and every exact expected cost.  The
+bits of each row's result (nan payloads included) must be the ones
+math.fsum gives, and a row on which fsum raises must make the block raise
+the same error.
 """
 
 from __future__ import annotations
@@ -17,19 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbpsolve import measure_change
 from pbpsolve.measure_change import _exact_row_sums
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
-
-@pytest.fixture(autouse=True, scope="module")
-def tree_at_every_size():
-    """Small arrays go to math.fsum whole; these tests take every array
-    through the tree."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measure_change, "_TREE_CELLS", 0)
-        yield
 
 # finite values with exponents across 2^-1000 .. 2^1000
 spread = st.builds(
@@ -142,49 +132,21 @@ def test_rows_of_tiny_and_subnormal_terms_sum_as_fsum(rows):
     _assert_matches_fsum(rows)
 
 
-def _fsum_calls(monkeypatch):
-    calls = []
-    fsum = math.fsum
-
-    def counting(row):
-        calls.append(len(row))
-        return fsum(row)
-
-    monkeypatch.setattr(measure_change.math, "fsum", counting)
-    return calls
-
-
-def test_a_tie_row_falls_back_to_fsum(monkeypatch):
+def test_an_exact_tie_rounds_half_even():
     # 1 + 2^-53 lies exactly halfway between 1 and its successor
-    x = np.array([[1.0, 2.0**-53, 0.25, -0.25]])
-    calls = _fsum_calls(monkeypatch)
-    assert _exact_row_sums(x).tolist() == [1.0]
-    assert calls == [4]
+    assert _exact_row_sums(np.array([[1.0, 2.0**-53, 0.25, -0.25]])).tolist() == [1.0]
 
 
 def test_a_near_tie_below_a_power_of_two_rounds_down():
-    # 1 - 2^-54 - 2^-200 rounds to the float below 1, not to 1: the tree's
-    # error sum drops the 2^-200 and lands on the tie, which only the gap
-    # toward zero (2^-53, not 2^-52) refuses to certify.
+    # 1 - 2^-54 - 2^-200 rounds to the float below 1, not to 1: a sum that
+    # dropped the 2^-200 would land on the tie and round to even.
     assert _exact_row_sums(np.array([[1.0, -(2.0**-54), -(2.0**-200)]])).tolist() == [
         1.0 - 2.0**-53
     ]
 
 
 def test_a_row_whose_fsum_overflows_midway_raises_as_fsum_does():
-    # the tree reaches max + 1 without overflowing; fsum's running sum
-    # passes max + max first
+    # the exact sum is max + 1, but fsum's running sum passes max + max first
     big = sys.float_info.max
     with pytest.raises(OverflowError):
         _exact_row_sums(np.array([[1.0, big, big, -big], [1.0, 2.0, 3.0, 4.0]]))
-
-
-def test_a_block_of_positive_products_is_certified_without_fsum(monkeypatch):
-    rng = np.random.default_rng(19)
-    x = rng.random((50, 324)) * rng.random((50, 324))
-    want = np.array([math.fsum(row) for row in x.tolist()])
-    calls = _fsum_calls(monkeypatch)
-    got = _exact_row_sums(x)
-    assert calls == []
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-

@@ -518,6 +518,21 @@ def test_profile_cap_is_enforced():
         brute_force_pbp(m)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda m, tol: verify_martingale(m, uniform_profile(m), tol=tol),
+        lambda m, tol: payoff_equivalence(m, uniform_profile(m), tol=tol),
+        lambda m, tol: brute_force_pbp(m, tol=tol),
+    ],
+    ids=["verify_martingale", "payoff_equivalence", "brute_force_pbp"],
+)
+def test_a_tolerance_outside_zero_to_infinity_is_refused_by_value(check, tol):
+    with pytest.raises(ConfigurationError, match=re.escape(f"got {tol!r}")):
+        check(identity_model(), tol)
+
+
 # ---------------------------------------------------------------------------
 # serialization and generators
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The oracle below is the enumeration the package used before profiles were
 scored in blocks: a recursion over the trajectory tree, one profile at a
 time, with the expected cost an fsum over the trajectories of nonzero
 probability.  The table scorer multiplies the same factors in the same
-order, so every cost must agree bit for bit, not merely to rounding.
+order, so every exact cost and every brute-force report must agree bit for
+bit, not merely to rounding.  The brute-force ranking's plain row sums
+must bracket each exact cost within their bounds.
 """
 
 from __future__ import annotations
@@ -211,9 +213,13 @@ def oracle_profiles(model):
     return spaces, keys, profiles
 
 
-def oracle_brute_force(model, tol=1e-12):
+def oracle_brute_force(model, tol=1e-12, costs=None):
+    """The report from every profile's oracle cost; costs, if given, are
+    those costs in profile order."""
     spaces, keys, profiles = oracle_profiles(model)
-    costs = {key: oracle_expected_cost(model, prof) for key, prof in zip(keys, profiles)}
+    if costs is None:
+        costs = [oracle_expected_cost(model, prof) for prof in profiles]
+    costs = dict(zip(keys, costs))
     best_key = min(costs, key=lambda k: costs[k])
     best_cost = costs[best_key]
     scale = max(1.0, abs(best_cost))
@@ -245,6 +251,27 @@ def oracle_brute_force(model, tol=1e-12):
 def bits(value: float) -> str:
     """Exact representation, distinguishing -0.0 from 0.0."""
     return float(value).hex()
+
+
+def assert_ranking_brackets(model, costs):
+    """Every exact cost lies between the float ends of its ranked sum's bound."""
+    sums, bounds = measure_change._all_profile_costs(model)
+    costs = np.array(costs)
+    assert np.all(sums - bounds <= costs) and np.all(costs <= sums + bounds)
+
+
+def assert_report_matches_the_recursion(model, tol=1e-12, costs=None):
+    got = brute_force_pbp(model, tol=tol)
+    want = oracle_brute_force(model, tol=tol, costs=costs)
+    assert bits(got.best_cost) == bits(want["best_cost"])
+    assert bits(got.worst_deviation_gain) == bits(want["worst_deviation_gain"])
+    assert got.num_profiles == want["num_profiles"]
+    assert got.num_global_optima == want["num_global_optima"]
+    assert got.pbp_holds == want["pbp_holds"]
+    assert got.tol == tol
+    for got_station, want_station in zip(got.best_profile.maps, want["best_maps"]):
+        for a, b in zip(got_station, want_station):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @st.composite
@@ -289,6 +316,35 @@ def small_models(draw) -> FiniteTeamModel:
     return model
 
 
+@st.composite
+def ranking_edge_models(draw) -> FiniteTeamModel:
+    """Models whose costs test the brute-force ranking at its edges: costs on
+    a coarse dyadic grid (exact ties everywhere), costs one ulp apart,
+    negative costs, and models with a single trajectory (rows of one cell)."""
+    kind = draw(st.sampled_from(["dyadic", "ulp", "negative", "one trajectory"]))
+    event(kind)
+    if kind == "one trajectory":
+        stations = draw(st.integers(1, 2))
+        model = random_model(
+            draw(st.integers(0, 2**31 - 1)),
+            horizon=draw(st.integers(1, 3)),
+            num_states=1,
+            obs_sizes=(1,) * stations,
+            action_sizes=tuple(draw(st.integers(1, 3)) for _ in range(stations)),
+        )
+        assume(profile_count(model) <= 64)
+        return model
+    model = draw(small_models())
+    costs = (*model.stage_costs, model.terminal_cost)
+    if kind == "dyadic":
+        costs = [np.floor(c * 2.0) / 2.0 for c in costs]
+    elif kind == "ulp":
+        costs = [1.0 + np.floor(c * 2.0) * math.ulp(1.0) for c in costs]
+    else:
+        costs = [-(c + 1.0) for c in costs]
+    return dataclasses.replace(model, stage_costs=tuple(costs[:-1]), terminal_cost=costs[-1])
+
+
 # ---------------------------------------------------------------------------
 # the (station, period) map tables
 # ---------------------------------------------------------------------------
@@ -317,9 +373,10 @@ def test_two_stations_reading_each_others_action_over_three_periods():
     assert profile_count(model) == 1024
     tables = measure_change._map_tables(model)
     assert [[len(rows) for rows in station] for station in tables] == [[2, 4, 4]] * 2
-    scored = measure_change._all_profile_costs(model)
     _, _, profiles = oracle_profiles(model)
-    assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
+    costs = [oracle_expected_cost(model, p) for p in profiles]
+    assert_ranking_brackets(model, costs)
+    assert_report_matches_the_recursion(model, costs=costs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,27 +386,23 @@ def test_two_stations_reading_each_others_action_over_three_periods():
 @ORACLE_SETTINGS
 @given(small_models())
 def test_every_profile_cost_matches_the_recursion(model):
-    scored = measure_change._all_profile_costs(model)
     _, _, profiles = oracle_profiles(model)
-    want = [bits(oracle_expected_cost(model, p)) for p in profiles]
-    assert [bits(c) for c in scored] == want
-    assert [bits(expected_cost(model, p)) for p in profiles] == want
+    costs = [oracle_expected_cost(model, p) for p in profiles]
+    assert_ranking_brackets(model, costs)
+    assert_report_matches_the_recursion(model, costs=costs)
+    assert [bits(expected_cost(model, p)) for p in profiles] == [bits(c) for c in costs]
 
 
 @ORACLE_SETTINGS
 @given(small_models())
 def test_brute_force_report_matches_the_recursion(model):
-    got = brute_force_pbp(model)
-    want = oracle_brute_force(model)
-    assert bits(got.best_cost) == bits(want["best_cost"])
-    assert bits(got.worst_deviation_gain) == bits(want["worst_deviation_gain"])
-    assert got.num_profiles == want["num_profiles"]
-    assert got.num_global_optima == want["num_global_optima"]
-    assert got.pbp_holds == want["pbp_holds"]
-    assert got.tol == 1e-12
-    for got_station, want_station in zip(got.best_profile.maps, want["best_maps"]):
-        for a, b in zip(got_station, want_station):
-            assert a.shape == b.shape and np.array_equal(a, b)
+    assert_report_matches_the_recursion(model)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ranking_edge_models(), st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_brute_force_report_matches_the_recursion_at_the_ranking_edges(model, tol):
+    assert_report_matches_the_recursion(model, tol=tol)
 
 
 @ORACLE_SETTINGS
@@ -359,7 +412,7 @@ def test_block_size_changes_no_bit(model):
     for cells in (1, 7, 1 << 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measure_change, "_BLOCK_CELLS", cells)
-            runs.append([bits(c) for c in measure_change._all_profile_costs(model)])
+            runs.append([[bits(c) for c in a] for a in measure_change._all_profile_costs(model)])
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -425,9 +478,10 @@ def test_a_benchmark_shaped_model_matches_the_recursion_across_blocks():
                          action_sizes=(2, 2))
     assert profile_count(model) == 1024
     assert measure_change._BLOCK_CELLS // 324 < 1024
-    scored = measure_change._all_profile_costs(model)
     _, _, profiles = oracle_profiles(model)
-    assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
+    costs = [oracle_expected_cost(model, p) for p in profiles]
+    assert_ranking_brackets(model, costs)
+    assert_report_matches_the_recursion(model, costs=costs)
 
 
 def test_a_model_with_more_path_codes_than_a_block_matches_the_recursion():
@@ -437,9 +491,10 @@ def test_a_model_with_more_path_codes_than_a_block_matches_the_recursion():
     assert (model.num_states * model.total_actions) ** model.horizon > measure_change._BLOCK_CELLS
     assert measure_change._code_costs(model) is None
     assert profile_count(model) == 128
-    scored = measure_change._all_profile_costs(model)
     _, _, profiles = oracle_profiles(model)
-    assert [bits(c) for c in scored] == [bits(oracle_expected_cost(model, p)) for p in profiles]
+    costs = [oracle_expected_cost(model, p) for p in profiles]
+    assert_ranking_brackets(model, costs)
+    assert_report_matches_the_recursion(model, costs=costs)
 
 
 def test_a_path_sum_that_overflows_off_the_profile_changes_no_bit():
@@ -460,7 +515,7 @@ def test_a_path_sum_that_overflows_off_the_profile_changes_no_bit():
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(small_models())
 def test_renumbering_the_path_codes_changes_no_bit(model):
-    plain = [bits(c) for c in measure_change._all_profile_costs(model)]
+    plain = [[bits(c) for c in a] for a in measure_change._all_profile_costs(model)]
     code_space = (model.num_states * model.total_actions) ** model.horizon
     with pytest.MonkeyPatch.context() as mp:
         # renumber before every period, as a model too large for int64 codes
@@ -468,5 +523,5 @@ def test_renumbering_the_path_codes_changes_no_bit(model):
         mp.setattr(measure_change, "_CODE_LIMIT", 1)
         mp.setattr(measure_change, "_BLOCK_CELLS", code_space - 1)
         assert measure_change._code_costs(model) is None
-        renumbered = [bits(c) for c in measure_change._all_profile_costs(model)]
+        renumbered = [[bits(c) for c in a] for a in measure_change._all_profile_costs(model)]
     assert renumbered == plain
