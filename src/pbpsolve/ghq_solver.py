@@ -39,6 +39,7 @@ import numpy as np
 from .counterexample import (
     _BLOCK,
     _REACH,
+    GaussianPrior,
     PayoffBreakdown,
     ProblemParams,
     StrategyPair,
@@ -108,7 +109,8 @@ class SolveReport:
     comparison ran: two converged level vectors within tol of each other
     (Euclidean norm of the difference) are one solution, and neither is
     scored.  An "auto" result lists both candidate reports, affine first,
-    in candidates, which is empty otherwise.
+    in candidates, which is empty otherwise.  status and message say why
+    least_squares stopped, converged or not (None without iteration).
     """
 
     levels: SignalingLevels
@@ -120,6 +122,8 @@ class SolveReport:
     jacobian_evaluations: int = 0
     payoff: PayoffBreakdown | None = None
     candidates: tuple[SolveReport, ...] = ()
+    status: int | None = None
+    message: str | None = None
 
     def __post_init__(self) -> None:
         if self.converged and not self.residual_norm <= self.tol:
@@ -410,11 +414,13 @@ def _single_solve(
         residual = result.fun
         iterations = int(result.nfev)
         jacobian_evaluations = int(result.njev)
+        status, message = int(result.status), str(result.message)
     else:
         t = np.asarray(start, dtype=float)
         residual = residual_system(t, params, rule)
         iterations = 0
         jacobian_evaluations = 0
+        status = message = None
     norm = float(np.linalg.norm(residual))
     return SolveReport(
         levels=SignalingLevels(t, rule.order, params),
@@ -424,6 +430,8 @@ def _single_solve(
         init=tag,
         tol=tol,
         jacobian_evaluations=jacobian_evaluations,
+        status=status,
+        message=message,
     )
 
 
@@ -447,10 +455,12 @@ def solve_signaling_levels(
     suffices).  With iterate=False the residual is evaluated at
     the start without optimization, which reports the defect of a
     hypothesized level vector.  converged means the Euclidean residual norm
-    is at most tol.
+    is at most tol.  Iterating under a non-Gaussian prior is refused.
     """
     if not tol > 0.0:
         raise ConfigurationError("tol must be positive")
+    if iterate and not isinstance(params.prior, GaussianPrior):
+        raise ConfigurationError("the collocation solve iterates only under the Gaussian prior")
     if isinstance(init, str):
         key = init.lower()
         if key == "affine":
@@ -599,33 +609,56 @@ def _branch_cells(branch: tuple[np.ndarray, int, int], x: np.ndarray) -> np.ndar
 
 
 def _nearest_branch(
-    x: np.ndarray, branches: Sequence[tuple], levels: np.ndarray, inverse: Callable
+    xs: np.ndarray, branches: Sequence[tuple], levels: np.ndarray, preimages: Callable
 ) -> np.ndarray:
-    """At each x, the branch whose preimage inverse(k, x) lies nearest to one
-    of the ascending levels, the earlier branch on ties; -1 where no branch
-    covers x.  branches[k] starts with H at its nodes, ascending."""
-    choice = np.full(x.shape, -1, dtype=np.intp)
-    best = np.full(x.shape, np.inf)
-    for k, (hs, *_) in enumerate(branches):
-        inside = np.flatnonzero((x >= hs[0]) & (x <= hs[-1]))
-        if not inside.size:
-            continue
-        g = inverse(k, x[inside])
-        i = np.searchsorted(levels, g)
-        below, above = levels[np.maximum(i - 1, 0)], levels[np.minimum(i, levels.size - 1)]
-        dist = np.minimum(np.abs(g - below), np.abs(g - above))
-        nearer = dist < best[inside]
-        best[inside[nearer]] = dist[nearer]
-        choice[inside[nearer]] = k
+    """At each of the ascending xs, the branch whose preimage lies nearest one of the
+    ascending levels, the earlier on ties; -1 where no branch covers x.  preimages(spans,
+    xs) inverts xs[i:j] on branch k for each span (k, i, j); branches[k][0] ascends."""
+    starts = np.searchsorted(xs, [hs[0] for hs, *_ in branches])
+    stops = np.searchsorted(xs, [hs[-1] for hs, *_ in branches], "right")
+    spans = [(k, i, j) for k, (i, j) in enumerate(zip(starts.tolist(), stops.tolist())) if i < j]
+    padded = np.concatenate([levels[:1], levels, levels[-1:]])
+    choice = np.full(xs.shape, -1, dtype=np.intp)
+    best = np.full(xs.shape, np.inf)
+    for (k, i, j), g in zip(spans, preimages(spans, xs)):
+        n = np.searchsorted(levels, g)  # padded[n] and padded[n + 1] bracket g
+        dist = np.minimum(np.abs(g - padded.take(n)), np.abs(g - padded.take(n + 1)))
+        nearer = dist < best[i:j]
+        np.copyto(best[i:j], dist, where=nearer)
+        np.copyto(choice[i:j], k, where=nearer)
     return choice
+
+
+def _bisect(low: np.ndarray, high: np.ndarray, moves: Callable, depth: int = 4) -> np.ndarray:
+    """The high ends of brackets [low, high] bisected to adjacent floats: mid = low +
+    0.5 (high - low) replaces high where moves(mid), else low.  moves sees the next depth
+    steps' midpoints at once (a column per bracket; depth 4 is quickest on smooth and
+    staircase tables), and walking that tree ends where single steps end, for any moves."""
+    column = np.arange(low.size)
+    while True:
+        lows, highs, mids = low[None], high[None], []
+        for _ in range(depth):
+            mids.append(lows + 0.5 * (highs - lows))
+            lows, highs = np.concatenate([lows, mids[-1]]), np.concatenate([mids[-1], highs])
+        if not ((mids[0] > low) & (mids[0] < high)).any():
+            return high
+        mids = np.concatenate(mids)
+        move = moves(mids)
+        row = np.zeros_like(column)  # a level's rows follow the last's, low halves first
+        for level in range(depth):
+            mid = mids[row, column]
+            open_ = (mid > low) & (mid < high)
+            go = open_ & move[row, column]
+            high, low = np.where(go, mid, high), np.where(open_ & ~go, mid, low)
+            row += np.where(go, 1, 2) << level
 
 
 def _first_stage_table(levels: SignalingLevels, rule: QuadratureRule) -> _FirstStage:
     """The first stage of collocation_pair: H and H' on _TABLE_POINTS nodes
     out to _REACH sigma_x, or the outermost level, plus 6 sigma + 1.  The
     rule picks the monotone branch of H whose preimage lies nearest a level
-    at every value of H in the table (on interpolated preimages, and on the
-    table's own near each change), and bisects each switch of the pick."""
+    at every value of H in the table (on interpolated preimages, then on the
+    table's own near each change, all branches in one call), and bisects its switches."""
     t, params = levels.levels, levels.params
     pad = 6.0 * params.sigma + 1.0
     lo = min(float(t.min()), -_REACH * params.sigma_x) - pad
@@ -636,8 +669,9 @@ def _first_stage_table(levels: SignalingLevels, rule: QuadratureRule) -> _FirstS
             f"the first-stage table from {lo:.6g} would have nodes {step:.3g} apart, "
             f"wider than sigma = {params.sigma:.6g}"
         )
-    h, slope = _signal_pull(lo + step * np.arange(_TABLE_POINTS), t, params, rule)
-    h += lo + step * np.arange(_TABLE_POINTS)
+    nodes = lo + step * np.arange(_TABLE_POINTS)
+    h, slope = _signal_pull(nodes, t, params, rule)
+    h += nodes
     if not np.all(np.isfinite(h)):
         raise NumericError(f"H = g + R(g) overflows on the first-stage table from {lo:.6g}")
     slope += 1.0
@@ -648,16 +682,21 @@ def _first_stage_table(levels: SignalingLevels, rule: QuadratureRule) -> _FirstS
         (h[a : b + 1], a, 1) if rising[a] else (h[a : b + 1][::-1], b, -1)
         for a, b in zip(edges[:-1], edges[1:])
     ]
+    grids = [nodes[a : b + 1][:: 1 if rising[a] else -1] for a, b in zip(edges[:-1], edges[1:])]
     t = np.sort(t)
 
-    def interpolated(k: int, x: np.ndarray) -> np.ndarray:
-        hs, first, way = branches[k]
-        return np.interp(x, hs, lo + step * (first + way * np.arange(hs.size)))
+    def interpolated(spans, xs):
+        return (np.interp(xs[i:j], branches[k][0], grids[k]) for k, i, j in spans)
 
-    def pick(x: np.ndarray) -> np.ndarray:
-        return _nearest_branch(
-            x, branches, t, lambda k, x: table.inverse(_branch_cells(branches[k], x), x)
-        )
+    def on_table(spans, xs):
+        parts = [xs[i:j] for _, i, j in spans]
+        cells = [_branch_cells(branches[k], part) for (k, *_), part in zip(spans, parts)]
+        g = table.inverse(np.concatenate(cells), np.concatenate(parts))
+        return np.split(g, np.cumsum([part.size for part in parts])[:-1])
+
+    def pick(x):
+        order = np.argsort(x)
+        return _nearest_branch(x[order], branches, t, on_table)[np.argsort(order)]
 
     samples = np.sort(h)
     choice = np.concatenate([
@@ -673,19 +712,11 @@ def _first_stage_table(levels: SignalingLevels, rule: QuadratureRule) -> _FirstS
     left, right = samples[change], samples[change + 1]
     switches = [np.empty(0)]
     while left.size:
-        first = pick(left)
-        keep = first != pick(right)
-        left, right, first = left[keep], right[keep], first[keep]
-        low, high = left, right
-        while True:
-            mid = low + 0.5 * (high - low)
-            open_ = (mid > low) & (mid < high)
-            if not open_.any():
-                break
-            move = open_ & (pick(mid) != first)
-            high, low = np.where(move, mid, high), np.where(open_ & ~move, mid, low)
-        switches.append(high)
-        left = high
+        ends = pick(np.concatenate([left, right]))
+        keep = ends[: left.size] != ends[left.size :]
+        left, right, first = left[keep], right[keep], ends[: left.size][keep]
+        left = _bisect(left, right, lambda mid: pick(mid.ravel()).reshape(mid.shape) != first)
+        switches.append(left)
     switches = np.sort(np.concatenate(switches))
     serving = pick(np.concatenate([samples[:1], switches]))
     return replace(

@@ -785,19 +785,17 @@ def expected_cost(model: FiniteTeamModel, profile: StrategyProfile) -> float:
 # brute-force optimality
 # ---------------------------------------------------------------------------
 
-def _block_cells(model: FiniteTeamModel, index: np.ndarray) -> Iterator[np.ndarray]:
+def _block_cells(model: FiniteTeamModel, index: np.ndarray, tables: tuple) -> Iterator[np.ndarray]:
     """The cells (see _profile_cells) of the profiles with the given
-    indices, _BLOCK_CELLS at a time.  Profiles are numbered in
-    mixed-radix order over their rows of the (station, period) tables of
-    _map_tables.  Path costs come from one table over every path code
-    (_code_costs) when the code space fits in a block, and from each block's
-    own distinct codes otherwise; both give the same bits.
+    indices, _BLOCK_CELLS at a time, from the model's trajectory table,
+    _map_tables and _code_costs.  Profiles are numbered in mixed-radix order
+    over their rows of the (station, period) map tables.  Path costs come
+    from the code-cost table when the code space fits in a block, and from
+    each block's own distinct codes otherwise; both give the same bits.
     """
-    table = _trajectory_table(model)
-    maps = _map_tables(model)
+    table, maps, code_costs = tables
     counts = _map_counts(model)
     block = max(1, _BLOCK_CELLS // table.size)
-    code_costs = _code_costs(model)
     n = model.horizon
     for start in range(0, len(index), block):
         digits = np.unravel_index(index[start : start + block], counts)
@@ -806,7 +804,7 @@ def _block_cells(model: FiniteTeamModel, index: np.ndarray) -> Iterator[np.ndarr
         yield _profile_cells(model, table, actions, code_costs)
 
 
-def _all_profile_costs(model: FiniteTeamModel) -> tuple[np.ndarray, np.ndarray]:
+def _all_profile_costs(model: FiniteTeamModel, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Every profile's plain row sum of cells, in the order of _block_cells,
     and a bound on its distance from the exact sum.
 
@@ -827,7 +825,7 @@ def _all_profile_costs(model: FiniteTeamModel) -> tuple[np.ndarray, np.ndarray]:
     """
     sums, bounds = np.empty((2, profile_count(model)))
     start = 0
-    for cells in _block_cells(model, np.arange(len(sums))):
+    for cells in _block_cells(model, np.arange(len(sums)), tables):
         stop = start + len(cells)
         cells.sum(axis=1, out=sums[start:stop])
         np.abs(cells, out=cells).sum(axis=1, out=bounds[start:stop])
@@ -873,7 +871,7 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
     bit-identical to expected_cost, and every reported number comes from
     those exact costs.  Profiles run in itertools.product order over the
     stations' strategy indices; the first profile of least cost is
-    best_profile, its maps read off the tables of _map_tables.  Refuses a
+    best_profile, its maps read off the tables both passes read.  Refuses a
     tol outside [0, inf), models with more than 1e6 profiles or 1e7
     trajectories, and costs that can overflow a path sum.
     """
@@ -894,7 +892,8 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
     counts, n = _map_counts(model), model.horizon
     # one axis per station: a deviation replaces a station's maps at all periods
     shape = [math.prod(counts[j : j + n]) for j in range(0, len(counts), n)]
-    sums, bounds = (a.reshape(shape) for a in _all_profile_costs(model))
+    tables = _trajectory_table(model), _map_tables(model), _code_costs(model)
+    sums, bounds = (a.reshape(shape) for a in _all_profile_costs(model, tables))
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = sums - bounds, sums + bounds
     # Score exactly every profile that may be the least cost, lie within tol
@@ -912,7 +911,7 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
     index = np.flatnonzero(wanted)
     # a profile not scored exactly is no optimum and no least deviation
     costs = np.full(shape, math.inf)
-    costs.flat[index] = np.concatenate([_exact_row_sums(c) for c in _block_cells(model, index)])
+    costs.flat[index] = np.concatenate([*map(_exact_row_sums, _block_cells(model, index, tables))])
     best = int(np.argmin(costs))
     best_cost = float(costs.flat[best])
     best_rows = iter(np.unravel_index(best, counts))
@@ -933,7 +932,7 @@ def brute_force_pbp(model: FiniteTeamModel, tol: float = 1e-12) -> BruteForceRep
             maps=tuple(
                 tuple(rows[next(best_rows)].reshape(model.info_shape(j, t))
                       for t, rows in enumerate(station))
-                for j, station in enumerate(_map_tables(model))
+                for j, station in enumerate(tables[1])
             )
         ),
         num_profiles=total,

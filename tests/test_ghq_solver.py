@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import sys
@@ -19,6 +20,7 @@ from pbpsolve import (
     SignalingLevels,
     SolveReport,
     StrategyPair,
+    TwoPointSymmetricPrior,
     affine_optimal,
     collocation_pair,
     distinct_levels,
@@ -38,6 +40,7 @@ from pbpsolve import counterexample, ghq_solver
 from pbpsolve.ghq_solver import (
     _TABLE_POINTS,
     _affine_init,
+    _bisect,
     _branch_cells,
     _nearest_branch,
     _quantizer_init,
@@ -415,6 +418,29 @@ def test_nonpositive_tol_rejected(bench_params, rule7):
         solve_signaling_levels(bench_params, rule7, tol=0.0)
 
 
+@pytest.mark.parametrize("init", ["auto", "affine", "quantizer", [0.0, 6.0, -6.0]])
+def test_the_solver_iterates_only_under_the_gaussian_prior(rule7, init):
+    """The collocation system discretizes the Gaussian prior, so iterating
+    under the two-point prior is refused; evaluating a start's residual
+    without iteration is not."""
+    params = ProblemParams(k=0.2, sigma=1.0, sigma_x=5.0, prior=TwoPointSymmetricPrior(5.0))
+    with pytest.raises(ConfigurationError, match="iterates only under the Gaussian prior"):
+        solve_signaling_levels(params, rule7, init=init)
+    report = solve_signaling_levels(params, rule7, init="quantizer", iterate=False)
+    assert (report.iterations, report.status, report.message) == (0, None, None)
+
+
+def test_a_stalled_solve_reports_why_it_stopped(bench_params, bench_report):
+    """n = 31 from the affine start, a case of the perfbench order workload,
+    stops on least_squares' xtol test with a residual far above tol; the
+    converged benchmark solve stops on a tolerance test too."""
+    report = solve_signaling_levels(bench_params, build_hermite_rule(31), init="affine", tol=1e-10)
+    assert not report.converged and report.residual_norm > 1.0
+    assert report.status == 3 and "`xtol` termination condition" in report.message
+    assert bench_report.converged and bench_report.status in (1, 2, 3, 4)
+    assert isinstance(bench_report.message, str)
+
+
 def test_solved_pair_requires_convergence(bench_params, rule7):
     stalled = solve_signaling_levels(
         bench_params, rule7, init=[0.0, 6.5, -6.5, 13.2, -13.2, 19.9, -19.9],
@@ -549,6 +575,8 @@ def _nearest_branch_by_reduction(xs, branches, t, inverse):
     best = np.full(xs.shape, np.inf)
     for k, (hs, *_) in enumerate(branches):
         inside = np.flatnonzero((xs >= hs[0]) & (xs <= hs[-1]))
+        if not inside.size:
+            continue
         cand = inverse(k, xs[inside])
         dist = np.min(np.abs(cand[:, None] - t[None, :]), axis=1)
         take = dist < best[inside]
@@ -575,6 +603,18 @@ def _table_branches(first_stage):
     return branches, inverse
 
 
+def _per_span(inverse):
+    """The preimages argument of _nearest_branch from a per-branch inverse,
+    with a count of its calls."""
+
+    def preimages(spans, xs):
+        preimages.calls += 1
+        return [inverse(k, xs[i:j]) for k, i, j in spans]
+
+    preimages.calls = 0
+    return preimages
+
+
 def test_nearest_preimage_keeps_the_first_of_tied_branches():
     """Candidates lie exactly midway between two levels or on a level, and
     at every covered query two branches tie; the earlier branch wins."""
@@ -589,9 +629,26 @@ def test_nearest_preimage_keeps_the_first_of_tied_branches():
         return np.interp(x, *branches[k])
 
     xs = np.array([-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    got = _nearest_branch(xs, branches, t, inverse)
+    preimages = _per_span(inverse)
+    got = _nearest_branch(xs, branches, t, preimages)
+    assert preimages.calls == 1
     assert np.array_equal(got, _nearest_branch_by_reduction(xs, branches, t, inverse))
     assert np.array_equal(got, [-1, 0, 0, 0, 0, 0, -1])
+    assert _nearest_branch(np.array([-2.0, 6.0]), branches, t, preimages).tolist() == [-1, -1]
+
+
+def test_nearest_preimage_lets_no_nan_or_inf_distance_win():
+    """A preimage of nan or inf is never nearer than +inf: a query whose
+    only covering branch gives one is covered by none."""
+    t = np.array([-1.0, 1.0])
+    branches = ((np.array([0.0, 2.0]),), (np.array([1.0, 3.0]),))
+    values = {0: np.nan, 1: np.inf}
+    xs = np.array([0.5, 1.5, 2.5])
+    got = _nearest_branch(xs, branches, t, _per_span(lambda k, x: np.full(x.shape, values[k])))
+    assert got.tolist() == [-1, -1, -1]
+    values[1] = 0.5
+    got = _nearest_branch(xs, branches, t, _per_span(lambda k, x: np.full(x.shape, values[k])))
+    assert got.tolist() == [-1, 1, 1]
 
 
 def test_nearest_preimage_matches_the_reduction_on_the_benchmark_table(bench_pair, bench_report):
@@ -601,7 +658,8 @@ def test_nearest_preimage_matches_the_reduction_on_the_benchmark_table(bench_pai
     t = np.sort(levels)
     rng = np.random.default_rng(13)
     xs = np.concatenate([rng.uniform(h.min(), h.max(), 20_000), 0.5 * (t[:-1] + t[1:]), t])
-    got = _nearest_branch(xs, branches, t, inverse)
+    xs = np.sort(np.concatenate([xs, np.nextafter(h[::1000], np.inf), h[::1000]]))
+    got = _nearest_branch(xs, branches, t, _per_span(inverse))
     assert np.array_equal(got, _nearest_branch_by_reduction(xs, branches, levels, inverse))
 
 
@@ -620,6 +678,149 @@ def test_each_tread_is_served_by_the_branch_the_rule_picks(bench_pair, bench_rep
     for k in np.unique(choice):
         want[choice == k] = inverse(k, xs[choice == k])
     assert np.array_equal(bench_pair.gamma1bar(xs), want)
+
+
+def _plain_bisection(low, high, moves):
+    """Bisection one step at a time, as the switch search ran it before it
+    evaluated trees of steps: moves sees one row of midpoints a step."""
+    while True:
+        mid = low + 0.5 * (high - low)
+        open_ = (mid > low) & (mid < high)
+        if not open_.any():
+            return high
+        move = open_ & moves(mid[None])[0]
+        high, low = np.where(move, mid, high), np.where(open_ & ~move, mid, low)
+
+
+def _reference_search(first_stage, levels):
+    """The switches and treads of a first-stage table as its build found
+    them with one inverse per branch: the rule picks branch by branch
+    (_nearest_branch_by_reduction), the coarse pass interpolates on each
+    branch's own node grid, and each switch is bisected one step at a
+    time."""
+    branches, inverse = _table_branches(first_stage)
+    lo, step = first_stage.lo, first_stage.step
+
+    def interpolated(k, x):
+        hs, first, way = branches[k]
+        return np.interp(x, hs, lo + step * (first + way * np.arange(hs.size)))
+
+    def pick(x, inverse=inverse):
+        return _nearest_branch_by_reduction(x, branches, levels, inverse)
+
+    samples = np.sort(first_stage.h)
+    choice = np.concatenate([
+        pick(samples[a : a + _BLOCK], interpolated) for a in range(0, samples.size, _BLOCK)
+    ])
+    change = np.flatnonzero(choice[1:] != choice[:-1])
+    near = np.union1d(np.clip(change[:, None] + np.arange(-2, 4), 0, samples.size - 1), [0])
+    choice[near] = pick(samples[near])
+    change = np.flatnonzero(choice[1:] != choice[:-1])
+    left, right = samples[change], samples[change + 1]
+    switches = [np.empty(0)]
+    while left.size:
+        first = pick(left)
+        keep = first != pick(right)
+        left, right, first = left[keep], right[keep], first[keep]
+        left = _plain_bisection(left, right, lambda mid: pick(mid[0])[None] != first)
+        switches.append(left)
+    switches = np.sort(np.concatenate(switches))
+    serving = pick(np.concatenate([samples[:1], switches]))
+    return switches, [branches[k] for k in serving]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def searched_pairs(bench_report, rule7):
+    """Fresh pairs of the benchmark's levels and of the regime sweep's two
+    staircase solutions (the quantizer start, which init="auto" keeps at
+    both), each with the count of _FirstStage.inverse calls its first-stage
+    table's build made."""
+    levels = [bench_report.levels]
+    for k, sigma, sigma_x in [(0.005, 0.01, 2.0), (0.05, 0.04, 2.0)]:
+        params = ProblemParams(k=k, sigma=sigma, sigma_x=sigma_x)
+        report = solve_signaling_levels(params, rule7, init="quantizer", tol=1e-10)
+        assert report.converged
+        levels.append(report.levels)
+    inverse, build = ghq_solver._FirstStage.inverse, ghq_solver._first_stage_table
+    calls, counts = [0], []
+
+    def counting_inverse(self, cell, x):
+        calls[0] += 1
+        return inverse(self, cell, x)
+
+    def counting_build(levels, rule):
+        calls[0] = 0
+        table = build(levels, rule)
+        counts.append(calls[0])
+        return table
+
+    levels = [SignalingLevels(v.levels, v.rule_order, v.params) for v in levels]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghq_solver._FirstStage, "inverse", counting_inverse)
+        mp.setattr(ghq_solver, "_first_stage_table", counting_build)
+        pairs = [collocation_pair(v) for v in levels]
+    return list(zip(levels, pairs, counts))
+
+
+SEARCHED = pytest.mark.parametrize(
+    "which", [0, 1, 2], ids=["benchmark", "sigma=0.01", "sigma=0.04"]
+)
+
+
+@SEARCHED
+def test_the_switch_search_keeps_every_bit_of_the_per_branch_search(searched_pairs, which):
+    """Switches, treads and breakpoints equal, bit for bit, those of the
+    search that inverted one branch at a time and bisected one step at a
+    time; the breakpoints follow collocation_pair's rule on the reference
+    switches."""
+    levels, pair, _ = searched_pairs[which]
+    table = pair.gamma1bar
+    switches, treads = _reference_search(table, levels.levels)
+    assert np.array_equal(_bits(table.switches), _bits(switches))
+    assert [(first, way) for _, first, way in table.treads] == [(f, w) for _, f, w in treads]
+    for (got, *_), (want, *_) in zip(table.treads, treads):
+        assert np.array_equal(_bits(got), _bits(want))
+    reference = dataclasses.replace(table, switches=tuple(switches.tolist()), treads=tuple(treads))
+    jumps = np.abs(reference(switches) - reference(np.nextafter(switches, -np.inf))) > table.step
+    inside = np.abs(switches) < 8.5 * levels.params.sigma_x
+    assert np.array_equal(_bits(pair.breakpoints), _bits(switches[jumps & inside]))
+
+
+@SEARCHED
+def test_a_first_stage_build_inverts_once_per_pick(searched_pairs, which):
+    """Each pick of the build inverts every covering branch in one call; one
+    call per branch and bisection step made 735, 4,403 and 3,339 here."""
+    assert searched_pairs[which][2] <= 120
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_tree_bisection_matches_single_steps_for_any_moves(depth):
+    """Brackets of adjacent floats, of equal ends, across 0 and of many
+    scales, under predicates that depend on the midpoint's bits and the
+    column and are monotone in neither: each tree round walks to the ends
+    of single steps."""
+    rng = np.random.default_rng(depth)
+    low = rng.normal(0.0, 1.0, 60) * 10.0 ** rng.integers(-8, 8, 60)
+    high = low + np.abs(rng.normal(0.0, 1.0, 60)) * 10.0 ** rng.integers(-12, 4, 60)
+    high[:10] = np.nextafter(low[:10], np.inf)
+    high[10:15] = low[10:15]
+    low[15:20], high[15:20] = -1.0, 1.0
+    for seed in range(4):
+        salt = rng.integers(0, 2**63, 60, dtype=np.uint64)
+        steps = []
+
+        def moves(mid):
+            steps.append(mid.shape[0])
+            mixed = (mid.view(np.uint64) ^ salt) * np.uint64(0x9E3779B97F4A7C15)
+            return (mixed >> np.uint64(62)) < np.uint64(1 + seed % 3)
+
+        got = _bisect(low, high, moves, depth)
+        assert set(steps) == {2**depth - 1}
+        assert np.array_equal(_bits(got), _bits(_plain_bisection(low, high, moves)))
 
 
 def test_first_stage_is_odd(bench_pair):

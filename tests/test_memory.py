@@ -1,5 +1,5 @@
-"""Peak memory of the payoff estimators, the first-stage inverter, the
-collocation solve and the brute-force profile sweep.
+"""Peak memory of the payoff estimators, the first-stage table and its
+inverter, the collocation solve and the brute-force profile sweep.
 
 The estimators and the inverter work in blocks of _BLOCK observations, so
 their temporaries do not grow with samples x levels or with outer x inner
@@ -31,7 +31,7 @@ from pbpsolve import (
     strategy_from_pair,
 )
 from pbpsolve.counterexample import _BLOCK
-from pbpsolve.ghq_solver import _collocation_point, _quantizer_init
+from pbpsolve.ghq_solver import _collocation_point, _first_stage_table, _quantizer_init
 from pbpsolve.quadrature import build_hermite_rule
 
 MB = 1e6
@@ -83,6 +83,15 @@ def test_gamma1bar_peak_does_not_grow_with_the_queries(bench_report):
     inverter(np.array([x.min(), x.max()]))
     peak = _peak_above_entry(lambda: inverter(x))
     assert peak < 16 * MB
+
+
+def test_first_stage_table_build_peak_stays_bounded(bench_report, rule7):
+    # The build holds the nodes, H, H', the sorted values of H and the
+    # coarse pass's picks, 1.6 MB each, and peaks near 11.4 MB: the coarse
+    # pass's per-branch temporaries stay within a block of _BLOCK values,
+    # and a switch-search round holds a few thousand points.
+    peak = _peak_above_entry(lambda: _first_stage_table(bench_report.levels, rule7))
+    assert peak < 14 * MB
 
 
 def test_collocation_solve_holds_one_point_at_a_time(bench_params):

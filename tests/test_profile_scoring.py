@@ -253,9 +253,19 @@ def bits(value: float) -> str:
     return float(value).hex()
 
 
+def ranked_costs(model):
+    """The ranking pass's row sums and bounds over every profile."""
+    tables = (
+        measure_change._trajectory_table(model),
+        measure_change._map_tables(model),
+        measure_change._code_costs(model),
+    )
+    return measure_change._all_profile_costs(model, tables)
+
+
 def assert_ranking_brackets(model, costs):
     """Every exact cost lies between the float ends of its ranked sum's bound."""
-    sums, bounds = measure_change._all_profile_costs(model)
+    sums, bounds = ranked_costs(model)
     costs = np.array(costs)
     assert np.all(sums - bounds <= costs) and np.all(costs <= sums + bounds)
 
@@ -405,6 +415,22 @@ def test_brute_force_report_matches_the_recursion_at_the_ranking_edges(model, to
     assert_report_matches_the_recursion(model, tol=tol)
 
 
+def test_brute_force_builds_each_scoring_table_once(monkeypatch):
+    """The ranking pass, the exact pass and the best profile's read-out
+    share one trajectory table, one set of map tables and one code-cost
+    table."""
+    model = random_model(1, horizon=2, num_states=3, obs_sizes=(3, 2), action_sizes=(2, 2))
+    calls = {"_trajectory_table": 0, "_map_tables": 0, "_code_costs": 0}
+    for name in calls:
+        def counting(model, _build=getattr(measure_change, name), _name=name):
+            calls[_name] += 1
+            return _build(model)
+
+        monkeypatch.setattr(measure_change, name, counting)
+    brute_force_pbp(model)
+    assert calls == {"_trajectory_table": 1, "_map_tables": 1, "_code_costs": 1}
+
+
 @ORACLE_SETTINGS
 @given(small_models())
 def test_block_size_changes_no_bit(model):
@@ -412,7 +438,7 @@ def test_block_size_changes_no_bit(model):
     for cells in (1, 7, 1 << 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measure_change, "_BLOCK_CELLS", cells)
-            runs.append([[bits(c) for c in a] for a in measure_change._all_profile_costs(model)])
+            runs.append([[bits(c) for c in a] for a in ranked_costs(model)])
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -515,7 +541,7 @@ def test_a_path_sum_that_overflows_off_the_profile_changes_no_bit():
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(small_models())
 def test_renumbering_the_path_codes_changes_no_bit(model):
-    plain = [[bits(c) for c in a] for a in measure_change._all_profile_costs(model)]
+    plain = [[bits(c) for c in a] for a in ranked_costs(model)]
     code_space = (model.num_states * model.total_actions) ** model.horizon
     with pytest.MonkeyPatch.context() as mp:
         # renumber before every period, as a model too large for int64 codes
@@ -523,5 +549,5 @@ def test_renumbering_the_path_codes_changes_no_bit(model):
         mp.setattr(measure_change, "_CODE_LIMIT", 1)
         mp.setattr(measure_change, "_BLOCK_CELLS", code_space - 1)
         assert measure_change._code_costs(model) is None
-        renumbered = [[bits(c) for c in a] for a in measure_change._all_profile_costs(model)]
+        renumbered = [[bits(c) for c in a] for a in ranked_costs(model)]
     assert renumbered == plain
