@@ -32,10 +32,11 @@ Strategy = Callable[[np.ndarray], np.ndarray]
 
 # The block size of every pass that weighs observations against levels or
 # locations: a strategy sees at most _BLOCK observations per call, and
-# ghq_solver._signal_pull, which builds its posterior weights itself, holds
-# at most _BLOCK weights.  So no temporary grows with the number of
-# samples, nodes or queries times the number of levels.  Every value
-# depends on its own observation alone, so the blocks never change a bit.
+# gaussian_posterior_mean and ghq_solver._signal_pull, which builds its
+# posterior weights itself, hold at most _BLOCK weights.  So no temporary
+# grows with the number of samples, nodes or queries times the number of
+# levels.  Every value depends on its own observation alone, so the blocks
+# never change a bit.
 _BLOCK = 65_536
 # Half-width, in prior scales sigma_x, of the x0 window: payoff_quadrature's
 # outer panels, the first-stage table and its jump scan in ghq_solver, and
@@ -342,12 +343,25 @@ def gaussian_posterior_mean(
     finite y.  The sums over the locations are reversal invariant, so
     negating y and negating and reversing the locations (with the weights
     reversed) negates the result bit for bit.  Broadcasts over any y shape.
+    The flattened y is evaluated in pieces of _BLOCK // locations.size
+    observations (at least one), so a call holds at most _BLOCK weights;
+    a 0-d y gives a NumPy scalar.
     """
+    y = np.asarray(y, dtype=float)
     locations = np.asarray(locations, dtype=float)
+    if locations.size == 0:
+        raise ConfigurationError("the mixture needs at least one location")
     # NumPy's vectorized log can round a strided (say, reversed) view
     # differently from a contiguous array, which would break the equivariance.
     log_masses = np.log(np.ascontiguousarray(prior_weights, dtype=float))
-    return _posterior_mean_parts(y, locations, log_masses, sigma)[2]
+    flat = y.reshape(-1)
+    mean = np.empty_like(flat)
+    step = max(1, _BLOCK // locations.size)
+    for a in range(0, flat.size, step):
+        mean[a : a + step] = _posterior_mean_parts(
+            flat[a : a + step], locations, log_masses, sigma
+        )[2]
+    return mean.reshape(y.shape)[()]
 
 
 def _first_stage_sum(d: np.ndarray, rule: QuadratureRule, params: ProblemParams) -> np.ndarray:
@@ -487,10 +501,12 @@ def payoff_mc(
     misses of both stages and the cost are kept at full length: the means
     and the standard error read them whole, so they round as one pass would.
     Each is formed in place: y = gamma1bar(x_0) + v in v's buffer before
-    gamma2 reads it, the second-stage miss in a buffer of its own, and the
-    first-stage miss in x_0's buffer last, when gamma1bar's values (which
-    may be x_0 itself) are no longer read.  No array gamma2 returned or
-    read is written afterwards.
+    gamma2 reads it, the second-stage miss in a buffer of its own, the
+    first-stage miss in x_0's buffer when gamma1bar's values (which may be
+    x_0 itself) are no longer read, and the cost's squared deviations in
+    that buffer last, once stage1 has read it; the standard error takes
+    np.std's steps on them.  No array gamma2 returned or read is written
+    afterwards.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -521,7 +537,10 @@ def payoff_mc(
         )
     stage1 = float(params.k**2 * np.mean(miss1))
     stage2 = float(np.mean(miss2))
-    std_error = float(np.std(cost) / math.sqrt(samples))
+    # np.std(cost)'s steps, with the deviations in miss1's buffer.
+    dev = np.subtract(cost, np.add.reduce(cost) / samples, out=miss1)
+    np.square(dev, out=dev)
+    std_error = float(math.sqrt(np.add.reduce(dev) / samples) / math.sqrt(samples))
     return PayoffBreakdown(
         stage1=stage1,
         stage2=stage2,

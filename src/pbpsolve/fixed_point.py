@@ -257,8 +257,10 @@ class PicardResult:
     """Outcome of a damped Picard iteration.
 
     steps[m] is the sup-norm update size at iteration m (over both
-    components); converged means the last step was at most tol; diverged
-    means a step exceeded 1e6 and the iteration stopped early.
+    components); converged means the last step started from an s whose
+    undamped defect max|F(s) - s| over both components was at most tol,
+    whatever the damping; diverged means a step exceeded 1e6 and the
+    iteration stopped early.
     """
 
     strategy: GridStrategy
@@ -266,6 +268,11 @@ class PicardResult:
     iterations: int
     converged: bool
     diverged: bool
+
+
+def _sup_gap(s: GridStrategy, values1: np.ndarray, values2: np.ndarray) -> float:
+    """The sup-norm distance of (values1, values2) from s over both components."""
+    return float(max(np.max(np.abs(values1 - s.values1)), np.max(np.abs(values2 - s.values2))))
 
 
 def picard_iterate(
@@ -278,9 +285,11 @@ def picard_iterate(
 ) -> PicardResult:
     """Iterate s <- (1 - damping) s + damping F(s) from the given start.
 
-    damping must lie in (0, 1].  Stops when the sup-norm step falls to tol
-    (converged), when a step exceeds 1e6 (diverged), or after max_iter
-    applications of the operator.
+    damping must lie in (0, 1].  Stops when the sup-norm defect
+    max|F(s) - s| falls to tol (converged), when a step exceeds 1e6
+    (diverged), or after max_iter applications of the operator.  The
+    defect is read from F(s) and s, not as step / damping, which can
+    round to 0 at a tiny damping.
     """
     if not 0.0 < damping <= 1.0:
         raise ConfigurationError(f"damping must lie in (0, 1], got {damping!r}")
@@ -294,18 +303,14 @@ def picard_iterate(
         image = apply_F(s, params, rule)
         new1 = (1.0 - damping) * s.values1 + damping * image.values1
         new2 = (1.0 - damping) * s.values2 + damping * image.values2
-        step = float(
-            max(
-                np.max(np.abs(new1 - s.values1)),
-                np.max(np.abs(new2 - s.values2)),
-            )
-        )
+        step = _sup_gap(s, new1, new2)
+        defect = _sup_gap(s, image.values1, image.values2)
         steps.append(step)
         s = GridStrategy(grid=s.grid, values1=new1, values2=new2)
         if step > 1e6:
             diverged = True
             break
-        if step <= tol:
+        if defect <= tol:
             converged = True
             break
     return PicardResult(

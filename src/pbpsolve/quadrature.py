@@ -5,13 +5,15 @@ Hermite polynomial H_n together with positive weights lambda_i such that
 
     integral f(x) e^{-x^2} dx  ~=  sum_i lambda_i f(z_i),
 
-with equality for every polynomial f of degree <= 2n-1.  Nodes and weights
-are obtained from the symmetric-tridiagonal Jacobi matrix of the Hermite
-three-term recurrence (off-diagonal entries sqrt(i/2)): its eigenvalues are
-the nodes and the weights are sqrt(pi) times the squared first components of
-the normalized eigenvectors.  Each node then receives one Newton step on H_n
-(using H_n' = 2 n H_{n-1}), and the node/weight vectors are symmetrized so
-that z_i = -z_{n+1-i} and lambda_i = lambda_{n+1-i} hold exactly, with the
+with equality for every polynomial f of degree <= 2n-1.  The nodes are the
+eigenvalues of the symmetric-tridiagonal Jacobi matrix of the Hermite
+three-term recurrence (zero diagonal, off-diagonal entries sqrt(i/2);
+Golub & Welsch 1969), which NumPy's np.linalg.eigvalsh computes from the
+dense n x n matrix, n <= 64, with LAPACK.  So building a rule loads no SciPy.
+Each node then receives one Newton step on H_n (using H_n' = 2 n H_{n-1}),
+and the weights are the reciprocals of the Christoffel function at the
+polished nodes.  The node/weight vectors are symmetrized so that
+z_i = -z_{n+1-i} and lambda_i = lambda_{n+1-i} hold exactly, with the
 middle node of an odd-order rule exactly zero.  The sign symmetry is relied
 on downstream for exactly equivariant residual evaluations.
 """
@@ -100,11 +102,11 @@ def _christoffel_inverse(n: int, x: np.ndarray) -> np.ndarray:
 def build_hermite_rule(order: int) -> QuadratureRule:
     """Construct the order-n Gauss-Hermite rule.
 
-    The Jacobi-matrix eigen-decomposition supplies machine-accurate nodes;
-    one Newton polish per node tightens the roots, the weights come from the
-    Christoffel function at the polished nodes, and a final symmetrization
-    makes the sign symmetry exact.  Deterministic: identical order gives
-    bit-identical rules.
+    np.linalg.eigvalsh of the dense Jacobi matrix supplies machine-accurate
+    nodes; one Newton polish per node tightens the roots, the weights come
+    from the Christoffel function at the polished nodes, and a final
+    symmetrization makes the sign symmetry exact.  Deterministic: identical
+    order gives bit-identical rules.
     """
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise ConfigurationError(f"order must be an integer, got {order!r}")
@@ -114,10 +116,8 @@ def build_hermite_rule(order: int) -> QuadratureRule:
     if n == 1:
         return QuadratureRule(1, np.array([0.0]), np.array([SQRT_PI]))
 
-    from scipy.linalg import eigh_tridiagonal
-
     off_diag = np.sqrt(np.arange(1, n) / 2.0)
-    nodes = eigh_tridiagonal(np.zeros(n), off_diag, eigvals_only=True)
+    nodes = np.linalg.eigvalsh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
 
     h, dh = _hermite_and_derivative(n, nodes)
     nodes = nodes - h / dh

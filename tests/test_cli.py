@@ -188,6 +188,18 @@ def test_picard_solve_document(capsys):
     assert len(doc["levels"]) == 7
 
 
+def test_picard_at_a_vanishing_damping_is_not_converged(capsys):
+    # Each damped step rounds to 0, but the start is no fixed point: the
+    # undamped defect |F(s) - s| stays near 1e-4, so the solve exits 1.
+    code, out, _ = run_cli(
+        capsys,
+        "solve", "--k", "5", "--sigma-x", "1", "--method", "picard",
+        "--damping", "1e-300", "--samples", "2000", "--grid-points", "513",
+    )
+    assert code == 1
+    assert json.loads(out)["converged"] is False
+
+
 # Bad inputs, run in-process: each ends in an exit code of 0, 1 or 2 with a
 # message, never in an escaping exception.  argparse reports its own errors
 # by SystemExit(2).
@@ -797,11 +809,17 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
         (["verify", "identity", "--pbp"], set(), {"scipy"}),
         (["verify", "random42", "--pbp"], set(), {"scipy"}),
         (["baseline", "--k", "1", "--sigma-x", "1", "--method", "wit", "--samples", "1000"],
-         {"scipy.linalg"}, {"scipy.optimize"}),
+         set(), {"scipy"}),
+        (["curves", "--k", "5", "--sigma-x", "1", "--method", "picard", "--grid-points", "513"],
+         set(), {"scipy"}),
+        (["solve", "--k", "5", "--sigma-x", "1", "--method", "picard", "--samples", "1000",
+          "--grid-points", "513"],
+         set(), {"scipy"}),
         (["solve", "--k", "1", "--sigma-x", "1", "--init", "affine", "--samples", "1000"],
-         {"scipy.linalg", "scipy.optimize"}, set()),
+         {"scipy.optimize"}, set()),
     ],
-    ids=["verify-identity", "verify-random42", "baseline-wit", "solve"],
+    ids=["verify-identity", "verify-random42", "baseline-wit", "curves-picard", "solve-picard",
+         "solve"],
 )
 def test_scipy_is_imported_only_by_the_commands_that_call_it(argv, loaded, not_loaded):
     env = dict(os.environ)

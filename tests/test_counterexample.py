@@ -41,6 +41,7 @@ from numpy.polynomial.legendre import leggauss
 from pbpsolve.counterexample import (
     _BLOCK,
     _gauss_panels,
+    _posterior_mean_parts,
     _posterior_weights,
     _reversal_invariant_sum,
 )
@@ -315,6 +316,20 @@ def test_payoff_mc_evaluates_the_second_stage_in_pieces(bench_params, bench_pair
     assert got.std_error == float(np.std(cost) / math.sqrt(samples))
 
 
+@pytest.mark.parametrize("samples", [1, 2, 3, 1_000, _BLOCK + 1])
+def test_payoff_mc_standard_error_is_np_std_bit_for_bit(bench_params, samples):
+    """The standard error, computed in place in a buffer of the estimator,
+    is np.std of the costs over sqrt(samples), with the costs rebuilt here."""
+    pair = wit_nonlinear(bench_params)
+    got = payoff_mc(bench_params, pair, samples, 9)
+    seq_x, seq_v = np.random.SeedSequence(9).spawn(2)
+    x0 = bench_params.prior.sample(np.random.default_rng(seq_x), samples)
+    v = np.random.default_rng(seq_v).normal(0.0, bench_params.sigma, samples)
+    g1 = pair.gamma1bar(x0)
+    cost = bench_params.k**2 * (g1 - x0) ** 2 + (g1 - pair.gamma2(g1 + v)) ** 2
+    assert got.std_error == float(np.std(cost) / math.sqrt(samples))
+
+
 def test_payoff_quadrature_evaluates_the_second_stage_in_blocks(bench_params, bench_pair, rule20):
     """gamma2 sees whole rows of the outer x inner grid, at most _BLOCK
     observations per call, and both stages are the same bits as one gamma2
@@ -440,6 +455,36 @@ def _mixture(size, seed, spread):
     rng = np.random.default_rng(seed)
     locations = np.sort(rng.normal(0.0, spread, size))
     return locations, rng.uniform(0.01, 1.0, size)
+
+
+@pytest.mark.parametrize(
+    "size, columns", [(1, 30_001), (7, 30_001), (40, 10_001), (_BLOCK + 5, 1)]
+)
+def test_posterior_mean_holds_at_most_a_block_of_weights(monkeypatch, size, columns):
+    """gaussian_posterior_mean weighs pieces of at most _BLOCK weights (one
+    observation at least) and gives the bits of one pass over the whole y."""
+    import pbpsolve.counterexample as ce
+
+    locations, weights = _mixture(size, 3, 4.0)
+    y = np.random.default_rng(4).normal(0.0, 8.0, (4, columns))
+    y[:, 0] = [0.0, -1e300, 1e300, locations[0]]
+    whole = _posterior_mean_parts(y, locations, np.log(weights), 0.5)[2]
+    pieces = []
+
+    def parts(piece, *args):
+        pieces.append(piece.shape)
+        return _posterior_mean_parts(piece, *args)
+
+    monkeypatch.setattr(ce, "_posterior_mean_parts", parts)
+    got = gaussian_posterior_mean(y, locations, weights, 0.5)
+    assert got.shape == y.shape and np.array_equal(got, whole)
+    assert all(len(shape) == 1 and shape[0] * size <= max(_BLOCK, size) for shape in pieces)
+    assert sum(shape[0] for shape in pieces) == y.size
+
+
+def test_posterior_mean_rejects_a_mixture_without_locations():
+    with pytest.raises(ConfigurationError):
+        gaussian_posterior_mean([0.3], [], [], 1.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

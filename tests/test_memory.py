@@ -1,12 +1,13 @@
 """Peak memory of the payoff estimators, the first-stage table and its
 inverter, the collocation solve and the brute-force profile sweep.
 
-The estimators and the inverter work in blocks of _BLOCK observations, so
-their temporaries do not grow with samples x levels or with outer x inner
-nodes x levels; the sweep scores profiles in blocks of _BLOCK_CELLS
-(profile, trajectory) cells.  tracemalloc sees NumPy's array buffers; the
-bounds sit well above the blocked peaks on the benchmark pair and well
-below the peaks of a single pass over the whole grid or query set.
+The estimators and the inverter work in blocks of _BLOCK observations, and
+the posterior mean in pieces of _BLOCK weights, so their temporaries do not
+grow with samples x levels or with outer x inner nodes x levels; the sweep
+scores profiles in blocks of _BLOCK_CELLS (profile, trajectory) cells.
+tracemalloc sees NumPy's array buffers; the bounds sit above the blocked
+peaks on the benchmark pair and well below the peaks of a single pass over
+the whole grid or query set.
 """
 
 from __future__ import annotations
@@ -51,24 +52,27 @@ def _peak_above_entry(fn) -> float:
 
 def test_payoff_quadrature_peak_stays_bounded(bench_params, bench_pair, rule20):
     # One pass over the ~600 x 1,280 grid holds 43 MB per posterior
-    # temporary and peaks near 77 MB; the row blocks peak near 14 MB.
+    # temporary and peaks near 77 MB.  Row blocks of _BLOCK observations
+    # held _BLOCK x levels weights and peaked near 14.5 MB; the posterior
+    # mean's pieces of _BLOCK weights peak near 7.4 MB.
     bench_pair.gamma1bar(np.linspace(-60.0, 60.0, 11))
     peak = _peak_above_entry(lambda: payoff_quadrature(bench_params, bench_pair, rule20, rule20))
-    assert peak < 30 * MB
+    assert peak < 9 * MB
 
 
 @pytest.mark.parametrize("name", ["affine", "grid"])
 def test_payoff_mc_peak_stays_below_five_sample_arrays(bench_params, name):
     # 600k samples are 4.8 MB an array.  Computing out of place held five
     # (24.1 MB): x_0's or gamma1bar's values, both misses, the cost and the
-    # standard error's deviations.  In place, the first miss takes x_0's
-    # buffer and the peak is near 19.3 MB.
+    # standard error's deviations.  In place, the first miss and then the
+    # deviations take x_0's buffer, and the peak is near 16.2 MB (affine)
+    # and 17.6 MB (grid, whose gamma1bar returns a new array).
     pair = affine_optimal(bench_params)
     if name == "grid":
         grid = default_grid(bench_params, 2049, 8.0)
         pair = strategy_from_pair(pair, bench_params, grid).to_pair()
     peak = _peak_above_entry(lambda: payoff_mc(bench_params, pair, 600_000, 3))
-    assert peak < 22 * MB
+    assert peak < 19 * MB
 
 
 def test_gamma1bar_peak_does_not_grow_with_the_queries(bench_report):

@@ -108,3 +108,35 @@ def test_rules_match_reference_implementation(order):
     rule = build_hermite_rule(order)
     assert np.max(np.abs(rule.nodes - ref_nodes)) < 1e-13
     assert np.max(np.abs(rule.weights - ref_weights) / ref_weights) < 1e-12
+
+
+def _tridiagonal_solver_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule as built from SciPy's tridiagonal eigensolver, with the same
+    Newton polish, Christoffel weights and symmetrization as the package."""
+    from scipy.linalg import eigh_tridiagonal
+
+    from pbpsolve.quadrature import _christoffel_inverse, _hermite_and_derivative
+
+    n = order
+    if n == 1:
+        return np.array([0.0]), np.array([SQRT_PI])
+    off_diag = np.sqrt(np.arange(1, n) / 2.0)
+    nodes = eigh_tridiagonal(np.zeros(n), off_diag, eigvals_only=True)
+    h, dh = _hermite_and_derivative(n, nodes)
+    nodes = nodes - h / dh
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 1.0 / _christoffel_inverse(n, nodes)
+    weights = 0.5 * (weights + weights[::-1])
+    if n % 2 == 1:
+        nodes[n // 2] = 0.0
+    return nodes, weights
+
+
+def test_dense_eigensolver_gives_the_tridiagonal_solvers_rules_bit_for_bit():
+    # np.linalg.eigvalsh of the dense Jacobi matrix replaced SciPy's
+    # eigh_tridiagonal; after the polish every rule keeps its bits.
+    for order in range(1, 65):
+        nodes, weights = _tridiagonal_solver_rule(order)
+        rule = build_hermite_rule(order)
+        assert np.array_equal(rule.nodes, nodes), order
+        assert np.array_equal(rule.weights, weights), order
