@@ -43,7 +43,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -216,19 +216,6 @@ def _emit_json(document: dict, path: Path | None) -> None:
     _emit(_json_text(document), path)
 
 
-def _payoff_block(p: PayoffBreakdown) -> dict:
-    return {
-        "estimator": p.estimator,
-        "order": p.order,
-        "samples": p.samples,
-        "seed": p.seed,
-        "stage1": p.stage1,
-        "stage2": p.stage2,
-        "std_error": p.std_error,
-        "total": p.total,
-    }
-
-
 def _payoff_blocks(
     cfg: RunConfig,
     params: ProblemParams,
@@ -241,7 +228,7 @@ def _payoff_blocks(
         rule = build_hermite_rule(cfg.quad_order)
         quad = payoff_quadrature(params, pair, rule, rule)
     mc = payoff_mc(params, pair, cfg.samples, cfg.seed)
-    return [_payoff_block(quad), _payoff_block(mc)]
+    return [asdict(quad), asdict(mc)]
 
 
 def _result_document(
@@ -400,16 +387,13 @@ def cmd_baseline(cfg: RunConfig, started: float) -> int:
     return 0
 
 
-def _curves_pair(cfg: RunConfig, params: ProblemParams) -> tuple[StrategyPair, bool]:
-    if cfg.method in _BASELINE_METHODS:
-        return _baseline_pair(cfg, params), True
-    solved = _solve(cfg, params)
-    return solved.pair, solved.ok
-
-
 def cmd_curves(cfg: RunConfig, started: float) -> int:
     params = cfg.problem_params()
-    pair, ok = _curves_pair(cfg, params)
+    if cfg.method in _BASELINE_METHODS:
+        pair, ok = _baseline_pair(cfg, params), True
+    else:
+        solved = _solve(cfg, params)
+        pair, ok = solved.pair, solved.ok
     half = _REACH * cfg.sigma_x
     x_lo, x_hi = cfg.x_range if cfg.x_range else (-half, half)
     # A collocation pair's first stage answers inside the range of its table.
@@ -433,17 +417,7 @@ def cmd_curves(cfg: RunConfig, started: float) -> int:
     out = _resolve_out(cfg.out_path)
     _emit("\n".join(lines) + "\n", out)
 
-    summary = summarize_staircase(pair, params)
-    summary_doc = {
-        "breakpoints": list(summary.breakpoints),
-        "line_rms": summary.line_rms,
-        "line_slope": summary.line_slope,
-        "shape": summary.shape,
-        "steps": summary.steps,
-        "tread_slopes": list(summary.tread_slopes),
-        "tread_values": list(summary.tread_values),
-    }
-    text = _json_text(summary_doc)
+    text = _json_text(asdict(summarize_staircase(pair, params)))
     if out is None:
         sys.stderr.write(text)
     else:

@@ -321,14 +321,6 @@ def _posterior_variance(
     return _reversal_invariant_sum(w * (m * m), axis=0) / mass - mean * mean
 
 
-def _posterior_moments(
-    y: np.ndarray, locations: np.ndarray, log_masses: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_posterior_mean_parts and the posterior variance."""
-    w, mass, mean = _posterior_mean_parts(y, locations, log_masses, sigma)
-    return w, mass, mean, _posterior_variance(w, mass, mean, locations)
-
-
 def gaussian_posterior_mean(
     y: np.ndarray,
     locations: np.ndarray,

@@ -260,7 +260,8 @@ class PicardResult:
     components); converged means the last step started from an s whose
     undamped defect max|F(s) - s| over both components was at most tol,
     whatever the damping; diverged means a step exceeded 1e6 and the
-    iteration stopped early.
+    iteration stopped early.  A step of exactly 0 at a defect above tol
+    stops it unconverged: s did not move, so every later step would be 0.
     """
 
     strategy: GridStrategy
@@ -287,9 +288,9 @@ def picard_iterate(
 
     damping must lie in (0, 1].  Stops when the sup-norm defect
     max|F(s) - s| falls to tol (converged), when a step exceeds 1e6
-    (diverged), or after max_iter applications of the operator.  The
-    defect is read from F(s) and s, not as step / damping, which can
-    round to 0 at a tiny damping.
+    (diverged), when a step is exactly 0 (not converged), or after
+    max_iter applications of the operator.  The defect is read from F(s)
+    and s, not as step / damping, which can round to 0 at a tiny damping.
     """
     if not 0.0 < damping <= 1.0:
         raise ConfigurationError(f"damping must lie in (0, 1], got {damping!r}")
@@ -310,8 +311,8 @@ def picard_iterate(
         if step > 1e6:
             diverged = True
             break
-        if defect <= tol:
-            converged = True
+        converged = defect <= tol
+        if converged or step == 0.0:
             break
     return PicardResult(
         strategy=s,

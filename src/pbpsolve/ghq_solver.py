@@ -45,7 +45,6 @@ from .counterexample import (
     StrategyPair,
     _first_stage_sum,
     _posterior_mean_parts,
-    _posterior_moments,
     _posterior_variance,
     _reversal_invariant_sum,
     affine_optimal,
@@ -301,7 +300,8 @@ def _signal_pull(
     step = max(1, _BLOCK // (rule.order * t.size))
     for a in range(0, g.size, step):
         part = g[a : a + step]
-        _, _, b, var = _posterior_moments(c * z + part, t, np.log(rule.weights), sv)
+        w, mass, b = _posterior_mean_parts(c * z + part, t, np.log(rule.weights), sv)
+        var = _posterior_variance(w, mass, b, t)
         d = part - b
         pull[a : a + step] = _first_stage_sum(d, rule, params)
         slope[a : a + step] = _node_gain(d, var, rule, sv)[1] / (SQRT_PI * params.k**2)
@@ -342,6 +342,14 @@ def _quantizer_init(params: ProblemParams, rule: QuadratureRule) -> np.ndarray:
         # A single node at 0 leaves no lattice to snap to.
         return x0
     return delta * np.round(x0 / delta)
+
+
+# The named starts, in the order "auto" solves them.
+_STARTS = {"affine": _affine_init, "quantizer": _quantizer_init}
+# Residual evaluations per unknown plus one that a least-squares solve may
+# make.  It bounds what a stalled start costs: an n = 64 solve took 112 s
+# for 5,241 evaluations at the benchmark, and the budget allows 32,500.
+_NFEV_PER_UNKNOWN = 500
 
 
 class _OnePointSystem:
@@ -408,7 +416,7 @@ def _single_solve(
             xtol=3e-16,
             ftol=3e-16,
             gtol=3e-16,
-            max_nfev=500 * (rule.order + 1),
+            max_nfev=_NFEV_PER_UNKNOWN * (rule.order + 1),
         )
         t = result.x
         residual = result.fun
@@ -452,10 +460,11 @@ def solve_signaling_levels(
     two within tol of each other the affine one), or an explicit list of
     level values, each collocation point receiving the nearest listed value
     (so the list order is immaterial and a short list of tread values
-    suffices).  With iterate=False the residual is evaluated at
-    the start without optimization, which reports the defect of a
-    hypothesized level vector.  converged means the Euclidean residual norm
-    is at most tol.  Iterating under a non-Gaussian prior is refused.
+    suffices).  With iterate=False the residual is evaluated at the start
+    without optimization, which reports the defect of a hypothesized level
+    vector.  converged means the Euclidean residual norm is at most tol.
+    A least-squares solve makes at most 500 (n + 1) residual evaluations at
+    order n.  Iterating under a non-Gaussian prior is refused.
     """
     if not tol > 0.0:
         raise ConfigurationError("tol must be positive")
@@ -463,20 +472,15 @@ def solve_signaling_levels(
         raise ConfigurationError("the collocation solve iterates only under the Gaussian prior")
     if isinstance(init, str):
         key = init.lower()
-        if key == "affine":
-            return _single_solve(params, rule, _affine_init(params, rule), "affine", tol, iterate)
-        if key == "quantizer":
-            start = _quantizer_init(params, rule)
-            return _single_solve(params, rule, start, "quantizer", tol, iterate)
+        if key in _STARTS:
+            return _single_solve(params, rule, _STARTS[key](params, rule), key, tol, iterate)
         if key != "auto":
             raise ConfigurationError(
                 f"init must be 'affine', 'quantizer', 'auto', or a vector, got {init!r}"
             )
         reports = [
-            _single_solve(params, rule, _affine_init(params, rule), "auto:affine", tol, iterate),
-            _single_solve(
-                params, rule, _quantizer_init(params, rule), "auto:quantizer", tol, iterate
-            ),
+            _single_solve(params, rule, start(params, rule), f"auto:{name}", tol, iterate)
+            for name, start in _STARTS.items()
         ]
         converged = [r for r in reports if r.converged]
         # Two converged level vectors within tol of each other are one

@@ -338,14 +338,6 @@ def uniform_profile(model: FiniteTeamModel, action: int = 0) -> StrategyProfile:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _check_trajectory_cap(model: FiniteTeamModel) -> None:
-    count = (model.num_states * model.total_obs) ** model.horizon
-    if count > _MAX_TRAJECTORIES:
-        raise ConfigurationError(
-            f"model enumerates {count} trajectories, above the {_MAX_TRAJECTORIES} cap"
-        )
-
-
 @dataclass(frozen=True)
 class _TrajectoryTable:
     """Every (state, observation) path of a model, one row per trajectory.
@@ -367,7 +359,11 @@ class _TrajectoryTable:
 
 def _trajectory_table(model: FiniteTeamModel) -> _TrajectoryTable:
     """Enumerate the model's trajectories once; refuses more than 1e7."""
-    _check_trajectory_cap(model)
+    count = (model.num_states * model.total_obs) ** model.horizon
+    if count > _MAX_TRAJECTORIES:
+        raise ConfigurationError(
+            f"model enumerates {count} trajectories, above the {_MAX_TRAJECTORIES} cap"
+        )
     n = model.horizon
     starts = np.flatnonzero(model.initial != 0.0)
     shape = (starts.size, model.total_obs) + (model.num_states, model.total_obs) * (n - 1)

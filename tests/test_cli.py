@@ -16,6 +16,7 @@ import pytest
 
 import pbpsolve
 from pbpsolve import (
+    PayoffBreakdown,
     ProblemParams,
     SignalingLevels,
     affine_optimal,
@@ -451,9 +452,19 @@ def test_payoff_blocks_reuse_only_a_quadrature_of_the_requested_order():
     known = payoff_quadrature(params, pair, rule, rule)
     fake = dataclasses.replace(known, stage1=0.0, total=known.stage2)
     kept = cli._payoff_blocks(RunConfig("solve", samples=100), params, pair, fake)
-    assert kept[0] == cli._payoff_block(fake)
+    assert kept[0] == dataclasses.asdict(fake)
     other = cli._payoff_blocks(RunConfig("solve", samples=100, quad_order=24), params, pair, fake)
     assert other[0]["order"] == 24 and other[0]["stage1"] > 0.0
+
+
+def test_payoff_record_and_result_schema_name_the_same_fields():
+    # Each payoff block is the record's asdict, so the schema must list
+    # exactly the record's fields.
+    schema_path = Path(__file__).parents[1] / "docs" / "result-schema.json"
+    items = json.loads(schema_path.read_text())["properties"]["payoff"]["items"]
+    fields = {f.name for f in dataclasses.fields(PayoffBreakdown)}
+    assert set(items["required"]) == fields
+    assert set(items["properties"]) == fields
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,8 @@ def test_weak_penalty_regime_is_expansive(bench_params, bench_pair, rule7):
 def test_a_vanishing_damping_does_not_pass_for_convergence(strong_params, rule7):
     # With damping 1e-300 every step rounds to 0 while the start, the
     # affine pair at k = 5, is about 1e-4 from F of itself; the stopping
-    # test reads the undamped defect, not the step.
+    # test reads the undamped defect, not the step.  The strategy never
+    # moves, so the first zero step ends the iteration, not converged.
     grid = default_grid(strong_params, points=513, span=8.0)
     init = strategy_from_pair(affine_optimal(strong_params), strong_params, grid)
     image = apply_F(init, strong_params, rule7)
@@ -318,8 +319,10 @@ def test_a_vanishing_damping_does_not_pass_for_convergence(strong_params, rule7)
                  np.max(np.abs(image.values2 - init.values2)))
     assert defect > 1e-6
     result = picard_iterate(init, strong_params, rule7, damping=1e-300, max_iter=3)
-    assert max(result.steps) <= 1e-10
-    assert not result.converged and result.iterations == 3
+    assert result.steps == (0.0,)
+    assert not result.converged and result.iterations == 1
+    assert np.array_equal(result.strategy.values1, init.values1)
+    assert np.array_equal(result.strategy.values2, init.values2)
 
 
 def test_step_history_is_recorded(unit_params, rule40):

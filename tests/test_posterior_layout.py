@@ -25,7 +25,8 @@ from pbpsolve import (
 )
 from pbpsolve.counterexample import (
     _exp_in_place,
-    _posterior_moments,
+    _posterior_mean_parts,
+    _posterior_variance,
     _posterior_weights,
     _reversal_invariant_sum,
 )
@@ -156,7 +157,8 @@ def test_posterior_kernels_match_the_locations_last_kernels_bitwise(n):
             want = _weights_last(y, locations, log_masses, sigma)
             assert _same(w, np.moveaxis(want, -1, 0)), name
 
-            got = _posterior_moments(y, locations, log_masses, sigma)
+            got = _posterior_mean_parts(y, locations, log_masses, sigma)
+            got += (_posterior_variance(*got, locations),)
             want = _moments_last(y, locations, log_masses, sigma)
             assert _same(got[0], np.moveaxis(want[0], -1, 0)), name
             for part, a, b in zip(("mass", "mean", "variance"), got[1:], want[1:]):
