@@ -46,7 +46,6 @@ from .ghq_solver import (
     SolveReport,
     StaircaseSummary,
     collocation_pair,
-    distinct_levels,
     expand_distinct_levels,
     residual_jacobian,
     residual_system,
@@ -107,7 +106,6 @@ __all__ = [
     "build_hermite_rule",
     "collocation_pair",
     "default_grid",
-    "distinct_levels",
     "expand_distinct_levels",
     "expected_cost",
     "frechet_kernel",

@@ -44,7 +44,6 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +63,7 @@ from .counterexample import (
 from .errors import ConfigurationError, NumericError
 from .fixed_point import default_grid, picard_iterate, strategy_from_pair
 from .ghq_solver import (
+    _STARTS,
     SignalingLevels,
     collocation_pair,
     expand_distinct_levels,
@@ -72,6 +72,7 @@ from .ghq_solver import (
     summarize_staircase,
 )
 from .measure_change import (
+    _bundled_model_text,
     _parse_model_document,
     brute_force_pbp,
     model_from_dict,
@@ -85,8 +86,10 @@ OUTPUT_DIR_ENV = "PBPSOLVE_OUTPUT_DIR"
 BUNDLED_MODELS = ("identity", "random42", "corrupted")
 
 _SOLVE_METHODS = ("ghq", "picard")
-_BASELINE_METHODS = ("affine", "wit")
-_CURVE_METHODS = ("ghq", "picard", "affine", "wit")
+_BASELINES = {"affine": affine_optimal, "wit": wit_nonlinear}
+_BASELINE_METHODS = tuple(_BASELINES)
+_CURVE_METHODS = (*_SOLVE_METHODS, *_BASELINE_METHODS)
+_INIT_FORMS = ", ".join(("auto", *_STARTS)) + ", or user:v1,v2,..."
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +177,8 @@ def _parse_init(text: str) -> str | np.ndarray:
             return np.array([float(tok) for tok in tokens], dtype=float)
         except ValueError as exc:
             raise ConfigurationError(f"bad user initialization {body!r}: {exc}") from None
-    if text not in ("auto", "affine", "quantizer"):
-        raise ConfigurationError(
-            f"init must be auto, affine, quantizer, or user:v1,v2,..., got {text!r}"
-        )
+    if text != "auto" and text not in _STARTS:
+        raise ConfigurationError(f"init must be {_INIT_FORMS}, got {text!r}")
     return text
 
 
@@ -315,17 +316,16 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
 
     if not cfg.iterate:
         raise ConfigurationError("--no-iterate applies only to --method ghq")
-    if isinstance(init, np.ndarray):
-        start_levels = expand_distinct_levels(init, params, rule)
-        start_pair = collocation_pair(SignalingLevels(start_levels, rule.order, params))
-        tag = "user"
-    elif init == "quantizer":
-        report = solve_signaling_levels(params, rule, init="quantizer", iterate=False)
-        start_pair = collocation_pair(report.levels)
-        tag = "quantizer"
+    # auto and affine start from the affine pair; every other start from
+    # the collocation pair of its levels.
+    if isinstance(init, str) and init in ("auto", "affine"):
+        start_pair, tag = affine_optimal(params), "affine"
     else:
-        start_pair = affine_optimal(params)
-        tag = "affine"
+        if isinstance(init, np.ndarray):
+            start_levels, tag = expand_distinct_levels(init, params, rule), "user"
+        else:
+            start_levels, tag = _STARTS[init](params, rule), init
+        start_pair = collocation_pair(SignalingLevels(start_levels, rule.order, params))
     grid = default_grid(params, points=cfg.grid_points, span=cfg.grid_span)
     start = strategy_from_pair(start_pair, params, grid)
     result = picard_iterate(
@@ -344,14 +344,6 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
         strategy.to_pair(),
         result.converged,
     )
-
-
-def _baseline_pair(cfg: RunConfig, params: ProblemParams) -> StrategyPair:
-    if cfg.method == "affine":
-        return affine_optimal(params)
-    if cfg.method == "wit":
-        return wit_nonlinear(params)
-    raise ConfigurationError(f"baseline method must be affine or wit, got {cfg.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +371,11 @@ def cmd_solve(cfg: RunConfig, started: float) -> int:
 
 def cmd_baseline(cfg: RunConfig, started: float) -> int:
     params = cfg.problem_params()
-    pair = _baseline_pair(cfg, params)
+    if cfg.method not in _BASELINES:
+        raise ConfigurationError(
+            f"baseline method must be {' or '.join(_BASELINES)}, got {cfg.method!r}"
+        )
+    pair = _BASELINES[cfg.method](params)
     doc = _result_document(
         cfg, cfg.method, None, None, None, None, pair, params, started
     )
@@ -389,8 +385,8 @@ def cmd_baseline(cfg: RunConfig, started: float) -> int:
 
 def cmd_curves(cfg: RunConfig, started: float) -> int:
     params = cfg.problem_params()
-    if cfg.method in _BASELINE_METHODS:
-        pair, ok = _baseline_pair(cfg, params), True
+    if cfg.method in _BASELINES:
+        pair, ok = _BASELINES[cfg.method](params), True
     else:
         solved = _solve(cfg, params)
         pair, ok = solved.pair, solved.ok
@@ -431,8 +427,7 @@ def _load_model_text(name_or_path: str) -> tuple[str, str]:
     if path.exists():
         return str(path), path.read_text()
     if name_or_path in BUNDLED_MODELS:
-        res = resources.files("pbpsolve").joinpath("models", f"{name_or_path}.json")
-        return name_or_path, res.read_text()
+        return name_or_path, _bundled_model_text(name_or_path)
     raise ConfigurationError(
         f"model {name_or_path!r} is neither a file nor one of the bundled "
         f"models {', '.join(BUNDLED_MODELS)}"
@@ -463,17 +458,9 @@ def cmd_verify(cfg: RunConfig, started: float) -> int:
     profile = uniform_profile(model)
     mart = verify_martingale(model, profile, tol=tol)
     pay = payoff_equivalence(model, profile, tol=tol)
-    doc["martingale"] = {
-        "conditional_error": mart.conditional_error,
-        "passed": mart.passed,
-        "unit_mean_error": mart.unit_mean_error,
-    }
-    doc["payoff"] = {
-        "difference": pay.difference,
-        "original": pay.original,
-        "passed": pay.passed,
-        "via_reference": pay.via_reference,
-    }
+    # The document states tol once, at its top level.
+    doc["martingale"] = {key: v for key, v in asdict(mart).items() if key != "tol"}
+    doc["payoff"] = {key: v for key, v in asdict(pay).items() if key != "tol"}
     passed = mart.passed and pay.passed
     if cfg.pbp:
         pbp = brute_force_pbp(model, tol=tol)
@@ -526,7 +513,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--init", help="solver start: auto, affine, quantizer, or user:v1,v2,...")
+    p.add_argument("--init", help=f"solver start: {_INIT_FORMS}")
     p.add_argument(
         "--no-iterate",
         dest="iterate",

@@ -475,9 +475,8 @@ def solve_signaling_levels(
         if key in _STARTS:
             return _single_solve(params, rule, _STARTS[key](params, rule), key, tol, iterate)
         if key != "auto":
-            raise ConfigurationError(
-                f"init must be 'affine', 'quantizer', 'auto', or a vector, got {init!r}"
-            )
+            names = ", ".join(f"'{name}'" for name in (*_STARTS, "auto"))
+            raise ConfigurationError(f"init must be {names}, or a vector, got {init!r}")
         reports = [
             _single_solve(params, rule, start(params, rule), f"auto:{name}", tol, iterate)
             for name, start in _STARTS.items()
@@ -849,16 +848,3 @@ def summarize_staircase(pair: StrategyPair, params: ProblemParams) -> StaircaseS
         line_rms=fit_rms,
         shape=shape,
     )
-
-
-def distinct_levels(levels: SignalingLevels) -> np.ndarray:
-    """Cluster a level vector into its distinct signaling values.
-
-    Values are sorted and split wherever a gap exceeds 2% of the total
-    range (separating treads, which are narrow clusters, from the much
-    wider spacing between signaling levels); each cluster is represented by
-    its mean.  A zero-range vector is a single level.
-    """
-    t = np.sort(np.asarray(levels.levels, dtype=float))
-    cuts = np.flatnonzero(np.diff(t) > 0.02 * float(t[-1] - t[0])) + 1
-    return np.array([float(np.mean(part)) for part in np.split(t, cuts)])

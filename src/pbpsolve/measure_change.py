@@ -53,6 +53,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, fields
+from importlib import resources
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -986,6 +987,11 @@ def _parse_model_document(text: str, name: str) -> object:
         raise ConfigurationError(f"model {name}: invalid JSON: nested too deeply") from None
 
 
+def _bundled_model_text(name: str) -> str:
+    """The JSON text of the model bundled with the package under name."""
+    return resources.files("pbpsolve").joinpath("models", f"{name}.json").read_text()
+
+
 def load_model(path: str | Path) -> FiniteTeamModel:
     """Load and validate a model JSON file.
 
@@ -1068,29 +1074,4 @@ def identity_model() -> FiniteTeamModel:
     state 1; references are uniform.  The unique optimum is u_1 = 0 and
     u_2 = y_1 (report the observed state), with expected cost 1/2.
     """
-    eye = np.eye(2)
-    flip = np.empty((2, 2, 2))
-    for x in range(2):
-        for u in range(2):
-            flip[x, u] = eye[x ^ u]
-    observe = np.empty((2, 2, 2))
-    for x in range(2):
-        for u in range(2):
-            observe[x, u] = eye[x]
-    uniform = np.array([0.5, 0.5])
-    flip_price = np.array([[0.0, 0.25], [0.0, 0.25]])
-    mismatch = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return FiniteTeamModel(
-        horizon=2,
-        num_states=2,
-        obs_sizes=(2,),
-        action_sizes=(2,),
-        initial=uniform,
-        transitions=(flip,),
-        observations=(observe, observe),
-        obs_reference=(uniform, uniform),
-        state_reference=(uniform,),
-        stage_costs=(flip_price, mismatch),
-        terminal_cost=np.array([0.0, 1.0]),
-        info=(((), (("y", 0, 0),)),),
-    )
+    return model_from_dict(json.loads(_bundled_model_text("identity")))

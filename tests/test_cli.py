@@ -16,7 +16,9 @@ import pytest
 
 import pbpsolve
 from pbpsolve import (
+    MartingaleReport,
     PayoffBreakdown,
+    PayoffEquivalenceReport,
     ProblemParams,
     SignalingLevels,
     affine_optimal,
@@ -32,6 +34,7 @@ from pbpsolve import (
 from pbpsolve import cli, ghq_solver
 from pbpsolve.cli import RunConfig, _parse_init, main
 from pbpsolve.errors import ConfigurationError, NumericError
+from pbpsolve.fixed_point import default_grid, strategy_from_pair
 from pbpsolve.quadrature import build_hermite_rule
 
 FAST_SOLVE = [
@@ -112,14 +115,53 @@ def test_every_option_sets_the_run_config_field_of_its_name():
 
 
 def test_init_parsing():
-    assert _parse_init("auto") == "auto"
+    # The named starts are auto and the keys of the solver's one start table.
+    names = ("auto", *ghq_solver._STARTS)
+    for name in names:
+        assert _parse_init(name) == name
     assert np.array_equal(_parse_init("user:1,2.5,-3"), np.array([1.0, 2.5, -3.0]))
     with pytest.raises(ConfigurationError):
         _parse_init("user:")
     with pytest.raises(ConfigurationError):
         _parse_init("user:1,abc")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as cli_error:
         _parse_init("noinit")
+    with pytest.raises(ConfigurationError) as library_error:
+        solve_signaling_levels(
+            ProblemParams(k=1.0, sigma=1.0, sigma_x=1.0), build_hermite_rule(3), init="noinit"
+        )
+    for name in names:
+        assert name in str(cli_error.value)
+        assert f"'{name}'" in str(library_error.value)
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("init", ["auto", *ghq_solver._STARTS])
+def test_picard_starts_from_the_named_start(monkeypatch, init):
+    # auto and affine start from the affine pair; every other named start
+    # from the collocation pair of its levels.
+    params = ProblemParams(k=5.0, sigma=1.0, sigma_x=1.0)
+    cfg = RunConfig("solve", k=5.0, sigma_x=1.0, method="picard", init=init, grid_points=65)
+    rule = build_hermite_rule(cfg.n)
+    if init in ("auto", "affine"):
+        pair = affine_optimal(params)
+    else:
+        levels = ghq_solver._STARTS[init](params, rule)
+        pair = collocation_pair(SignalingLevels(levels, rule.order, params))
+    grid = default_grid(params, points=cfg.grid_points, span=cfg.grid_span)
+    expected = strategy_from_pair(pair, params, grid)
+
+    def stop(start, *args, **kwargs):
+        assert np.array_equal(start.values1, expected.values1)
+        assert np.array_equal(start.values2, expected.values2)
+        raise _Started
+
+    monkeypatch.setattr(cli, "picard_iterate", stop)
+    with pytest.raises(_Started):
+        cli._solve(cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +532,22 @@ def test_baseline_matches_the_library_estimators(capsys):
     assert doc["payoff"][1]["std_error"] == mc.std_error
 
 
+@pytest.mark.parametrize("method", list(cli._BASELINES))
+def test_baseline_reports_the_pair_of_its_table_entry(capsys, method):
+    code, out, _ = run_cli(
+        capsys, "baseline", "--k", "1", "--sigma-x", "1", "--method", method,
+        "--samples", "2000",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    params = ProblemParams(k=1.0, sigma=1.0, sigma_x=1.0)
+    pair = cli._BASELINES[method](params)
+    rule = build_hermite_rule(20)
+    assert doc["method"] == method
+    assert (doc["lam"], doc["mu"]) == (pair.lam, pair.mu)
+    assert doc["payoff"][0]["total"] == payoff_quadrature(params, pair, rule, rule).total
+
+
 def test_two_point_baseline_has_zero_first_stage(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -659,6 +717,17 @@ def test_verify_with_brute_force_sweep(capsys):
     assert doc["pbp"]["best_cost"] == 0.5
     assert doc["pbp"]["num_profiles"] == 8
     assert doc["pbp"]["worst_deviation_gain"] == -0.25
+
+
+def test_verify_records_and_verify_schema_name_the_same_fields():
+    # The martingale and payoff blocks are their reports' asdict less tol,
+    # which the document states once at its top level.
+    schema_path = Path(__file__).parents[1] / "docs" / "verify-schema.json"
+    blocks = json.loads(schema_path.read_text())["properties"]
+    for block, record in (("martingale", MartingaleReport), ("payoff", PayoffEquivalenceReport)):
+        names = {f.name for f in dataclasses.fields(record)} - {"tol"}
+        assert set(blocks[block]["required"]) == names, block
+        assert set(blocks[block]["properties"]) == names, block
 
 
 def test_verify_unknown_model_exits_two(capsys):

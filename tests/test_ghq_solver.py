@@ -23,7 +23,6 @@ from pbpsolve import (
     TwoPointSymmetricPrior,
     affine_optimal,
     collocation_pair,
-    distinct_levels,
     expand_distinct_levels,
     jump_breakpoints,
     payoff_quadrature,
@@ -38,6 +37,7 @@ from pbpsolve.counterexample import _BLOCK
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve import counterexample, ghq_solver
 from pbpsolve.ghq_solver import (
+    _STARTS,
     _TABLE_POINTS,
     _affine_init,
     _bisect,
@@ -216,8 +216,7 @@ def test_jacobian_accepts_bundle_or_vector(bench_params, rule7, bench_report):
 def test_analytic_and_finite_difference_solves_agree(bench_params, rule7):
     """The old finite-difference least-squares solve is kept here as an
     oracle: both reach the same benchmark levels."""
-    starts = {"affine": _affine_init, "quantizer": _quantizer_init}
-    for init, make_start in starts.items():
+    for init, make_start in _STARTS.items():
         oracle = least_squares(
             residual_system, make_start(bench_params, rule7), args=(bench_params, rule7),
             method="trf", diff_step=1e-6, xtol=3e-16, ftol=3e-16, gtol=3e-16,
@@ -1194,21 +1193,3 @@ def test_staircase_summary_of_affine_pair_is_one_linear_tread(unit_params):
     assert summary.line_slope == pytest.approx(pair.lam, abs=1e-10)
     assert summary.tread_slopes[0] == pytest.approx(pair.lam, abs=1e-10)
     assert summary.line_rms < 1e-10
-
-
-def test_distinct_levels_of_benchmark(bench_report):
-    reps = distinct_levels(bench_report.levels)
-    assert reps.shape == (7,)
-    assert np.max(np.abs(np.sort(reps) - np.sort(bench_report.levels.levels))) == 0.0
-
-
-def test_distinct_levels_clusters_treads(bench_params):
-    vec = np.array([-10.0, -10.0 + 1e-9, -10.0 + 2e-9, 0.0, 10.0, 10.0, 10.0 - 1e-9])
-    bundle = SignalingLevels(np.sort(vec), 7, bench_params)
-    reps = distinct_levels(bundle)
-    assert reps == pytest.approx([-10.0, 0.0, 10.0], abs=1e-8)
-
-
-def test_distinct_levels_constant_vector(bench_params):
-    bundle = SignalingLevels(np.full(7, 2.0), 7, bench_params)
-    assert distinct_levels(bundle).tolist() == [2.0]

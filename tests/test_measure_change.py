@@ -485,6 +485,24 @@ def test_brute_force_on_the_bundled_example():
     assert best[1].tolist() == [0, 1]
 
 
+def test_the_bundled_identity_model_is_the_one_its_docstring_describes():
+    # identity_model() reads models/identity.json; the laws and costs below
+    # are written out from its docstring.
+    eye = np.eye(2)
+    flip = np.array([[eye[x ^ u] for u in range(2)] for x in range(2)])
+    observe = np.array([[eye[x] for _ in range(2)] for x in range(2)])
+    m = identity_model()
+    assert (m.horizon, m.num_states, m.obs_sizes, m.action_sizes) == (2, 2, (2,), (2,))
+    assert m.info == (((), (("y", 0, 0),)),)
+    assert np.array_equal(m.initial, [0.5, 0.5])
+    assert np.array_equal(m.transitions[0], flip)
+    assert all(np.array_equal(law, observe) for law in m.observations)
+    assert all(np.array_equal(ref, [0.5, 0.5]) for ref in m.obs_reference + m.state_reference)
+    assert np.array_equal(m.stage_costs[0], [[0.0, 0.25], [0.0, 0.25]])
+    assert np.array_equal(m.stage_costs[1], [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(m.terminal_cost, [0.0, 1.0])
+
+
 def test_constant_cost_makes_every_profile_optimal():
     m = _trivial_model(stage_costs=(np.full((1, 2), 3.0),), terminal_cost=np.array([1.0]))
     report = brute_force_pbp(m)
