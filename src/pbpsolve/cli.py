@@ -90,6 +90,9 @@ _BASELINES = {"affine": affine_optimal, "wit": wit_nonlinear}
 _BASELINE_METHODS = tuple(_BASELINES)
 _CURVE_METHODS = (*_SOLVE_METHODS, *_BASELINE_METHODS)
 _INIT_FORMS = ", ".join(("auto", *_STARTS)) + ", or user:v1,v2,..."
+# The largest sample, row and grid counts: each sizes arrays of that many
+# floats, and NumPy refuses far larger ones with an error, not a message.
+_MAX_COUNT = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,9 @@ class RunConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.points < 2:
             raise ConfigurationError("points must be >= 2")
+        for name in ("samples", "points", "grid_points"):
+            if getattr(self, name) > _MAX_COUNT:
+                raise ConfigurationError(f"{name} must be at most {_MAX_COUNT:,}")
         if self.tol is not None and not 0.0 <= self.tol < math.inf:
             raise ConfigurationError(f"tol must be positive or zero, got {self.tol!r}")
         if self.prior not in ("gaussian", "twopoint"):
@@ -608,6 +614,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
     sys.stderr.write(f"elapsed: {time.perf_counter() - started:.3f} s\n")
     return code

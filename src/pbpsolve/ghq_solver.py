@@ -17,7 +17,9 @@ The module evaluates the residual f(t) = t - x0 + R(t) (summed so that
 f(-t reversed) is the exact bitwise negation-reversal of f(t)) and its
 analytic Jacobian, solves f(t) = 0 by trust-region least squares from
 affine, quantizer, or user-supplied starts, and converts a converged level
-vector into an evaluable strategy pair.  B and R are the shared kernels
+vector into an evaluable strategy pair; from an odd start (t = -t
+reversed, as both named starts are) it iterates on the upper n // 2
+levels alone.  B and R are the shared kernels
 _posterior_mean_parts (the one beneath gaussian_posterior_mean) and
 _first_stage_sum of counterexample; a least-squares point computes them
 once for its residual and its Jacobian.  The second
@@ -95,11 +97,12 @@ class SolveReport:
     """Outcome of a level solve.
 
     residual_norm is the Euclidean norm of the residual vector at the
-    returned levels (the least-squares iteration's own last residual);
-    converged means residual_norm <= tol (enforced); iterations counts
-    every residual-vector evaluation the least-squares iteration made (its
-    nfev: the Jacobian is analytic, so no finite-difference evaluations
-    are hidden); jacobian_evaluations counts its Jacobian evaluations
+    returned levels (the least-squares iteration's own last residual,
+    mirrored from the upper half of an odd start); converged means
+    residual_norm <= tol (enforced); iterations counts every residual
+    evaluation the least-squares iteration made, reduced or not (its nfev:
+    the Jacobian is analytic, so no finite-difference evaluations are
+    hidden); jacobian_evaluations counts its Jacobian evaluations
     (njev), each on the posterior weights its point's residual already
     computed; both are 0 without iteration.  init
     records which initialization produced the result.  payoff is the
@@ -158,17 +161,20 @@ def _level_vector(
 
 @dataclass(frozen=True)
 class _CollocationPoint:
-    """The collocation system evaluated at a level vector t.
+    """The collocation system evaluated at a level vector t, in its
+    columns cols (ascending indices into t).
 
     y[i, l] = c z_i + t_l are the observations (c = sqrt(2) sigma), w the
     unnormalized posterior weights of the levels at them (levels on axis
-    0, so w is n x n x n: 262,144 weights, 2 MB, at n = 64), mass their
-    total, mean the posterior mean B and f the residual vector.  The
-    Jacobian is a tail on this state (_collocation_jacobian), so a
-    least-squares point that needs both computes the weights once.
+    0, so w is n x n x cols.size: 262,144 weights, 2 MB, at n = 64 with
+    every column), mass their total, mean the posterior mean B and f the
+    residual entries of the columns.  The Jacobian is a tail on this state
+    (_collocation_jacobian), so a least-squares point that needs both
+    computes the weights once.
     """
 
     t: np.ndarray
+    cols: np.ndarray
     y: np.ndarray
     w: np.ndarray
     mass: np.ndarray
@@ -177,33 +183,38 @@ class _CollocationPoint:
 
 
 def _collocation_point(
-    t: np.ndarray, params: ProblemParams, rule: QuadratureRule
+    t: np.ndarray, params: ProblemParams, rule: QuadratureRule, cols: np.ndarray | None = None
 ) -> _CollocationPoint:
-    """The weights, mean and residual at t in one pass over all noise
-    nodes and levels; each residual entry depends on its own level's
-    column alone, so this is the residual of _signal_pull's pieces bit for
-    bit."""
+    """The weights, mean and residual in the columns cols (all by default)
+    at t, in one pass over all noise nodes and levels; each residual entry
+    depends on its own level's column alone, so this is the residual of
+    _signal_pull's pieces, and of residual_system in those columns, bit
+    for bit."""
+    cols = np.arange(t.size) if cols is None else cols
     sv = params.sigma
-    y = math.sqrt(2.0) * sv * rule.nodes[:, None] + t
+    tc = t[cols]
+    y = math.sqrt(2.0) * sv * rule.nodes[:, None] + tc
     log_masses = np.log(np.ascontiguousarray(rule.weights))
     w, mass, mean = _posterior_mean_parts(y, t, log_masses, sv)
-    x0 = math.sqrt(2.0) * params.sigma_x * rule.nodes
-    f = t - x0 + _first_stage_sum(t - mean, rule, params)
-    return _CollocationPoint(t, y, w, mass, mean, f)
+    x0 = math.sqrt(2.0) * params.sigma_x * rule.nodes[cols]
+    f = tc - x0 + _first_stage_sum(tc - mean, rule, params)
+    return _CollocationPoint(t, cols, y, w, mass, mean, f)
 
 
 def _collocation_jacobian(
     point: _CollocationPoint, params: ProblemParams, rule: QuadratureRule
 ) -> np.ndarray:
-    """The Jacobian of residual_jacobian from the state of its point."""
-    t, y, w, mass, b = point.t, point.y, point.w, point.mass, point.mean
+    """The rows cols of residual_jacobian from the state of its point;
+    when cols is the upper half U of an odd t, whose lower half moves as
+    its negated mirror, the mirrored columns fold in: J[U, U] - J[U, n-1-U]."""
+    t, cols, y, w, mass, b = point.t, point.cols, point.y, point.w, point.mass, point.mean
     sv = params.sigma
     var_scale = sv * sv
     var = _posterior_variance(w, mass, b, t)
-    g, diag = _node_gain(t - b, var, rule, sv)
+    g, diag = _node_gain(t[cols] - b, var, rule, sv)
     # p_ilm = w_mil / mass_il (the weights hold the levels m on axis 0); the
     # normalization rides on g.  The node sum runs along axis 1 and gives
-    # the cross term as [m, l].  The n x n x n products are formed in
+    # the cross term as [m, l].  The n x n x cols.size products are formed in
     # place: the same elementwise operations, three buffers instead of six.
     t_m = t[:, None, None]
     dev = t_m - b
@@ -213,7 +224,9 @@ def _collocation_jacobian(
     terms = g / mass * w
     terms *= dev
     cross = _reversal_invariant_sum(terms, axis=1)
-    return np.eye(t.size) + (np.diag(diag) - cross.T) / (SQRT_PI * params.k**2)
+    eye = np.eye(t.size)[cols]
+    jac = eye + (np.where(eye > 0.0, diag[:, None], 0.0) - cross.T) / (SQRT_PI * params.k**2)
+    return jac if cols.size == t.size else jac[:, cols] - jac[:, t.size - 1 - cols]
 
 
 def _node_gain(
@@ -346,15 +359,17 @@ def _quantizer_init(params: ProblemParams, rule: QuadratureRule) -> np.ndarray:
 
 # The named starts, in the order "auto" solves them.
 _STARTS = {"affine": _affine_init, "quantizer": _quantizer_init}
-# Residual evaluations per unknown plus one that a least-squares solve may
-# make.  It bounds what a stalled start costs: an n = 64 solve took 112 s
-# for 5,241 evaluations at the benchmark, and the budget allows 32,500.
+# Residual evaluations per collocation point plus one that a least-squares
+# solve may make, on all levels or the upper half.  It bounds what a stalled
+# start costs: an n = 64 solve took 26 s for 5,245 evaluations at the
+# benchmark (2-core x86-64 host), and the budget allows 32,500.
 _NFEV_PER_UNKNOWN = 500
 
 
 class _OnePointSystem:
-    """fun and jac of one least-squares solve, sharing the state of the
-    last point evaluated.
+    """fun and jac of one least-squares solve on the levels x in columns
+    cols, all or the upper half of an odd vector (_full_vector), sharing
+    the state of the last point evaluated.
 
     least_squares asks for the Jacobian only at the point whose residual
     it has just evaluated, so jac(x) puts the Jacobian tail on the cached
@@ -362,18 +377,20 @@ class _OnePointSystem:
     held at a time: its state, and its Jacobian once asked for.
     """
 
-    def __init__(self, params: ProblemParams, rule: QuadratureRule) -> None:
+    def __init__(self, params: ProblemParams, rule: QuadratureRule, cols: np.ndarray) -> None:
         self._params = params
         self._rule = rule
+        self._cols = cols
         self._point: _CollocationPoint | None = None
         self._jac: np.ndarray | None = None
 
     def fun(self, x: np.ndarray) -> np.ndarray:
-        if self._point is None or not np.array_equal(x, self._point.t):
+        if self._point is None or not np.array_equal(x, self._point.t[self._cols]):
             # Drop the old state before the new one is built.
             self._point = None
             self._jac = None
-            self._point = _collocation_point(np.array(x, dtype=float), self._params, self._rule)
+            t = _full_vector(np.array(x, dtype=float), self._rule.order)
+            self._point = _collocation_point(t, self._params, self._rule, self._cols)
         return self._point.f
 
     def jac(self, x: np.ndarray) -> np.ndarray:
@@ -381,6 +398,12 @@ class _OnePointSystem:
         if self._jac is None:
             self._jac = _collocation_jacobian(self._point, self._params, self._rule)
         return self._jac
+
+
+def _full_vector(x: np.ndarray, n: int) -> np.ndarray:
+    """x itself when it has n entries, else the odd vector of length n
+    whose upper entries are x (an odd n puts 0 in the middle)."""
+    return x if x.size == n else np.concatenate([-x[::-1], np.zeros(n % 2), x])
 
 
 def _single_solve(
@@ -397,11 +420,15 @@ def _single_solve(
         # least_squares begins with the residual and Jacobian at the start:
         # they are evaluated once here, checked, and kept in the cache that
         # its first calls read.  A non-finite one would end inside SciPy
-        # (its start check, or the SVD of J).
-        system = _OnePointSystem(params, rule)
+        # (its start check, or the SVD of J).  The residual of an odd start
+        # (n >= 2) stays odd at every iterate, so only the upper half moves.
+        odd = start.size >= 2 and np.array_equal(start, -start[::-1])
+        cols = np.arange(start.size - start.size // 2 if odd else 0, start.size)
+        x0 = start[cols]
+        system = _OnePointSystem(params, rule, cols)
         with np.errstate(over="ignore", invalid="ignore"):
-            f0 = system.fun(start)
-            j0 = system.jac(start) if np.all(np.isfinite(f0)) else None
+            f0 = system.fun(x0)
+            j0 = system.jac(x0) if np.all(np.isfinite(f0)) else None
         if j0 is None or not np.all(np.isfinite(j0)):
             raise ConfigurationError(
                 f"the {tag} start gives a non-finite residual or Jacobian "
@@ -410,7 +437,7 @@ def _single_solve(
             )
         result = least_squares(
             system.fun,
-            start,
+            x0,
             jac=system.jac,
             method="trf",
             xtol=3e-16,
@@ -418,8 +445,8 @@ def _single_solve(
             gtol=3e-16,
             max_nfev=_NFEV_PER_UNKNOWN * (rule.order + 1),
         )
-        t = result.x
-        residual = result.fun
+        t = _full_vector(result.x, rule.order)
+        residual = _full_vector(result.fun, rule.order)
         iterations = int(result.nfev)
         jacobian_evaluations = int(result.njev)
         status, message = int(result.status), str(result.message)
@@ -463,8 +490,10 @@ def solve_signaling_levels(
     suffices).  With iterate=False the residual is evaluated at the start
     without optimization, which reports the defect of a hypothesized level
     vector.  converged means the Euclidean residual norm is at most tol.
-    A least-squares solve makes at most 500 (n + 1) residual evaluations at
-    order n.  Iterating under a non-Gaussian prior is refused.
+    From an odd start (start == -start[::-1], n >= 2, as the named starts
+    are) the solve iterates on the upper n // 2 levels and returns exactly
+    odd levels.  A least-squares solve makes at most 500 (n + 1) residual
+    evaluations at order n.  Iterating under a non-Gaussian prior is refused.
     """
     if not tol > 0.0:
         raise ConfigurationError("tol must be positive")

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -286,6 +287,84 @@ def test_bad_argv_exits_with_a_code_not_an_exception(capsys, argv):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# Fuzzed argv: each flag of each subcommand, and verify's model argument,
+# takes edge values (zero, negative, non-finite, overflowing, empty, and
+# integers past any array size), drawn by a seeded generator, after cheap
+# defaults that keep a run that gets through to a few tens of milliseconds:
+# a one-point collocation start evaluated without iteration, 200 samples and
+# an order-4 payoff quadrature.
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "", str(10**30), str(2**63)]
+FUZZ_BASE = {
+    "solve": ["--k", "0.2", "--sigma-x", "5", "--samples", "200", "--quad-order", "4",
+              "--no-iterate", "--n", "1"],
+    "baseline": ["--k", "0.2", "--sigma-x", "5", "--samples", "200", "--quad-order", "4"],
+    "verify": ["identity"],
+}
+FUZZ_BASE["curves"] = FUZZ_BASE["solve"]
+
+
+def _fuzzed_argv(seed: int, draws: int) -> list[list[str]]:
+    """For each subcommand and each of its arguments, draws argv that give
+    it distinct edge values (its choices and, for --init, user: forms of
+    the edge values, among them)."""
+    rng = random.Random(seed)
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    argvs = []
+    for subcommand, base in FUZZ_BASE.items():
+        for action in subparsers[subcommand]._actions:
+            if action.dest == "help":
+                continue
+            values = FUZZ_VALUES + [f"user:{v}" for v in FUZZ_VALUES] * (action.dest == "init")
+            values += list(action.choices or ())
+            for value in rng.sample(values, draws):
+                drawn = [value, rng.choice(values)][: action.nargs or 1]
+                if action.option_strings:
+                    argvs.append([subcommand, *base, action.option_strings[-1], *drawn])
+                else:
+                    argvs.append([subcommand, *drawn, *base[1:]])  # verify's model
+    return argvs
+
+
+def test_fuzzed_argv_exits_with_a_code_not_a_traceback(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    for argv in _fuzzed_argv(seed=0, draws=2):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["solve", "--samples"], "samples"),
+        (["baseline", "--method", "wit", "--samples"], "samples"),
+        (["curves", "--method", "affine", "--points"], "points"),
+        (["solve", "--method", "picard", "--grid-points"], "grid_points"),
+    ],
+)
+def test_counts_past_any_array_size_exit_two_with_a_message(capsys, argv, name):
+    """Each of these counts sizes arrays; far past what NumPy can allocate
+    they used to end in a ValueError traceback."""
+    problem = ["--k", "5", "--sigma-x", "1"]
+    code, out, err = run_cli(capsys, *argv[:1], *problem, *argv[1:], str(10**30))
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be at most 1,000,000,000\n"
+
+
+def test_running_out_of_memory_exits_one_with_a_message(capsys, monkeypatch):
+    def exhausted(cfg, started):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setitem(cli._HANDLERS, "baseline", exhausted)
+    code, out, err = run_cli(capsys, "baseline", "--k", "1", "--sigma-x", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory: Unable to allocate 7.45 GiB\n"
 
 
 @pytest.mark.parametrize(

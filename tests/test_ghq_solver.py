@@ -276,10 +276,12 @@ def test_solve_counts_every_residual_and_jacobian_evaluation(
 
 def test_one_point_system_evaluates_afresh_at_another_point(bench_params, rule7):
     """jac(x) reuses the state of fun(x) only while x is the point last
-    evaluated; the cache keeps its own copy of that point."""
+    evaluated; the cache keeps its own copy of that point.  Every column
+    is free here; the odd half is covered by
+    test_one_point_system_on_the_odd_half_evaluates_afresh_at_another_point."""
     a = _quantizer_init(bench_params, rule7)
     b = a + 0.25
-    system = ghq_solver._OnePointSystem(bench_params, rule7)
+    system = ghq_solver._OnePointSystem(bench_params, rule7, np.arange(rule7.order))
     system.fun(a)
     system.fun(b)
     assert np.array_equal(system.jac(a), residual_jacobian(a, bench_params, rule7))
@@ -288,6 +290,125 @@ def test_one_point_system_evaluates_afresh_at_another_point(bench_params, rule7)
     system.fun(x)
     x[0] += 1.0
     assert np.array_equal(system.jac(x), residual_jacobian(x, bench_params, rule7))
+
+
+def _upper_half(n):
+    return np.arange(n - n // 2, n)
+
+
+def _odd_starts(params, rule):
+    """The odd starts of _jacobian_starts, and an odd perturbed quantizer."""
+    starts = _jacobian_starts(params, rule)
+    perturbed = starts.pop("perturbed quantizer")
+    starts["odd perturbed quantizer"] = 0.5 * (perturbed - perturbed[::-1])
+    starts.pop("random")
+    return starts
+
+
+def test_one_point_system_on_the_odd_half_evaluates_afresh_at_another_point(
+    bench_params, rule7
+):
+    """On the upper half of an odd level vector, fun gives the upper
+    entries of residual_system and jac the rows of residual_jacobian with
+    the mirrored columns folded in, bit for bit, each evaluated afresh at
+    another point."""
+    cols = _upper_half(rule7.order)
+    a = _quantizer_init(bench_params, rule7)
+    b = a + 0.25 * np.sign(a)
+    system = ghq_solver._OnePointSystem(bench_params, rule7, cols)
+    system.fun(a[cols])
+    system.fun(b[cols])
+    jac = residual_jacobian(a, bench_params, rule7)[cols]
+    assert np.array_equal(system.jac(a[cols]), jac[:, cols] - jac[:, rule7.order - 1 - cols])
+    assert np.array_equal(system.fun(b[cols]), residual_system(b, bench_params, rule7)[cols])
+    x = b[cols]
+    system.fun(x)
+    x[0] += 1.0
+    moved = ghq_solver._full_vector(x, rule7.order)
+    jac = residual_jacobian(moved, bench_params, rule7)[cols]
+    assert np.array_equal(system.jac(x), jac[:, cols] - jac[:, rule7.order - 1 - cols])
+
+
+@pytest.mark.parametrize("order", [7, 15])
+def test_folded_jacobian_matches_central_differences_of_the_odd_half(bench_params, order):
+    rule = build_hermite_rule(order)
+    cols = _upper_half(order)
+    system = ghq_solver._OnePointSystem(bench_params, rule, cols)
+    for name, t in _odd_starts(bench_params, rule).items():
+        u = t[cols]
+        jac = system.jac(u)
+        central = np.empty_like(jac)
+        for m in range(u.size):
+            step = np.zeros(u.size)
+            step[m] = 1e-6 * max(1.0, abs(u[m]))
+            central[:, m] = (system.fun(u + step) - system.fun(u - step)) / (2.0 * step[m])
+        scale = max(1.0, float(np.max(np.abs(central))))
+        assert np.max(np.abs(jac - central)) <= 1e-6 * scale, name
+
+
+def _full_space_solve(params, rule, start):
+    """The least-squares solve on every level, with the solver's
+    tolerances and budget: the oracle of the odd-half solve."""
+    return least_squares(
+        residual_system, start, jac=residual_jacobian, args=(params, rule), method="trf",
+        xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=500 * (rule.order + 1),
+    )
+
+
+@pytest.mark.parametrize("order", [2, 7, 15, 21, 40])
+def test_named_starts_give_exactly_odd_levels(bench_params, order):
+    rule = build_hermite_rule(order)
+    for init, make_start in _STARTS.items():
+        start = make_start(bench_params, rule)
+        assert np.array_equal(start, -start[::-1]), init
+        t = solve_signaling_levels(bench_params, rule, init=init, tol=1e-10).levels.levels
+        assert np.array_equal(t, -t[::-1]), init
+        assert order % 2 == 0 or t[order // 2] == 0.0
+
+
+@pytest.mark.parametrize(
+    "order, init",
+    [(7, "affine"), (7, "quantizer"), (15, "affine"), (15, "quantizer"),
+     (21, "affine"), (21, "quantizer"), (31, "quantizer")],
+)
+def test_odd_half_solve_agrees_with_the_full_space_solve(bench_params, order, init):
+    rule = build_hermite_rule(order)
+    oracle = _full_space_solve(bench_params, rule, _STARTS[init](bench_params, rule))
+    report = solve_signaling_levels(bench_params, rule, init=init, tol=1e-10)
+    assert report.converged and np.linalg.norm(oracle.fun) <= 1e-10
+    assert np.max(np.abs(report.levels.levels - oracle.x)) <= 1e-9
+
+
+def test_odd_half_solve_stalls_where_the_full_space_solve_stalls(bench_params, rule40):
+    """n = 40 from the affine start stalls either way, at the same residual."""
+    oracle = _full_space_solve(bench_params, rule40, _affine_init(bench_params, rule40))
+    report = solve_signaling_levels(bench_params, rule40, init="affine")
+    expected = np.linalg.norm(oracle.fun)
+    assert not report.converged and expected > 1e-3
+    assert abs(report.residual_norm - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize(
+    "order, init",
+    [(7, [-13.0, -6.0, 0.0, 6.5, 13.0]), (15, [-20.0, -12.0, -5.0, 1.0, 6.0, 13.0, 19.0]),
+     (1, "affine"), (1, "quantizer")],
+)
+def test_a_start_that_is_not_odd_solves_every_level_as_the_full_space_solve(
+    bench_params, order, init
+):
+    """A start that is not odd, and n = 1, iterate on every level: the
+    report is the full-space solve's, bit for bit."""
+    rule = build_hermite_rule(order)
+    if isinstance(init, str):
+        start = _STARTS[init](bench_params, rule)
+    else:
+        start = expand_distinct_levels(init, bench_params, rule)
+        assert not np.array_equal(start, -start[::-1])
+    oracle = _full_space_solve(bench_params, rule, start)
+    report = solve_signaling_levels(bench_params, rule, init=init)
+    assert np.array_equal(report.levels.levels, oracle.x)
+    assert report.residual_norm == np.linalg.norm(oracle.fun)
+    assert (report.iterations, report.jacobian_evaluations) == (oracle.nfev, oracle.njev)
 
 
 def test_residual_norm_is_the_norm_of_the_residual_at_the_levels(bench_report, bench_params):
