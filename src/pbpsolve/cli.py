@@ -10,7 +10,7 @@ Four subcommands:
 
 ``baseline``
     Evaluate the optimal-affine or the two-point sign/tanh baseline pair and
-    emit the same result document.
+    emit the same result document, whose solver fields are null.
 
 ``curves``
     Sample the two strategy maps of a solved or baseline pair into a CSV
@@ -22,6 +22,10 @@ Four subcommands:
     models) and run the exact change-of-measure checks: likelihood-ratio
     martingale identities, payoff equivalence under the reference measure,
     and optionally the brute-force person-by-person optimality sweep.
+
+One dispatch, ``_solve``, maps a ``--method`` to the record of its pair,
+for solvers and baselines alike.  ``RunConfig`` checks each flag whichever
+method runs, and a negative number (``-inf`` and ``-nan`` too) is a value.
 
 Determinism contract: for a fixed command line the JSON and CSV documents
 are byte-identical across runs.  Wall time is therefore reported on stderr;
@@ -85,10 +89,10 @@ from .quadrature import build_hermite_rule
 OUTPUT_DIR_ENV = "PBPSOLVE_OUTPUT_DIR"
 BUNDLED_MODELS = ("identity", "random42", "corrupted")
 
-_SOLVE_METHODS = ("ghq", "picard")
 _BASELINES = {"affine": affine_optimal, "wit": wit_nonlinear}
-_BASELINE_METHODS = tuple(_BASELINES)
-_CURVE_METHODS = (*_SOLVE_METHODS, *_BASELINE_METHODS)
+# The --method choices of each subcommand.
+_METHODS = {"solve": ("ghq", "picard"), "baseline": tuple(_BASELINES)}
+_METHODS["curves"] = (*_METHODS["solve"], *_METHODS["baseline"])
 _INIT_FORMS = ", ".join(("auto", *_STARTS)) + ", or user:v1,v2,..."
 # The largest sample, row and grid counts: each sizes arrays of that many
 # floats, and NumPy refuses far larger ones with an error, not a message.
@@ -135,14 +139,17 @@ class RunConfig:
         for name in ("k", "sigma", "sigma_x"):
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.n < 1:
-            raise ConfigurationError("n must be >= 1")
-        if self.samples < 1:
-            raise ConfigurationError("samples must be >= 1")
+        # Picard's max_iter, grid_points, damping and grid_span too, whichever method runs.
+        least_values = {"n": 1, "samples": 1, "points": 2, "max_iter": 1, "grid_points": 2}
+        for name, least in least_values.items():
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if self.points < 2:
-            raise ConfigurationError("points must be >= 2")
+        if not 0.0 < self.damping <= 1.0:
+            raise ConfigurationError(f"damping must lie in (0, 1], got {self.damping!r}")
+        if not 0.0 < self.grid_span < math.inf:
+            raise ConfigurationError(f"grid_span must be positive and finite, got {self.grid_span}")
         for name in ("samples", "points", "grid_points"):
             if getattr(self, name) > _MAX_COUNT:
                 raise ConfigurationError(f"{name} must be at most {_MAX_COUNT:,}")
@@ -150,6 +157,11 @@ class RunConfig:
             raise ConfigurationError(f"tol must be positive or zero, got {self.tol!r}")
         if self.prior not in ("gaussian", "twopoint"):
             raise ConfigurationError(f"unknown prior {self.prior!r}")
+        methods = _METHODS.get(self.subcommand)
+        if methods and self.method not in methods:
+            raise ConfigurationError(
+                f"{self.subcommand} method must be {' or '.join(methods)}, got {self.method!r}"
+            )
         for name in ("x_range", "y_range"):
             bounds = getattr(self, name)
             if bounds is None:
@@ -239,24 +251,15 @@ def _payoff_blocks(
 
 
 def _result_document(
-    cfg: RunConfig,
-    method: str,
-    init: str | None,
-    levels: list[float] | None,
-    residual_norm: float | None,
-    converged: bool | None,
-    pair: StrategyPair,
-    params: ProblemParams,
-    started: float,
-    quad: PayoffBreakdown | None = None,
+    cfg: RunConfig, solved: _Solved, params: ProblemParams, started: float
 ) -> dict:
     return {
-        "converged": converged,
-        "init": init,
-        "lam": pair.lam,
-        "levels": levels,
-        "method": method,
-        "mu": pair.mu,
+        "converged": solved.converged,
+        "init": solved.init,
+        "lam": solved.pair.lam,
+        "levels": None if solved.levels is None else solved.levels.tolist(),
+        "method": solved.method,
+        "mu": solved.pair.mu,
         "params": {
             "k": cfg.k,
             "n": cfg.n,
@@ -264,38 +267,39 @@ def _result_document(
             "sigma": cfg.sigma,
             "sigma_x": cfg.sigma_x,
         },
-        "payoff": _payoff_blocks(cfg, params, pair, quad),
-        "residual_norm": residual_norm,
+        "payoff": _payoff_blocks(cfg, params, solved.pair, solved.payoff),
+        "residual_norm": solved.residual_norm,
         "timing": (time.perf_counter() - started) if cfg.timing else None,
     }
 
 
 # ---------------------------------------------------------------------------
-# strategy construction shared by solve and curves
+# strategy construction shared by solve, baseline and curves
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Solved:
-    """What a solver run produced, before any payoff is estimated.
-
-    levels are the first-stage values at the collocation points (for
-    picard, its grid strategy interpolated there); pair is the strategy pair
-    the result document scores; ok is the subcommand's success; payoff is
-    a quadrature payoff of pair the solver already computed, if any.
+    """What a method produced, before any payoff is estimated: the pair the
+    result document scores and the subcommand's success.  A solver adds its
+    start, the first-stage values at the collocation points (for picard, its
+    grid strategy interpolated there), their residual norm, its convergence
+    and any quadrature payoff of pair it computed; a baseline leaves them None.
     """
 
     method: str
-    init: str
-    levels: np.ndarray
-    residual_norm: float
-    converged: bool
     pair: StrategyPair
     ok: bool
+    init: str | None = None
+    levels: np.ndarray | None = None
+    residual_norm: float | None = None
+    converged: bool | None = None
     payoff: PayoffBreakdown | None = None
 
 
 def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
-    """Run the requested solver; estimate no payoff."""
+    """Run the requested method; estimate no payoff."""
+    if cfg.method in _BASELINES:
+        return _Solved(cfg.method, _BASELINES[cfg.method](params), True)
     rule = build_hermite_rule(cfg.n)
     init = _parse_init(cfg.init)
     tol = 1e-10 if cfg.tol is None else cfg.tol
@@ -311,13 +315,13 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
         )
         return _Solved(
             "ghq",
-            report.init,
-            report.levels.levels,
-            report.residual_norm,
-            report.converged,
             collocation_pair(report.levels),
             report.converged or not cfg.iterate,
-            report.payoff,
+            init=report.init,
+            levels=report.levels.levels,
+            residual_norm=report.residual_norm,
+            converged=report.converged,
+            payoff=report.payoff,
         )
 
     if not cfg.iterate:
@@ -343,12 +347,12 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
     resid = residual_system(level_values, params, rule)
     return _Solved(
         "picard",
-        tag,
-        level_values,
-        float(np.linalg.norm(resid)),
-        result.converged,
         strategy.to_pair(),
         result.converged,
+        init=tag,
+        levels=level_values,
+        residual_norm=float(np.linalg.norm(resid)),
+        converged=result.converged,
     )
 
 
@@ -357,45 +361,18 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg: RunConfig, started: float) -> int:
+    """solve and baseline: the result document of the method's pair."""
     params = cfg.problem_params()
     solved = _solve(cfg, params)
-    doc = _result_document(
-        cfg,
-        solved.method,
-        solved.init,
-        [float(v) for v in solved.levels],
-        solved.residual_norm,
-        solved.converged,
-        solved.pair,
-        params,
-        started,
-        solved.payoff,
-    )
+    doc = _result_document(cfg, solved, params, started)
     _emit_json(doc, _resolve_out(cfg.out_path))
     return 0 if solved.ok else 1
 
 
-def cmd_baseline(cfg: RunConfig, started: float) -> int:
-    params = cfg.problem_params()
-    if cfg.method not in _BASELINES:
-        raise ConfigurationError(
-            f"baseline method must be {' or '.join(_BASELINES)}, got {cfg.method!r}"
-        )
-    pair = _BASELINES[cfg.method](params)
-    doc = _result_document(
-        cfg, cfg.method, None, None, None, None, pair, params, started
-    )
-    _emit_json(doc, _resolve_out(cfg.out_path))
-    return 0
-
-
 def cmd_curves(cfg: RunConfig, started: float) -> int:
     params = cfg.problem_params()
-    if cfg.method in _BASELINES:
-        pair, ok = _BASELINES[cfg.method](params), True
-    else:
-        solved = _solve(cfg, params)
-        pair, ok = solved.pair, solved.ok
+    solved = _solve(cfg, params)
+    pair, ok = solved.pair, solved.ok
     half = _REACH * cfg.sigma_x
     x_lo, x_hi = cfg.x_range if cfg.x_range else (-half, half)
     # A collocation pair's first stage answers inside the range of its table.
@@ -489,9 +466,9 @@ def cmd_verify(cfg: RunConfig, started: float) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# A negative number, exponent notation included: argparse's own pattern
-# misses "-1e1" and would read it as an option.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# A negative number, exponent notation, -inf and -nan included: argparse's
+# own pattern misses "-1e1" and "-inf" and would read them as options.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -553,18 +530,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p)
     _add_solver_flags(p)
     _add_output_flags(p)
-    p.add_argument("--method", choices=_SOLVE_METHODS)
+    p.add_argument("--method", choices=_METHODS["solve"])
 
     p = subcommand("baseline", "evaluate a closed-form baseline pair")
     _add_problem_flags(p)
     _add_output_flags(p)
-    p.add_argument("--method", choices=_BASELINE_METHODS, default="affine")
+    p.add_argument("--method", choices=_METHODS["baseline"], default="affine")
 
     p = subcommand("curves", "export sampled strategy curves as CSV")
     _add_problem_flags(p)
     _add_solver_flags(p)
     _add_output_flags(p)
-    p.add_argument("--method", choices=_CURVE_METHODS)
+    p.add_argument("--method", choices=_METHODS["curves"])
     p.add_argument("--points", type=int, help="rows in the CSV table")
     p.add_argument("--x-range", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--y-range", type=float, nargs=2, metavar=("LO", "HI"))
@@ -591,7 +568,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 _HANDLERS = {
     "solve": cmd_solve,
-    "baseline": cmd_baseline,
+    "baseline": cmd_solve,
     "curves": cmd_curves,
     "verify": cmd_verify,
 }

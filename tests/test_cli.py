@@ -72,9 +72,34 @@ def test_config_rejects_bad_values():
         dict(x_range=(1.0, 1.0)),
         dict(y_range=(float("inf"), 1.0)),
         dict(y_range=(-1.0, float("inf"))),
+        dict(damping=float("nan")),
+        dict(damping=0.0),
+        dict(damping=1.5),
+        dict(max_iter=0),
+        dict(grid_points=1),
+        dict(grid_span=float("inf")),
+        dict(grid_span=0.0),
+        dict(grid_span=float("nan")),
     ):
         with pytest.raises(ConfigurationError):
             RunConfig(subcommand="solve", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "subcommand, method, message",
+    [
+        ("solve", "wit", "solve method must be ghq or picard, got 'wit'"),
+        ("solve", "newton", "solve method must be ghq or picard, got 'newton'"),
+        ("baseline", "ghq", "baseline method must be affine or wit, got 'ghq'"),
+        ("curves", "newton", "curves method must be ghq or picard or affine or wit, got 'newton'"),
+    ],
+)
+def test_a_method_its_subcommand_does_not_run_is_refused(subcommand, method, message):
+    """A directly built config cannot run a baseline as a solve, nor an
+    unknown name as Picard."""
+    with pytest.raises(ConfigurationError) as error:
+        RunConfig(subcommand, method=method)
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize(
@@ -168,6 +193,40 @@ def test_picard_starts_from_the_named_start(monkeypatch, init):
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "subcommand, method",
+    [
+        ("solve", "ghq"),
+        ("solve", "picard"),
+        ("baseline", "affine"),
+        ("baseline", "wit"),
+        ("curves", "ghq"),
+        ("curves", "picard"),
+        ("curves", "affine"),
+        ("curves", "wit"),
+    ],
+)
+def test_every_subcommand_runs_its_method_through_the_one_dispatch(
+    capsys, monkeypatch, subcommand, method
+):
+    calls, solve = [], cli._solve
+
+    def counted(cfg, params):
+        calls.append(cfg.method)
+        return solve(cfg, params)
+
+    monkeypatch.setattr(cli, "_solve", counted)
+    argv = [subcommand, "--k", "1", "--sigma-x", "1", "--method", method]
+    argv += ["--points", "11"] if subcommand == "curves" else ["--samples", "2000"]
+    if method == "ghq":
+        argv += ["--init", "affine"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert calls == [method]
+    if subcommand != "curves":
+        assert json.loads(out)["method"] == method
+
 
 def test_solve_document_layout(capsys):
     code, out, err = run_cli(capsys, *FAST_SOLVE)
@@ -374,6 +433,8 @@ def test_running_out_of_memory_exits_one_with_a_message(capsys, monkeypatch):
         (["baseline", "--seed", "-3"], "seed must be non-negative"),
         (["solve", "--init", "user:1e300"], "non-finite residual or Jacobian"),
         (["curves", "--x-range", "nan", "1"], "--x-range needs finite LO < HI"),
+        (["curves", "--x-range", "-inf", "1"], "--x-range needs finite LO < HI"),
+        (["curves", "--y-range", "-NaN", "1"], "--y-range needs finite LO < HI"),
         (["curves", "--x-range", "2", "1"], "--x-range needs finite LO < HI"),
         (["curves", "--y-range", "inf", "1"], "--y-range needs finite LO < HI"),
         (
@@ -466,6 +527,9 @@ def test_picard_rejects_no_iterate(capsys):
         ["verify", "identity", "--tol", "nan"],
         ["solve", "--k", "0.2", "--sigma-x", "5", "--tol", "inf"],
         ["solve", "--k", "5", "--sigma-x", "1", "--method", "picard", "--tol", "-1"],
+        ["solve", "--k", "0.2", "--sigma-x", "5", "--tol", "-inf"],
+        ["solve", "--k", "0.2", "--sigma-x", "5", "--tol", "-Infinity"],
+        ["verify", "identity", "--tol", "-nan"],
     ],
 )
 def test_a_negative_or_non_finite_tol_exits_two(capsys, argv):
@@ -473,6 +537,25 @@ def test_a_negative_or_non_finite_tol_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "tol must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--damping", "nan"], "damping must lie in (0, 1], got nan"),
+        (["solve", "--max-iter", "-1"], "max_iter must be >= 1"),
+        (["solve", "--grid-points", "1"], "grid_points must be >= 2"),
+        (["solve", "--grid-span", "inf"], "grid_span must be positive and finite, got inf"),
+        (["curves", "--damping", "nan"], "damping must lie in (0, 1], got nan"),
+        (
+            ["solve", "--method", "picard", "--grid-span", "inf"],
+            "grid_span must be positive and finite, got inf",
+        ),
+    ],
+)
+def test_bad_picard_flags_exit_two_whichever_method_runs(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv[:1], "--k", "0.2", "--sigma-x", "5", *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_a_zero_tol_still_asks_for_exact_checks(capsys):
