@@ -47,7 +47,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,8 @@ _MAX_COUNT = 10**9
 class RunConfig:
     """Validated bundle of everything a subcommand needs.
 
-    out_path of None writes to stdout.
+    out_path of None writes to stdout.  start is init decoded: a named
+    start or the user values.
     """
 
     subcommand: str
@@ -134,6 +135,7 @@ class RunConfig:
     pbp: bool = False
     timing: bool = False
     out_path: str | None = None
+    start: str | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("k", "sigma", "sigma_x"):
@@ -162,6 +164,10 @@ class RunConfig:
             raise ConfigurationError(
                 f"{self.subcommand} method must be {' or '.join(methods)}, got {self.method!r}"
             )
+        # The solver flags are checked whichever method runs.
+        object.__setattr__(self, "start", _parse_init(self.init))
+        if not self.iterate and self.method != "ghq":
+            raise ConfigurationError("--no-iterate applies only to --method ghq")
         for name in ("x_range", "y_range"):
             bounds = getattr(self, name)
             if bounds is None:
@@ -301,7 +307,7 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
     if cfg.method in _BASELINES:
         return _Solved(cfg.method, _BASELINES[cfg.method](params), True)
     rule = build_hermite_rule(cfg.n)
-    init = _parse_init(cfg.init)
+    init = cfg.start
     tol = 1e-10 if cfg.tol is None else cfg.tol
 
     if cfg.method == "ghq":
@@ -324,8 +330,6 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
             payoff=report.payoff,
         )
 
-    if not cfg.iterate:
-        raise ConfigurationError("--no-iterate applies only to --method ghq")
     # auto and affine start from the affine pair; every other start from
     # the collocation pair of its levels.
     if isinstance(init, str) and init in ("auto", "affine"):

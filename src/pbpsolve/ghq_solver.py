@@ -28,6 +28,9 @@ is the root of H(g) = g + R(g) = x0 closest to a signaling level (H is not
 monotone, so an x0 can have several).  R is independent of x0, so one
 table of H and H' per pair locates the exact switch points of that choice
 and inverts H by the cubic Hermite interpolant of one table cell per query.
+The table's nodes are symmetric about the middle of its window; for odd
+levels R is odd and R' even bit for bit, so the table computes its
+nonnegative half and mirrors it.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ from .errors import ConfigurationError, NumericError
 from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
 _TABLE_POINTS = 200_001
+# The first-stage table's nodes run from -_HALF to _HALF steps about its middle.
+_HALF = _TABLE_POINTS // 2
 # A first-stage query whose cell cubic misses x by more than this share of
 # the cubic's coefficient scale after the Newton steps is bisected; a
 # converged Newton root misses by a few units of rounding (below 4e-15).
@@ -283,7 +288,11 @@ def residual_jacobian(
 
 
 def _signal_pull(
-    g: np.ndarray, t: np.ndarray, params: ProblemParams, rule: QuadratureRule
+    g: np.ndarray,
+    t: np.ndarray,
+    params: ProblemParams,
+    rule: QuadratureRule,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """R(g) and its derivative R'(g) at a vector of first-stage values g.
 
@@ -301,15 +310,15 @@ def _signal_pull(
     its own g alone, not on the piece.  Pieces of _BLOCK observations would
     hold _BLOCK x levels weights, which outgrow a core's cache and are
     returned to the system and faulted back in piece after piece.  The
-    first-stage table's build is the one caller; the collocation system
-    evaluates its levels in one pass (_collocation_point).
+    first-stage table's build is the one caller, and writes R and R' into
+    its own arrays through out; the collocation system evaluates its
+    levels in one pass (_collocation_point).
     """
     g = np.asarray(g, dtype=float)
     z = rule.nodes[:, None]
     sv = params.sigma
     c = math.sqrt(2.0) * sv
-    pull = np.empty_like(g)
-    slope = np.empty_like(g)
+    pull, slope = (np.empty_like(g), np.empty_like(g)) if out is None else out
     step = max(1, _BLOCK // (rule.order * t.size))
     for a in range(0, g.size, step):
         part = g[a : a + step]
@@ -543,12 +552,13 @@ def solve_signaling_levels(
 @dataclass(frozen=True)
 class _FirstStage:
     """gamma1bar of a collocation pair: H = g + R(g) and H' at the nodes
-    lo + c step, and the monotone branch of H that serves each tread, from
-    span[0] (the bottom of the tabulated range of H) and from each switch
-    on.  A query is inverted in the cell of its tread's branch that holds
-    it, whatever its batch; the table never changes once built."""
+    origin + (c - _HALF) step, and the monotone branch of H that serves
+    each tread, from span[0] (the bottom of the tabulated range of H) and
+    from each switch on.  A query is inverted in the cell of its tread's
+    branch that holds it, whatever its batch; the table never changes once
+    built."""
 
-    lo: float
+    origin: float
     step: float
     h: np.ndarray
     slope: np.ndarray
@@ -608,7 +618,7 @@ class _FirstStage:
             stuck = np.abs(_cell_cubic(u[bent], c, dh, a0, a1)) > _CUBIC_TOL * scale
             if stuck.any():
                 u[bent[stuck]] = _cell_cubic_root(c[stuck], dh[stuck], a0[stuck], a1[stuck])
-        return self.lo + step * (cell + u)
+        return self.origin + step * (cell - _HALF + u)
 
 
 def _cell_cubic(
@@ -687,27 +697,41 @@ def _bisect(low: np.ndarray, high: np.ndarray, moves: Callable, depth: int = 4) 
 
 def _first_stage_table(levels: SignalingLevels, rule: QuadratureRule) -> _FirstStage:
     """The first stage of collocation_pair: H and H' on _TABLE_POINTS nodes
-    out to _REACH sigma_x, or the outermost level, plus 6 sigma + 1.  The
-    rule picks the monotone branch of H whose preimage lies nearest a level
-    at every value of H in the table (on interpolated preimages, then on the
-    table's own near each change, all branches in one call), and bisects its switches."""
+    out to _REACH sigma_x, or the outermost level, plus 6 sigma + 1, placed
+    symmetrically about the window's middle.  Odd levels (t = -t reversed)
+    leave the window, the nodes and R odd and R' even, bit for bit, so
+    _signal_pull runs on the nonnegative nodes alone and the lower half is
+    their mirror.  The rule picks the monotone branch of H whose preimage
+    lies nearest a level at every value of H in the table (on interpolated
+    preimages, then on the table's own near each change, all branches in
+    one call), and bisects its switches."""
     t, params = levels.levels, levels.params
     pad = 6.0 * params.sigma + 1.0
     lo = min(float(t.min()), -_REACH * params.sigma_x) - pad
-    step = (max(float(t.max()), _REACH * params.sigma_x) + pad - lo) / (_TABLE_POINTS - 1)
+    hi = max(float(t.max()), _REACH * params.sigma_x) + pad
+    step = (hi - lo) / (_TABLE_POINTS - 1)
     if not step <= params.sigma:
         # H turns on the scale of the noise, which a coarser table misses.
         raise NumericError(
             f"the first-stage table from {lo:.6g} would have nodes {step:.3g} apart, "
             f"wider than sigma = {params.sigma:.6g}"
         )
-    nodes = lo + step * np.arange(_TABLE_POINTS)
-    h, slope = _signal_pull(nodes, t, params, rule)
+    origin = 0.5 * (lo + hi)
+    nodes = origin + step * np.arange(-_HALF, _HALF + 1)
+    h, slope = np.empty(_TABLE_POINTS), np.empty(_TABLE_POINTS)
+    # Every sum over the noise nodes and the levels is reversal invariant,
+    # which makes R(-g) = -R(g) and R'(-g) = R'(g) exact for odd levels.
+    odd = np.array_equal(t, -t[::-1])
+    first = _HALF if odd else 0
+    _signal_pull(nodes[first:], t, params, rule, out=(h[first:], slope[first:]))
+    if odd:
+        np.negative(h[:_HALF:-1], out=h[:_HALF])
+        slope[:_HALF] = slope[:_HALF:-1]
     h += nodes
     if not np.all(np.isfinite(h)):
         raise NumericError(f"H = g + R(g) overflows on the first-stage table from {lo:.6g}")
     slope += 1.0
-    table = _FirstStage(lo, step, h, slope)
+    table = _FirstStage(origin, step, h, slope)
     rising = np.diff(h) > 0.0
     edges = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1).tolist(), h.size - 1]
     branches = [

@@ -129,15 +129,21 @@ def test_every_option_sets_the_run_config_field_of_its_name():
         "--n", "9", "--samples", "10", "--seed", "3", "--quad-order", "12",
         "--init", "affine", "--no-iterate", "--tol", "1e-9", "--damping", "0.25",
         "--max-iter", "7", "--grid-points", "65", "--grid-span", "4", "--out", "c.csv",
-        "--timing", "--method", "wit", "--points", "5", "--x-range", "-1e1", "2.5e0",
+        "--timing", "--method", "ghq", "--points", "5", "--x-range", "-1e1", "2.5e0",
         "--y-range", "-.5", "1",
     ]
     assert cli.config_from_args(cli.build_parser().parse_args(argv)) == RunConfig(
         "curves", k=0.5, sigma=0.7, sigma_x=2.0, prior="twopoint", n=9, samples=10,
-        seed=3, method="wit", init="affine", iterate=False, tol=1e-9, damping=0.25,
+        seed=3, method="ghq", init="affine", iterate=False, tol=1e-9, damping=0.25,
         max_iter=7, grid_points=65, grid_span=4.0, quad_order=12, points=5,
         x_range=(-10.0, 2.5), y_range=(-0.5, 1.0), timing=True, out_path="c.csv",
     )
+    # --no-iterate is ghq's alone, so --method is shown off its default here.
+    argv = ["curves", "--k", "1", "--sigma-x", "1", "--method", "wit"]
+    assert cli.config_from_args(cli.build_parser().parse_args(argv)) == RunConfig(
+        "curves", method="wit"
+    )
+    assert RunConfig("curves").method != "wit"
 
 
 def test_init_parsing():
@@ -518,6 +524,26 @@ def test_picard_rejects_no_iterate(capsys):
     )
     assert code == 2
     assert "--no-iterate" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method", "wit", "--init", "bogus", "--no-iterate"], "error: init must be auto, "),
+        (["--method", "affine", "--init", "user:1,abc"], "error: bad user initialization"),
+        (["--method", "wit", "--no-iterate"], "error: --no-iterate applies only to"),
+        (["--method", "affine", "--no-iterate"], "error: --no-iterate applies only to"),
+    ],
+)
+def test_curves_checks_the_solver_flags_whichever_method_runs(capsys, argv, message):
+    """A baseline method runs no solver, yet a bad --init or --no-iterate
+    exits 2 with the message ghq or picard would give."""
+    code, out, err = run_cli(
+        capsys, "curves", "--k", "1", "--sigma-x", "1", "--points", "3", *argv
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from pbpsolve.counterexample import _BLOCK
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve import counterexample, ghq_solver
 from pbpsolve.ghq_solver import (
+    _HALF,
     _STARTS,
     _TABLE_POINTS,
     _affine_init,
@@ -819,11 +820,11 @@ def _reference_search(first_stage, levels):
     branch's own node grid, and each switch is bisected one step at a
     time."""
     branches, inverse = _table_branches(first_stage)
-    lo, step = first_stage.lo, first_stage.step
+    origin, step = first_stage.origin, first_stage.step
 
     def interpolated(k, x):
         hs, first, way = branches[k]
-        return np.interp(x, hs, lo + step * (first + way * np.arange(hs.size)))
+        return np.interp(x, hs, origin + step * (first - _HALF + way * np.arange(hs.size)))
 
     def pick(x, inverse=inverse):
         return _nearest_branch_by_reduction(x, branches, levels, inverse)
@@ -948,6 +949,86 @@ def test_first_stage_is_odd(bench_pair):
     left = np.asarray(bench_pair.gamma1bar(-xs), dtype=float)
     right = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
     assert np.max(np.abs(left + right)) < 1e-9
+
+
+@pytest.mark.parametrize("order", [7, 15, 21])
+@pytest.mark.parametrize(
+    ("k", "sigma", "sigma_x"), [(0.2, 1.0, 5.0), (0.005, 0.01, 2.0), (2.0, 1.0, 20.0)]
+)
+def test_signal_pull_of_odd_levels_is_odd_and_its_slope_even(k, sigma, sigma_x, order):
+    """For exactly odd levels, R(-g) = -R(g) and R'(-g) = R'(g) bit for
+    bit (array_equal takes 0.0 for -0.0, which R(0) may be): the symmetry
+    the first-stage table's build mirrors.  On the named starts and on a
+    random odd vector, at values of g across the table's window and at
+    the levels themselves."""
+    params = ProblemParams(k=k, sigma=sigma, sigma_x=sigma_x)
+    rule = build_hermite_rule(order)
+    u = np.random.default_rng(order).normal(0.0, 4.0 * sigma_x, order)
+    reach = 8.5 * sigma_x + 6.0 * sigma + 1.0
+    for t in [start(params, rule) for start in _STARTS.values()] + [u - u[::-1]]:
+        assert np.array_equal(t, -t[::-1])
+        g = np.concatenate([np.random.default_rng(1).uniform(0.0, reach, 3000), np.abs(t)])
+        pull, slope = _signal_pull(g, t, params, rule)
+        mirror_pull, mirror_slope = _signal_pull(-g, t, params, rule)
+        assert np.array_equal(mirror_pull, -pull)
+        assert np.array_equal(_bits(mirror_slope), _bits(slope))
+
+
+def _table_nodes(table):
+    return table.origin + table.step * (np.arange(table.h.size) - _HALF)
+
+
+@pytest.fixture(scope="module")
+def odd_and_other_tables(bench_report, rule7):
+    """First-stage tables of the benchmark's odd levels and of the levels
+    the start user:-13,0,12 expands to, which are not odd, each with the
+    sizes of the batches _signal_pull received while it was built."""
+    params = bench_report.levels.params
+    other = expand_distinct_levels([-13.0, 0.0, 12.0], params, rule7)
+    built = []
+    pull = ghq_solver._signal_pull
+
+    def counting(g, *args, **kwargs):
+        sizes.append(np.size(g))
+        return pull(g, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghq_solver, "_signal_pull", counting)
+        for t in (bench_report.levels.levels, other):
+            sizes = []
+            table = ghq_solver._first_stage_table(SignalingLevels(t, 7, params), rule7)
+            built.append((t, table, sizes))
+    return built
+
+
+def test_an_odd_table_pulls_its_nonnegative_half_and_any_other_every_node(odd_and_other_tables):
+    (odd, _, odd_sizes), (other, _, other_sizes) = odd_and_other_tables
+    assert np.array_equal(odd, -odd[::-1]) and not np.array_equal(other, -other[::-1])
+    assert odd_sizes == [_HALF + 1]
+    assert other_sizes == [_TABLE_POINTS]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["odd", "not odd"])
+def test_a_first_stage_table_is_the_pull_on_every_node(
+    odd_and_other_tables, bench_params, rule7, which
+):
+    """H and H' equal g + R and 1 + R' of _signal_pull on all the nodes at
+    once, bit for bit, whichever half the build pulled; the nodes of odd
+    levels are exactly odd, and the inverse at a node's own value of H
+    returns that node."""
+    t, table, _ = odd_and_other_tables[which]
+    nodes = _table_nodes(table)
+    assert nodes.size == _TABLE_POINTS
+    assert np.all(np.diff(nodes) > 0.0)
+    if which == 0:
+        assert table.origin == 0.0
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(table.h, -table.h[::-1])
+    pull, slope = _signal_pull(nodes, t, bench_params, rule7)
+    assert np.array_equal(_bits(table.h), _bits(nodes + pull))
+    assert np.array_equal(_bits(table.slope), _bits(slope + 1.0))
+    cells = np.arange(nodes.size - 1)
+    assert np.array_equal(_bits(table.inverse(cells, table.h[:-1])), _bits(nodes[:-1]))
 
 
 def test_one_pair_per_levels_object(bench_pair, bench_report):
