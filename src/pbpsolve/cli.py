@@ -379,7 +379,7 @@ def cmd_curves(cfg: RunConfig, started: float) -> int:
     pair, ok = solved.pair, solved.ok
     half = _REACH * cfg.sigma_x
     x_lo, x_hi = cfg.x_range if cfg.x_range else (-half, half)
-    # A collocation pair's first stage answers inside the range of its table.
+    # A collocation pair's first stage answers inside the range its hull covers.
     span = getattr(pair.gamma1bar, "span", None)
     if cfg.x_range and span is not None and not span[0] <= x_lo < x_hi <= span[1]:
         raise ConfigurationError(

@@ -32,15 +32,15 @@ Strategy = Callable[[np.ndarray], np.ndarray]
 
 # The block size of every pass that weighs observations against levels or
 # locations: a strategy sees at most _BLOCK observations per call, and
-# gaussian_posterior_mean and ghq_solver._signal_pull, which builds its
-# posterior weights itself, hold at most _BLOCK weights.  So no temporary
+# gaussian_posterior_mean holds at most _BLOCK weights.  So no temporary
 # grows with the number of samples, nodes or queries times the number of
 # levels.  Every value depends on its own observation alone, so the blocks
 # never change a bit.
 _BLOCK = 65_536
 # Half-width, in prior scales sigma_x, of the x0 window: payoff_quadrature's
-# outer panels, the first-stage table and its jump scan in ghq_solver, and
-# the default range of the curves command all span +-_REACH sigma_x.
+# outer panels, the first-stage grid of a collocation pair and the window of
+# its breakpoints in ghq_solver, and the default range of the curves command
+# all span +-_REACH sigma_x.
 _REACH = 8.5
 # The largest cost whose square is finite: the standard error squares the
 # deviations of the costs, and whether that overflows beyond this bound
@@ -198,6 +198,70 @@ def affine_pair(lam: float, mu: float) -> StrategyPair:
 
 
 # ---------------------------------------------------------------------------
+# direct cell lookup
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _CellTable:
+    """Direct cell lookup on a strictly increasing grid of n nodes: the
+    one locator of the grid pairs of fixed_point and of the first stage of
+    a collocation pair in ghq_solver.
+
+    A query x in [grid[0], grid[-1]] falls in bin floor((x - grid[0]) scale),
+    with scale = 2 (n - 1) / (grid[-1] - grid[0]) (two bins per cell of a
+    uniform grid) and the bin capped at the top one.  The bin is a
+    nondecreasing function of x, so a node whose bin lies below x's bin
+    lies at or below x, and one whose bin lies above lies above x.
+    first[b] is the lowest cell those bounds leave to a query of bin b, and
+    steps the most cells any bin leaves past first: that many compares
+    against the next node find the cell of np.interp's search, the largest
+    j with grid[j] <= x.  Any grid runs the same code; a uniform one takes
+    one step, where one bin per cell would take two wherever rounding puts
+    a node into the bin below its own.  upper[j] is grid[j + 1], with NaN
+    after the last node, which no query passes: the two are views of one
+    copy of the grid with NaN appended.
+    """
+
+    grid: np.ndarray
+    upper: np.ndarray
+    first: np.ndarray
+    steps: int
+    scale: float
+
+    @classmethod
+    def of(cls, grid: np.ndarray) -> _CellTable:
+        top = 2 * (grid.size - 1)
+        scale = top / (grid[-1] - grid[0])
+        bins = np.fmin((grid - grid[0]) * scale, top).astype(np.intp)
+        # The bins ascend with the nodes: last[b] is the highest node in a
+        # bin up to b, and first[b] the highest below b (0 if none).
+        last = np.cumsum(np.bincount(bins, minlength=top + 1))
+        last -= 1
+        first = np.zeros_like(last)
+        np.maximum(last[:-1], 0, out=first[1:])
+        last -= first
+        padded = np.append(grid, np.nan)
+        return cls(
+            grid=padded[:-1],
+            upper=padded[1:],
+            first=first,
+            steps=int(last.max()),
+            scale=float(scale),
+        )
+
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """The cell of each x, clamped to the grid or NaN (a NaN query's
+        cell is the last bin's and serves no value)."""
+        t = x - self.grid[0]
+        t *= self.scale
+        np.fmin(t, self.first.size - 1, out=t)
+        j = self.first[t.astype(np.intp)]
+        for _ in range(self.steps):
+            j += x >= self.upper[j]
+        return j
+
+
+# ---------------------------------------------------------------------------
 # shared kernels: the posterior mean and the first-stage sum
 # ---------------------------------------------------------------------------
 
@@ -275,7 +339,10 @@ def _exp_in_place(a: np.ndarray) -> np.ndarray:
 
     np.exp is several times slower on a lane whose result is subnormal or 0
     (below about -708) than on a normal one, and such a lane slows its
-    whole SIMD vector; collocation weights hold many of them.  So when an
+    whole SIMD vector.  A collocation pair's table of gamma2, which runs
+    far past the levels, holds many of them (19 of its 26 blocks at the
+    benchmark take the gathered path), and so do the weights of the
+    collocation residual and Jacobian from order 15 on.  So when an
     array of 1,024 lanes or more shows 1 in 16 or more below
     _EXP_FAST_FLOOR among about 1,024 evenly spaced lanes, those lanes are
     raised to it for the vector pass and then overwritten: the ones at or

@@ -14,3 +14,10 @@ class ConfigurationError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numeric evaluation failed (non-finite value, missing bracket, ...)."""
+
+
+class ResolutionError(NumericError, ConfigurationError):
+    """No grid within the stated bounds resolves the requested parameters.
+
+    It is a numeric limit that the caller's configuration meets before any
+    arithmetic, so it is a configuration error as well."""

@@ -34,6 +34,7 @@ import numpy as np
 from .counterexample import (
     _BLOCK,
     ProblemParams,
+    _CellTable,
     Strategy,
     StrategyPair,
     _first_stage_sum,
@@ -105,58 +106,6 @@ class GridStrategy:
             gamma2=_interpolant(table, self.values2),
             breakpoints=tuple(ends),
         )
-
-
-@dataclass(frozen=True)
-class _CellTable:
-    """Direct cell lookup on a strictly increasing grid of n nodes.
-
-    A query x in [grid[0], grid[-1]] falls in bin floor((x - grid[0]) scale),
-    with scale = 2 (n - 1) / (grid[-1] - grid[0]) (two bins per cell of a
-    uniform grid) and the bin capped at the top one.  The bin is a
-    nondecreasing function of x, so a node whose bin lies below x's bin
-    lies at or below x, and one whose bin lies above lies above x.
-    first[b] is the lowest cell those bounds leave to a query of bin b, and
-    steps the most cells any bin leaves past first: that many compares
-    against the next node find the cell of np.interp's search, the largest
-    j with grid[j] <= x.  Any grid runs the same code; a uniform one takes
-    one step, where one bin per cell would take two wherever rounding puts
-    a node into the bin below its own.  upper[j] is grid[j + 1], with NaN
-    after the last node, which no query passes.
-    """
-
-    grid: np.ndarray
-    upper: np.ndarray
-    first: np.ndarray
-    steps: int
-    scale: float
-
-    @classmethod
-    def of(cls, grid: np.ndarray) -> _CellTable:
-        top = 2 * (grid.size - 1)
-        scale = top / (grid[-1] - grid[0])
-        bins = np.fmin((grid - grid[0]) * scale, top).astype(np.intp)
-        b = np.arange(top + 1)
-        first = np.maximum(np.searchsorted(bins, b, "left") - 1, 0)
-        last = np.searchsorted(bins, b, "right") - 1
-        return cls(
-            grid=grid,
-            upper=np.append(grid[1:], np.nan),
-            first=first,
-            steps=int(np.max(last - first)),
-            scale=float(scale),
-        )
-
-    def cells(self, x: np.ndarray) -> np.ndarray:
-        """The cell of each x, clamped to the grid or NaN (a NaN query's
-        cell is the last bin's and serves no value)."""
-        t = x - self.grid[0]
-        t *= self.scale
-        np.fmin(t, self.first.size - 1, out=t)
-        j = self.first[t.astype(np.intp)]
-        for _ in range(self.steps):
-            j += x >= self.upper[j]
-        return j
 
 
 def _interpolant(table: _CellTable, values: np.ndarray) -> Strategy:

@@ -9,9 +9,9 @@ points x0_l = sqrt(2) sigma_x z_l:
              { (z_i / sqrt(2 sigma^2)) (t_l - B_il)^2 + (t_l - B_il) },
 
 where B_il is the posterior mean of the level values t_j (with prior masses
-lambda_j) given the observation y = sqrt(2) sigma z_i + t_l.  Optimal level
-vectors look like staircases: a handful of distinct signaling levels, each
-shared by a run of collocation points.
+lambda_j) given the observation y = sqrt(2) sigma z_i + t_l.  The solved
+levels are distinct: at the benchmark no solve of odd order from 5 to 31
+shares a level.
 
 The module evaluates the residual f(t) = t - x0 + R(t) (summed so that
 f(-t reversed) is the exact bitwise negation-reversal of f(t)) and its
@@ -22,22 +22,26 @@ reversed, as both named starts are) it iterates on the upper n // 2
 levels alone.  B and R are the shared kernels
 _posterior_mean_parts (the one beneath gaussian_posterior_mean) and
 _first_stage_sum of counterexample; a least-squares point computes them
-once for its residual and its Jacobian.  The second
-stage is the posterior mean of the levels; the first stage gamma1bar(x0)
-is the root of H(g) = g + R(g) = x0 closest to a signaling level (H is not
-monotone, so an x0 can have several).  R is independent of x0, so one
-table of H and H' per pair locates the exact switch points of that choice
-and inverts H by the cubic Hermite interpolant of one table cell per query.
-The table's nodes are symmetric about the middle of its window; for odd
-levels R is odd and R' even bit for bit, so the table computes its
-nonnegative half and mirrors it.
+once for its residual and its Jacobian.
+
+The pair's second stage gamma2 is the posterior mean of the levels, and its
+first stage is the best response to gamma2: with c(g) = E_v (g - gamma2(g +
+v))^2, gamma1bar(x0) = argmin_g k^2 (g - x0)^2 + c(g), the point of the
+lower convex hull of phi = g^2 + c / k^2 where the hull's slope is 2 x0.
+c and c' come from two FFT convolutions of gamma2 and gamma2^2 with the
+N(0, sigma^2) density on one uniform grid.  A hull edge wider than one
+step is a jump at x0 = its slope / 2, in closed form, and inside a convex
+run a query solves g + c'(g) / (2 k^2) = x0 in one grid cell.  So gamma1bar
+does not pass through the levels at the collocation points: residual_norm
+measures the n-level collocation system, and the pair is the first
+stage's best response to the levels' second stage.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +51,9 @@ from .counterexample import (
     GaussianPrior,
     PayoffBreakdown,
     ProblemParams,
+    Strategy,
     StrategyPair,
+    _CellTable,
     _first_stage_sum,
     _posterior_mean_parts,
     _posterior_variance,
@@ -56,16 +62,15 @@ from .counterexample import (
     gaussian_posterior_mean,
     payoff_quadrature,
 )
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, ResolutionError
 from .quadrature import SQRT_PI, QuadratureRule, build_hermite_rule
 
-_TABLE_POINTS = 200_001
-# The first-stage table's nodes run from -_HALF to _HALF steps about its middle.
-_HALF = _TABLE_POINTS // 2
-# A first-stage query whose cell cubic misses x by more than this share of
-# the cubic's coefficient scale after the Newton steps is bisected; a
-# converged Newton root misses by a few units of rounding (below 4e-15).
-_CUBIC_TOL = 1e-12
+# The first-stage grid has at least _MIN_NODES nodes and at most _MAX_NODES.
+_MIN_NODES = 200_001
+_MAX_NODES = 2_000_001
+# gamma2 is tabulated this many sigma beyond the first-stage grid, where the
+# N(0, sigma^2) density has fallen below 3e-18 of its peak.
+_KERNEL_REACH = 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +84,7 @@ class SignalingLevels:
     levels[l] is the first-stage value at the collocation point
     x0_l = sqrt(2) sigma_x z_l of the order rule_order Gauss-Hermite rule.
     The strategy pair that collocation_pair builds is kept on the instance,
-    so every caller shares one first-stage table per level vector.
+    so every caller shares one first stage per level vector.
     """
 
     levels: np.ndarray
@@ -193,8 +198,7 @@ def _collocation_point(
     """The weights, mean and residual in the columns cols (all by default)
     at t, in one pass over all noise nodes and levels; each residual entry
     depends on its own level's column alone, so this is the residual of
-    _signal_pull's pieces, and of residual_system in those columns, bit
-    for bit."""
+    residual_system in those columns, bit for bit."""
     cols = np.arange(t.size) if cols is None else cols
     sv = params.sigma
     tc = t[cols]
@@ -216,7 +220,11 @@ def _collocation_jacobian(
     sv = params.sigma
     var_scale = sv * sv
     var = _posterior_variance(w, mass, b, t)
-    g, diag = _node_gain(t[cols] - b, var, rule, sv)
+    # The node factor g_il = lambda_i (2 z_i d_il / c + 1), d = t_l - B_il,
+    # c = sqrt(2) sigma, and the diagonal term sum_i g_il (1 - V_il / sigma^2).
+    c = math.sqrt(2.0) * sv
+    g = rule.weights[:, None] * ((2.0 * rule.nodes[:, None] / c) * (t[cols] - b) + 1.0)
+    diag = _reversal_invariant_sum(g * (1.0 - var / var_scale), axis=0)
     # p_ilm = w_mil / mass_il (the weights hold the levels m on axis 0); the
     # normalization rides on g.  The node sum runs along axis 1 and gives
     # the cross term as [m, l].  The n x n x cols.size products are formed in
@@ -232,18 +240,6 @@ def _collocation_jacobian(
     eye = np.eye(t.size)[cols]
     jac = eye + (np.where(eye > 0.0, diag[:, None], 0.0) - cross.T) / (SQRT_PI * params.k**2)
     return jac if cols.size == t.size else jac[:, cols] - jac[:, t.size - 1 - cols]
-
-
-def _node_gain(
-    d: np.ndarray, var: np.ndarray, rule: QuadratureRule, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The node factor g_i = lambda_i (2 z_i d_i / c + 1), c = sqrt(2) sigma,
-    and the node sum sum_i g_i (1 - V_i / sigma^2), which is R'(g) times
-    sqrt(pi) k^2.  d and the posterior variance var hold the noise nodes on
-    axis 0."""
-    c = math.sqrt(2.0) * sigma
-    g = rule.weights[:, None] * ((2.0 * rule.nodes[:, None] / c) * d + 1.0)
-    return g, _reversal_invariant_sum(g * (1.0 - var / (sigma * sigma)), axis=0)
 
 
 def residual_system(
@@ -278,56 +274,13 @@ def residual_jacobian(
         J = I + (1 / (sqrt(pi) k^2)) [ diag_l(sum_i g_il (1 - V_il / sigma^2))
             - sum_i g_il p_ilm (1 + (t_m - B_il)(y_il - t_m) / sigma^2) ].
 
-    The diagonal term is R'(t_l) of _signal_pull: t_l moves the observation
-    y_il, and the posterior mean has derivative V / sigma^2 in y.  The
+    The diagonal term is R'(t_l): t_l moves the observation y_il, and the
+    posterior mean has derivative V / sigma^2 in y.  The
     second term is how B_il moves with level t_m itself.  Arguments as for
     residual_system; the n x n x n posterior tensor is 2 MB at n = 64.
     """
     t, params, rule = _level_vector(levels, params, rule)
     return _collocation_jacobian(_collocation_point(t, params, rule), params, rule)
-
-
-def _signal_pull(
-    g: np.ndarray,
-    t: np.ndarray,
-    params: ProblemParams,
-    rule: QuadratureRule,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """R(g) and its derivative R'(g) at a vector of first-stage values g.
-
-    R(g) is _first_stage_sum when the second stage is the posterior mean of
-    the levels t; the root g of g + R(g) = x0 is the first-stage strategy
-    value at x0.  With d_i = g - b_i, b_i and V_i the posterior mean and
-    variance of the levels at y = g + c z_i (b has derivative V / sigma^2),
-
-        R'(g) = (1 / (sqrt(pi) k^2)) sum_i lambda_i (2 z_i d_i / c + 1)
-                (1 - V_i / sigma^2).
-
-    All noise nodes are handled at once, on pieces of _BLOCK // (order x
-    levels) values of g, so each piece holds at most _BLOCK posterior
-    weights whatever the order and the level count; each value depends on
-    its own g alone, not on the piece.  Pieces of _BLOCK observations would
-    hold _BLOCK x levels weights, which outgrow a core's cache and are
-    returned to the system and faulted back in piece after piece.  The
-    first-stage table's build is the one caller, and writes R and R' into
-    its own arrays through out; the collocation system evaluates its
-    levels in one pass (_collocation_point).
-    """
-    g = np.asarray(g, dtype=float)
-    z = rule.nodes[:, None]
-    sv = params.sigma
-    c = math.sqrt(2.0) * sv
-    pull, slope = (np.empty_like(g), np.empty_like(g)) if out is None else out
-    step = max(1, _BLOCK // (rule.order * t.size))
-    for a in range(0, g.size, step):
-        part = g[a : a + step]
-        w, mass, b = _posterior_mean_parts(c * z + part, t, np.log(rule.weights), sv)
-        var = _posterior_variance(w, mass, b, t)
-        d = part - b
-        pull[a : a + step] = _first_stage_sum(d, rule, params)
-        slope[a : a + step] = _node_gain(d, var, rule, sv)[1] / (SQRT_PI * params.k**2)
-    return pull, slope
 
 
 # ---------------------------------------------------------------------------
@@ -550,236 +503,241 @@ def solve_signaling_levels(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _FirstStage:
-    """gamma1bar of a collocation pair: H = g + R(g) and H' at the nodes
-    origin + (c - _HALF) step, and the monotone branch of H that serves
-    each tread, from span[0] (the bottom of the tabulated range of H) and
-    from each switch on.  A query is inverted in the cell of its tread's
-    branch that holds it, whatever its batch; the table never changes once
-    built."""
+class _BestResponse:
+    """gamma1bar of a collocation pair: the best response to its gamma2.
+
+    The grid's nodes are origin + step j, j < pull.size.  pull holds G(g) =
+    g + c'(g) / (2 k^2), half the slope of phi = g^2 + c / k^2, at the
+    nodes.  cuts locates x0 among the ascending
+    halved slopes of the edges of phi's lower convex hull: x0 in [cut j,
+    cut j + 1) is served by the hull vertex at node vertices[j].  jumps
+    are the cuts of the edges wider than one step, where gamma1bar jumps.
+    The record is complete before the first query and never changes.
+    """
 
     origin: float
     step: float
-    h: np.ndarray
-    slope: np.ndarray
-    span: tuple[float, float] = (math.inf, -math.inf)
-    switches: tuple[float, ...] = ()
-    treads: tuple[tuple[np.ndarray, int, int], ...] = ()
+    pull: np.ndarray
+    vertices: np.ndarray
+    cuts: _CellTable
+    jumps: tuple[float, ...]
+
+    @property
+    def span(self) -> tuple[float, float]:
+        """The range of x0 that the hull's edges cover."""
+        return float(self.cuts.grid[0]), float(self.cuts.grid[-1])
 
     def __call__(self, x0: np.ndarray) -> np.ndarray:
+        """Inside a convex run of the hull the best response solves G(g) =
+        x0.  A query takes the cell next to its vertex on the side where G
+        passes x0 and solves there the cubic through G at the cell's ends
+        with the central differences of G as its slopes, by two Newton
+        steps from the chord, kept inside the cell.  Two neighbouring
+        vertices of a run meet at a cut inside the
+        cell between them, which both sides then read, so gamma1bar is
+        continuous there, and at a node the slopes of the two cells' cubics
+        agree.  _BLOCK queries are served at a time."""
         x = np.asarray(x0, dtype=float)
         flat = np.ravel(x)
         if not np.all(np.isfinite(flat)):
             raise NumericError("gamma1bar evaluation requires finite x0")
-        outside = np.count_nonzero((flat < self.span[0]) | (flat > self.span[1]))
+        lo, hi = self.span
+        outside = np.count_nonzero((flat < lo) | (flat > hi))
         if outside:
             raise NumericError(
                 f"{outside} of {flat.size} first-stage queries lie outside "
-                f"[{self.span[0]:.6g}, {self.span[1]:.6g}], the tabulated range of H"
+                f"[{lo:.6g}, {hi:.6g}], the range of x0 the first stage's hull covers"
             )
+        pull, step = self.pull, self.step
         out = np.empty_like(flat)
-        for a in range(0, flat.size, _BLOCK):
-            order = np.argsort(flat[a : a + _BLOCK])
-            xs = flat[a : a + _BLOCK][order]
-            ends = [0, *np.searchsorted(xs, self.switches), xs.size]
-            cells = [_branch_cells(b, xs[i:j]) for b, i, j in zip(self.treads, ends, ends[1:])]
-            out[a : a + _BLOCK][order] = self.inverse(np.concatenate(cells), xs)
+        # A cell across which G does not rise leaves a Newton step without
+        # a root; fmax and fmin, which take the bound for NaN, keep such a
+        # query inside its cell.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a in range(0, flat.size, _BLOCK):
+                xs = flat[a : a + _BLOCK]
+                node = self.vertices[self.cuts.cells(xs)]
+                cell = node - (xs < pull[node])
+                np.clip(cell, 1, pull.size - 3, out=cell)
+                h0 = pull[cell]
+                dh = pull[cell + 1] - h0
+                a0 = 0.5 * (h0 - pull[cell - 1] - dh)
+                a1 = 0.5 * (pull[cell + 2] - pull[cell + 1] - dh)
+                u = (xs - h0) / dh
+                for _ in range(2):
+                    v = 1.0 - u
+                    w = a0 * v - a1 * u
+                    u -= (h0 + u * (dh + v * w) - xs) / (dh + (v - u) * w - u * v * (a0 + a1))
+                    u = np.fmin(np.fmax(u, 0.0), 1.0)
+                out[a : a + _BLOCK] = self.origin + step * (cell + u)
         return np.reshape(out, x.shape)
 
-    def inverse(self, cell: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """g with H(g) = x in the given cells (from node c to c + 1): the
-        root of the cubic in g that matches H and H' at both nodes, by two
-        Newton steps from the chord, kept inside the cell.  A cubic in x
-        through g and dg/dH = 1 / H' would lose accuracy as H' falls toward
-        a turn of H.
 
-        Where |a0| + |a1| is at most |dh| / 64, the cubic stays within
-        |dh| / 256 of its chord and the two steps end within 3e-14 of the
-        root in u, a miss far below _CUBIC_TOL.  Elsewhere, next to a turn
-        of H, the cubic need not be monotone and the steps can stop short
-        or at a cell end, so a query whose cubic still misses x by more
-        than _CUBIC_TOL of the cubic's scale is solved by bisection on the
-        whole cell."""
-        h, step = self.h, self.step
-        h0 = h[cell]
-        dh = h[cell + 1] - h0
-        a0 = step * self.slope[cell] - dh
-        a1 = step * self.slope[cell + 1] - dh
-        u = (x - h0) / dh
-        for _ in range(2):
-            v = 1.0 - u
-            w = a0 * v - a1 * u
-            u -= (h0 + u * (dh + v * w) - x) / (dh + (v - u) * w - u * v * (a0 + a1))
-            u = np.fmin(np.fmax(u, 0.0), 1.0)
-        bent = np.flatnonzero(np.abs(a0) + np.abs(a1) > np.abs(dh) / 64.0)
-        if bent.size:
-            c, dh, a0, a1 = h0[bent] - x[bent], dh[bent], a0[bent], a1[bent]
-            scale = np.abs(h0[bent]) + np.abs(dh) + np.abs(a0) + np.abs(a1)
-            stuck = np.abs(_cell_cubic(u[bent], c, dh, a0, a1)) > _CUBIC_TOL * scale
-            if stuck.any():
-                u[bent[stuck]] = _cell_cubic_root(c[stuck], dh[stuck], a0[stuck], a1[stuck])
-        return self.origin + step * (cell - _HALF + u)
+def _first_stage_grid(levels: SignalingLevels) -> tuple[float, float, int]:
+    """The first node, step and node count of a level vector's first-stage grid.
 
-
-def _cell_cubic(
-    u: np.ndarray, c: np.ndarray, dh: np.ndarray, a0: np.ndarray, a1: np.ndarray
-) -> np.ndarray:
-    """c + u (dh + v (a0 v - a1 u)), v = 1 - u: a cell's cubic, shifted by c."""
-    v = 1.0 - u
-    return c + u * (dh + v * (a0 * v - a1 * u))
-
-
-def _cell_cubic_root(c: np.ndarray, dh: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """A root in [0, 1] of _cell_cubic(u, c, dh, a0, a1), whose values c at
-    u = 0 and c + dh at u = 1 have opposite signs (or one is 0), by 60
-    bisections: the bracket ends 2^-60 wide, below the rounding of cell + u."""
-    low, high = np.zeros_like(c), np.ones_like(c)
-    negative_at_low = c < 0.0
-    for _ in range(60):
-        mid = 0.5 * (low + high)
-        right = (_cell_cubic(mid, c, dh, a0, a1) < 0.0) == negative_at_low
-        low, high = np.where(right, mid, low), np.where(right, high, mid)
-    return 0.5 * (low + high)
-
-
-def _branch_cells(branch: tuple[np.ndarray, int, int], x: np.ndarray) -> np.ndarray:
-    """The cells of a branch (H at its nodes in ascending order, the first
-    of those nodes and the node step, +1 or -1) that hold x."""
-    hs, first, way = branch
-    j = np.clip(np.searchsorted(hs, x, side="right") - 1, 0, hs.size - 2)
-    return first + way * j - (way < 0)
-
-
-def _nearest_branch(
-    xs: np.ndarray, branches: Sequence[tuple], levels: np.ndarray, preimages: Callable
-) -> np.ndarray:
-    """At each of the ascending xs, the branch whose preimage lies nearest one of the
-    ascending levels, the earlier on ties; -1 where no branch covers x.  preimages(spans,
-    xs) inverts xs[i:j] on branch k for each span (k, i, j); branches[k][0] ascends."""
-    starts = np.searchsorted(xs, [hs[0] for hs, *_ in branches])
-    stops = np.searchsorted(xs, [hs[-1] for hs, *_ in branches], "right")
-    spans = [(k, i, j) for k, (i, j) in enumerate(zip(starts.tolist(), stops.tolist())) if i < j]
-    padded = np.concatenate([levels[:1], levels, levels[-1:]])
-    choice = np.full(xs.shape, -1, dtype=np.intp)
-    best = np.full(xs.shape, np.inf)
-    for (k, i, j), g in zip(spans, preimages(spans, xs)):
-        n = np.searchsorted(levels, g)  # padded[n] and padded[n + 1] bracket g
-        dist = np.minimum(np.abs(g - padded.take(n)), np.abs(g - padded.take(n + 1)))
-        nearer = dist < best[i:j]
-        np.copyto(best[i:j], dist, where=nearer)
-        np.copyto(choice[i:j], k, where=nearer)
-    return choice
-
-
-def _bisect(low: np.ndarray, high: np.ndarray, moves: Callable, depth: int = 4) -> np.ndarray:
-    """The high ends of brackets [low, high] bisected to adjacent floats: mid = low +
-    0.5 (high - low) replaces high where moves(mid), else low.  moves sees the next depth
-    steps' midpoints at once (a column per bracket; depth 4 is quickest on smooth and
-    staircase tables), and walking that tree ends where single steps end, for any moves."""
-    column = np.arange(low.size)
-    while True:
-        lows, highs, mids = low[None], high[None], []
-        for _ in range(depth):
-            mids.append(lows + 0.5 * (highs - lows))
-            lows, highs = np.concatenate([lows, mids[-1]]), np.concatenate([mids[-1], highs])
-        if not ((mids[0] > low) & (mids[0] < high)).any():
-            return high
-        mids = np.concatenate(mids)
-        move = moves(mids)
-        row = np.zeros_like(column)  # a level's rows follow the last's, low halves first
-        for level in range(depth):
-            mid = mids[row, column]
-            open_ = (mid > low) & (mid < high)
-            go = open_ & move[row, column]
-            high, low = np.where(go, mid, high), np.where(open_ & ~go, mid, low)
-            row += np.where(go, 1, 2) << level
-
-
-def _first_stage_table(levels: SignalingLevels, rule: QuadratureRule) -> _FirstStage:
-    """The first stage of collocation_pair: H and H' on _TABLE_POINTS nodes
-    out to _REACH sigma_x, or the outermost level, plus 6 sigma + 1, placed
-    symmetrically about the window's middle.  Odd levels (t = -t reversed)
-    leave the window, the nodes and R odd and R' even, bit for bit, so
-    _signal_pull runs on the nonnegative nodes alone and the lower half is
-    their mirror.  The rule picks the monotone branch of H whose preimage
-    lies nearest a level at every value of H in the table (on interpolated
-    preimages, then on the table's own near each change, all branches in
-    one call), and bisects its switches."""
+    The window runs out to _REACH sigma_x, or the outermost level, plus
+    6 sigma + 1 on each side.  gamma2 turns from one level to the next,
+    a gap Delta away, over a width of about sigma^2 / Delta, and the
+    convolutions of _first_stage_cost resolve a turn that spans w steps to
+    about exp(-2 pi^2 w).  So the step is at most the narrowest width,
+    sigma^2 / max(sigma, widest gap), with at least _MIN_NODES nodes and
+    at most _MAX_NODES; a grid held at the cap resolves the turns less
+    finely.  A capped step wider than sigma, on which the noise's density
+    itself is unresolved, is refused: with a ResolutionError when the
+    window of the parameters alone is too wide for it, whatever the levels,
+    and with a NumericError when levels beyond that window widen it.
+    """
     t, params = levels.levels, levels.params
-    pad = 6.0 * params.sigma + 1.0
+    sv = params.sigma
+    pad = 6.0 * sv + 1.0
     lo = min(float(t.min()), -_REACH * params.sigma_x) - pad
     hi = max(float(t.max()), _REACH * params.sigma_x) + pad
-    step = (hi - lo) / (_TABLE_POINTS - 1)
-    if not step <= params.sigma:
-        # H turns on the scale of the noise, which a coarser table misses.
-        raise NumericError(
-            f"the first-stage table from {lo:.6g} would have nodes {step:.3g} apart, "
-            f"wider than sigma = {params.sigma:.6g}"
+    width = sv * sv / max(sv, float(np.max(np.diff(np.unique(t)), initial=0.0)))
+    cells = min((hi - lo) / width, _MAX_NODES - 1)
+    n = max(_MIN_NODES, math.ceil(cells) + 1)
+    step = (hi - lo) / (n - 1)
+    if not step <= sv:
+        fixed = 2.0 * (_REACH * params.sigma_x + pad) > sv * (_MAX_NODES - 1)
+        raise (ResolutionError if fixed else NumericError)(
+            f"the first-stage grid from {lo:.6g} to {hi:.6g} would need more than "
+            f"{_MAX_NODES:,} nodes for a step no wider than sigma = {sv:.6g}"
         )
-    origin = 0.5 * (lo + hi)
-    nodes = origin + step * np.arange(-_HALF, _HALF + 1)
-    h, slope = np.empty(_TABLE_POINTS), np.empty(_TABLE_POINTS)
-    # Every sum over the noise nodes and the levels is reversal invariant,
-    # which makes R(-g) = -R(g) and R'(-g) = R'(g) exact for odd levels.
-    odd = np.array_equal(t, -t[::-1])
-    first = _HALF if odd else 0
-    _signal_pull(nodes[first:], t, params, rule, out=(h[first:], slope[first:]))
-    if odd:
-        np.negative(h[:_HALF:-1], out=h[:_HALF])
-        slope[:_HALF] = slope[:_HALF:-1]
-    h += nodes
-    if not np.all(np.isfinite(h)):
-        raise NumericError(f"H = g + R(g) overflows on the first-stage table from {lo:.6g}")
-    slope += 1.0
-    table = _FirstStage(origin, step, h, slope)
-    rising = np.diff(h) > 0.0
-    edges = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1).tolist(), h.size - 1]
-    branches = [
-        (h[a : b + 1], a, 1) if rising[a] else (h[a : b + 1][::-1], b, -1)
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-    grids = [nodes[a : b + 1][:: 1 if rising[a] else -1] for a, b in zip(edges[:-1], edges[1:])]
-    t = np.sort(t)
+    return lo, step, n
 
-    def interpolated(spans, xs):
-        return (np.interp(xs[i:j], branches[k][0], grids[k]) for k, i, j in spans)
 
-    def on_table(spans, xs):
-        parts = [xs[i:j] for _, i, j in spans]
-        cells = [_branch_cells(branches[k], part) for (k, *_), part in zip(spans, parts)]
-        g = table.inverse(np.concatenate(cells), np.concatenate(parts))
-        return np.split(g, np.cumsum([part.size for part in parts])[:-1])
+def _first_stage_cost(
+    gamma2: Strategy, params: ProblemParams, lo: float, step: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """c(g) = E_v (g - gamma2(g + v))^2, v ~ N(0, sigma^2), and c'(g) at the
+    nodes lo + step j, j < n.
 
-    def pick(x):
-        order = np.argsort(x)
-        return _nearest_branch(x[order], branches, t, on_table)[np.argsort(order)]
+    With N the N(0, sigma^2) density, c = g^2 - 2 g (N * gamma2) + N *
+    gamma2^2 and c' = 2 (g - N * gamma2 - g (N * gamma2)') + (N * gamma2^2)'.
+    gamma2 is tabulated, _BLOCK values a call, on the grid extended by
+    _KERNEL_REACH sigma on each side, with zeros after it up to a
+    power-of-two length.  Each of the four convolutions is one inverse FFT
+    of the table's transform (or its square's) times N's, exp(-(sigma
+    omega)^2 / 2), and i omega for a derivative, into the table's buffer.
+    A node reads the zeros, and the table's other end across the wrap, only
+    through weights below exp(-_KERNEL_REACH^2 / 2).
+    """
+    pad = math.ceil(_KERNEL_REACH * params.sigma / step)
+    size = 1 << (n + 2 * pad - 1).bit_length()
+    table = np.zeros(size)
+    for a in range(0, n + 2 * pad, _BLOCK):
+        part = table[a : min(a + _BLOCK, n + 2 * pad)]
+        part[:] = gamma2(lo + step * np.arange(a - pad, a - pad + part.size))
+    fft = np.fft  # NumPy loads its FFT module on first use, not with the package
+    spectrum = fft.rfft(table)
+    np.square(table, out=table)
+    spectrum_sq = fft.rfft(table)
+    frequency = np.arange(spectrum.size, dtype=float)
+    frequency *= 2.0 * math.pi / (size * step)
+    density = frequency * params.sigma
+    np.square(density, out=density)
+    density *= -0.5
+    spectrum *= np.exp(density, out=density)
+    spectrum_sq *= density
+    del density
+    # Each transform below lands in the table's buffer, read at the nodes.
+    nodes = table[pad : pad + n]
+    g = np.arange(n, dtype=float)
+    g *= step
+    g += lo
+    fft.irfft(spectrum_sq, size, out=table)
+    c = g * g
+    c += nodes
+    spectrum_sq *= frequency
+    spectrum_sq *= 1j
+    fft.irfft(spectrum_sq, size, out=table)
+    del spectrum_sq
+    dc = nodes.copy()
+    dc += g
+    dc += g
+    fft.irfft(spectrum, size, out=table)
+    nodes *= -2.0
+    dc += nodes
+    nodes *= g
+    c += nodes
+    spectrum *= frequency
+    spectrum *= 1j
+    del frequency
+    fft.irfft(spectrum, size, out=table)
+    nodes *= g
+    nodes *= 2.0
+    dc -= nodes
+    return c, dc
 
-    samples = np.sort(h)
-    choice = np.concatenate([
-        _nearest_branch(samples[a : a + _BLOCK], branches, t, interpolated)
-        for a in range(0, samples.size, _BLOCK)
-    ])
-    change = np.flatnonzero(choice[1:] != choice[:-1])
-    near = np.union1d(np.clip(change[:, None] + np.arange(-2, 4), 0, samples.size - 1), [0])
-    choice[near] = pick(samples[near])
-    change = np.flatnonzero(choice[1:] != choice[:-1])
-    # Each pass bisects, to adjacent floats, where the branch picked at the
-    # left end of an interval stops being picked; the next goes on from it.
-    left, right = samples[change], samples[change + 1]
-    switches = [np.empty(0)]
-    while left.size:
-        ends = pick(np.concatenate([left, right]))
-        keep = ends[: left.size] != ends[left.size :]
-        left, right, first = left[keep], right[keep], ends[: left.size][keep]
-        left = _bisect(left, right, lambda mid: pick(mid.ravel()).reshape(mid.shape) != first)
-        switches.append(left)
-    switches = np.sort(np.concatenate(switches))
-    serving = pick(np.concatenate([samples[:1], switches]))
-    return replace(
-        table,
-        span=(float(samples[0]), float(samples[-1])),
-        switches=tuple(switches.tolist()),
-        treads=tuple(branches[k] for k in serving),
+
+def _lower_hull(phi: np.ndarray) -> np.ndarray:
+    """The ascending nodes j of the lower convex hull of the points (j, phi[j]).
+
+    A node that does not lie below the chord of its two neighbours is on
+    no hull.  The others form runs of consecutive nodes, each a convex
+    chain, which join from left to right.  The bridge from the hull so far
+    to the next run is found by turns: the hull node of greatest slope to
+    the current run node (the leftmost of equals), then the run node of
+    least slope from that hull node (the rightmost of equals), until
+    neither moves, when every point lies on or above it and none between
+    its ends on it.  Each join takes a few passes over the hull, and phi
+    has few runs: one per convex piece.
+    """
+    d = np.diff(phi)
+    convex = np.ones(phi.size, dtype=bool)
+    convex[1:-1] = d[1:] > d[:-1]
+    nodes = np.flatnonzero(convex)
+    runs = np.split(nodes, np.flatnonzero(np.diff(nodes) > 1) + 1)
+    hull = runs[0]
+    for run in runs[1:]:
+        p, q, seen = hull.size - 1, 0, set()
+        while (p, q) not in seen:
+            seen.add((p, q))
+            p = int(np.argmax((phi[run[q]] - phi[hull]) / (run[q] - hull)))
+            slopes = (phi[run] - phi[hull[p]]) / (run - hull[p])
+            q = run.size - 1 - int(np.argmin(slopes[::-1]))
+        hull = np.concatenate([hull[: p + 1], run[q:]])
+    return hull
+
+
+def _best_response(
+    gamma2: Strategy, params: ProblemParams, lo: float, step: float, n: int
+) -> _BestResponse:
+    """The first stage that best responds to gamma2, on the grid lo + step j,
+    j < n: BR1(x0) = argmin_g k^2 (g - x0)^2 + c(g), the point of the lower
+    convex hull of phi = g^2 + c / k^2 where the hull's slope is 2 x0.
+
+    The hull's vertices come from _lower_hull, less a first or last edge
+    wider than one step: such an edge leans on a point beyond the grid's
+    end.  A vertex on or above the chord of its neighbours after rounding is
+    dropped too, so the halved slopes of the edges, the cuts, ascend
+    strictly.  An edge wider than one step is a jump of gamma1bar, at x0 =
+    its slope / 2."""
+    phi, pull = _first_stage_cost(gamma2, params, lo, step, n)
+    k2 = params.k**2
+    g = lo + step * np.arange(n)
+    phi /= k2
+    phi += g * g
+    pull /= 2.0 * k2
+    pull += g
+    del g
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(pull))):
+        raise NumericError(f"the first-stage cost overflows on the grid from {lo:.6g}")
+    vertices = _lower_hull(phi)
+    if vertices[1] - vertices[0] > 1:
+        vertices = vertices[1:]
+    if vertices[-1] - vertices[-2] > 1:
+        vertices = vertices[:-1]
+    while True:
+        cuts = np.diff(phi[vertices]) / (np.diff(vertices) * (2.0 * step))
+        bent = np.flatnonzero(np.diff(cuts) <= 0.0)
+        if not bent.size:
+            break
+        vertices = np.delete(vertices, bent + 1)
+    jumps = cuts[np.diff(vertices) > 1]
+    del phi
+    return _BestResponse(
+        lo, step, pull, vertices[1:].astype(np.int32), _CellTable.of(cuts), tuple(jumps.tolist())
     )
 
 
@@ -787,8 +745,8 @@ def solved_pair(report: SolveReport) -> StrategyPair:
     """Evaluable strategy pair from a converged solve.
 
     Requires report.converged; otherwise the levels do not solve the system
-    and a ConfigurationError is raised.  gamma1bar is the pair's first-stage
-    table; gamma2 is the posterior mean of the levels.
+    and a ConfigurationError is raised.  gamma2 is the posterior mean of the
+    levels and gamma1bar the best response to it (collocation_pair).
     """
     if not report.converged:
         raise ConfigurationError(
@@ -803,31 +761,30 @@ def collocation_pair(levels: SignalingLevels) -> StrategyPair:
 
     gamma2 is the posterior mean of the levels, with the rule weights (the
     prior masses of the collocation points) as mixture weights.  gamma1bar
-    is the root of g + R(g) = x0 nearest to a signaling level, read from
-    the one table _first_stage_table builds here; the breakpoints are those
-    of its switch points inside +-_REACH sigma_x where gamma1bar jumps.  The pair
-    is built once per levels object and returned again on later calls.  Two
-    threads that race on the first call may each build a pair; the last
-    one is kept.
+    is the best response to that gamma2, read from the convex hull that
+    _best_response builds here on the grid of _first_stage_grid (its step
+    is gamma1bar.step); the breakpoints are its jumps inside +-_REACH
+    sigma_x.  gamma1bar need not pass through the levels at the
+    collocation points: the residual of the collocation system measures
+    the n-level system, not this pair.  The pair is built once per levels
+    object and returned again on later calls.  Two threads that race on
+    the first call may each build a pair; the last one is kept.
     """
     if levels._pair is not None:
         return levels._pair
-    rule = build_hermite_rule(levels.rule_order)
-    table = _first_stage_table(levels, rule)
-    sv = levels.params.sigma
-    weights = rule.weights
+    weights = build_hermite_rule(levels.rule_order).weights
     level_values = levels.levels
+    params = levels.params
 
     def gamma2(y: np.ndarray) -> np.ndarray:
-        return gaussian_posterior_mean(np.asarray(y, dtype=float), level_values, weights, sv)
+        return gaussian_posterior_mean(np.asarray(y, dtype=float), level_values, weights, params.sigma)
 
-    # A switch between two branches at their shared turn is not a jump.
-    s = np.array(table.switches)
-    jumps = np.abs(table(s) - table(np.nextafter(s, -np.inf))) > table.step
+    first_stage = _best_response(gamma2, params, *_first_stage_grid(levels))
+    reach = _REACH * params.sigma_x
     pair = StrategyPair(
-        gamma1bar=table,
+        gamma1bar=first_stage,
         gamma2=gamma2,
-        breakpoints=tuple(s[jumps & (np.abs(s) < _REACH * levels.params.sigma_x)].tolist()),
+        breakpoints=tuple(b for b in first_stage.jumps if abs(b) < reach),
     )
     object.__setattr__(levels, "_pair", pair)
     return pair

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,21 @@ def bench_report(bench_params, rule7) -> SolveReport:
 @pytest.fixture(scope="session")
 def bench_pair(bench_report) -> StrategyPair:
     return solved_pair(bench_report)
+
+
+@pytest.fixture(scope="session")
+def bench_atoms(bench_params, bench_report, bench_pair) -> tuple[np.ndarray, StrategyPair]:
+    """The collocation points x0_l and the benchmark's n-level solution as a
+    pair: gamma1bar runs linearly through the levels at the x0_l, and gamma2
+    is the posterior mean of the levels.  The solver solves the
+    stationarity conditions of this pair at the x0_l, with the order-7 rule
+    in v and over x0; the collocation pair's own gamma1bar is instead the
+    exact best response to gamma2."""
+    x0 = math.sqrt(2.0) * bench_params.sigma_x * build_hermite_rule(7).nodes
+    levels = bench_report.levels.levels
+    return x0, StrategyPair(
+        gamma1bar=lambda x: np.interp(x, x0, levels), gamma2=bench_pair.gamma2
+    )
 
 
 @pytest.fixture(scope="session")

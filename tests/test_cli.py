@@ -24,6 +24,7 @@ from pbpsolve import (
     SignalingLevels,
     affine_optimal,
     collocation_pair,
+    gaussian_posterior_mean,
     identity_model,
     model_to_dict,
     payoff_mc,
@@ -445,7 +446,11 @@ def test_running_out_of_memory_exits_one_with_a_message(capsys, monkeypatch):
         (["curves", "--y-range", "inf", "1"], "--y-range needs finite LO < HI"),
         (
             ["curves", "--x-range", "-1000", "1000", "--points", "5"],
-            "--x-range -1000.0 1000.0 leaves [-792.006, 792.006]",
+            "--x-range -1000.0 1000.0 leaves [-792, 792]",
+        ),
+        (
+            ["solve", "--sigma", "1e-5", "--samples", "2000"],
+            "more than 2,000,001 nodes for a step no wider than sigma = 1e-05",
         ),
     ],
 )
@@ -627,30 +632,34 @@ def test_collocation_with_the_two_point_prior_exits_two(capsys, subcommand, init
     assert "Traceback" not in err
 
 
-def count_table_builds(monkeypatch) -> list:
-    """Record the level vector of every first-stage table built from now on."""
+def count_first_stage_builds(monkeypatch) -> list:
+    """Record the gamma2 of every first stage built from now on."""
     builds = []
-    original = ghq_solver._first_stage_table
+    original = ghq_solver._best_response
 
-    def counting(levels, rule):
-        builds.append(levels.levels)
-        return original(levels, rule)
+    def counting(gamma2, *args):
+        builds.append(gamma2)
+        return original(gamma2, *args)
 
-    monkeypatch.setattr(ghq_solver, "_first_stage_table", counting)
+    monkeypatch.setattr(ghq_solver, "_best_response", counting)
     return builds
 
 
-def test_default_solve_builds_one_inverter_table(capsys, monkeypatch):
+def test_default_solve_builds_one_first_stage(capsys, monkeypatch):
     """At the benchmark both auto candidates reach one solution, so neither
-    is scored: the output builds the winner's pair and its one table, which
+    is scored: the output builds the winner's pair and its one first stage,
+    the best response to the posterior mean of the winner's levels, which
     serves the pair's breakpoints and every payoff query."""
-    builds = count_table_builds(monkeypatch)
+    builds = count_first_stage_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "solve", "--k", "0.2", "--sigma-x", "5")
     assert code == 0
     doc = json.loads(out)
     assert doc["init"] == "auto:affine"
     assert len(builds) == 1
-    assert np.array_equal(builds[0], doc["levels"])
+    ys = np.linspace(-30.0, 30.0, 61)
+    weights = build_hermite_rule(7).weights
+    want = gaussian_posterior_mean(ys, np.array(doc["levels"]), weights, 1.0)
+    assert np.array_equal(builds[0](ys), want)
 
 
 def test_default_solve_reuses_the_auto_pick_quadrature(capsys, monkeypatch):
@@ -803,10 +812,10 @@ def test_picard_curves_plot_the_solved_pair(capsys):
 
 def test_default_curves_reuses_the_solve_pair_and_estimates_no_payoff(capsys, monkeypatch):
     """curves plots the solve's own pair: no payoff estimate and no second
-    first-stage table (the auto candidates coincide and are not scored), and
+    first stage (the auto candidates coincide and are not scored), and
     the same curves and summary as a fresh pair built on the solved
     levels."""
-    builds = count_table_builds(monkeypatch)
+    builds = count_first_stage_builds(monkeypatch)
     estimates = []
     for name in ("payoff_mc", "payoff_quadrature"):
         monkeypatch.setattr(cli, name, lambda *a, _name=name, **kw: estimates.append(_name))

@@ -40,6 +40,7 @@ from numpy.polynomial.legendre import leggauss
 
 from pbpsolve.counterexample import (
     _BLOCK,
+    _CellTable,
     _gauss_panels,
     _posterior_mean_parts,
     _posterior_weights,
@@ -741,3 +742,34 @@ def test_stationarity_small_for_affine_optimum(unit_params, rule40):
     # pointwise conditions hold approximately in the high-mass region
     assert np.max(np.abs(r1)) < 1e-3
     assert np.max(np.abs(r2)) < 1e-3
+
+
+CELL_GRIDS = {
+    "uniform": lambda rng: np.linspace(-49.5, 49.5, 20_001),
+    # the halved slopes of a hull: dense where the first stage is steep
+    "clustered": lambda rng: np.cumsum(np.exp(rng.normal(0.0, 3.0, 5_000))),
+    "random": lambda rng: np.unique(rng.standard_normal(3_000) ** 3 * 1e3),
+}
+
+
+@pytest.mark.parametrize("name", CELL_GRIDS)
+def test_cell_table_finds_the_cell_of_a_search(name):
+    """_CellTable's bins match a search over the nodes: first[b] is the
+    highest node in a bin below b (0 if none), steps the most nodes any bin
+    holds past it, and cells(x) the largest j with grid[j] <= x, on the
+    nodes, next to them and across the grid."""
+    rng = np.random.default_rng(len(name))
+    grid = CELL_GRIDS[name](rng)
+    table = _CellTable.of(grid)
+    top = 2 * (grid.size - 1)
+    bins = np.fmin((grid - grid[0]) * (top / (grid[-1] - grid[0])), top).astype(np.intp)
+    below = np.searchsorted(bins, np.arange(top + 1), "left") - 1
+    upto = np.searchsorted(bins, np.arange(top + 1), "right") - 1
+    assert np.array_equal(table.first, np.maximum(below, 0))
+    assert table.steps == int(np.max(upto - np.maximum(below, 0)))
+    assert np.array_equal(table.grid, grid) and np.isnan(table.upper[-1])
+    x = np.concatenate([
+        grid, np.nextafter(grid, np.inf)[:-1], np.nextafter(grid, -np.inf)[1:],
+        rng.uniform(grid[0], grid[-1], 10_000),
+    ])
+    assert np.array_equal(table.cells(x), np.searchsorted(grid, x, "right") - 1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import math
 import sys
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 
 from pbpsolve import (
     ProblemParams,
@@ -37,16 +36,14 @@ from pbpsolve.counterexample import _BLOCK
 from pbpsolve.errors import ConfigurationError, NumericError
 from pbpsolve import counterexample, ghq_solver
 from pbpsolve.ghq_solver import (
-    _HALF,
     _STARTS,
-    _TABLE_POINTS,
     _affine_init,
-    _bisect,
-    _branch_cells,
-    _nearest_branch,
+    _best_response,
+    _first_stage_cost,
+    _first_stage_grid,
+    _lower_hull,
     _quantizer_init,
     _scan_points,
-    _signal_pull,
 )
 from pbpsolve.quadrature import SQRT_PI, build_hermite_rule
 
@@ -634,314 +631,355 @@ def test_first_stage_fixes_origin(bench_pair):
     assert float(bench_pair.gamma1bar(0.0)) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_first_stage_is_consistent_at_collocation_points(
-    bench_report, bench_pair, bench_params, rule7
-):
-    x0 = math.sqrt(2.0) * bench_params.sigma_x * rule7.nodes
-    for x, level in zip(x0, bench_report.levels.levels):
-        assert float(bench_pair.gamma1bar(float(x))) == pytest.approx(float(level), abs=1e-8)
+def _posterior_moments(y, levels, weights, sigma):
+    """The posterior mean and variance of the levels (prior masses weights)
+    observed through N(0, sigma^2) noise at y, written out with a
+    log-sum-exp over the levels, along a new last axis."""
+    log_w = np.log(weights) - (y[..., None] - levels) ** 2 / (2.0 * sigma * sigma)
+    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    mean = w @ levels
+    return mean, w @ (levels * levels) - mean * mean
 
 
-def _scan_brentq_inverter(levels, rule, x0):
-    """Scalar inversion of H(g) = g + R(g) = x0 by bracketed root finding,
-    an algorithm independent of the batch inverter's table and Newton pass.
-
-    A dense scan of H over a window containing every preimage brackets the
-    sign changes of H - x0; each bracket is polished by Brent's method and
-    kept only if the residual actually vanishes (sign changes across the
-    downward jumps of H are not roots).  Among the true roots the one
-    nearest to a signaling level is returned.
-    """
-    t = levels.levels
-    params = levels.params
-    pad = 6.0 * params.sigma + 1.0
-    lo = min(float(t.min()), x0) - pad
-    hi = max(float(t.max()), x0) + pad
-    grid = np.linspace(lo, hi, 4001)
-    resid = grid + _signal_pull(grid, t, params, rule)[0] - x0
-
-    def h_defect(g):
-        return float(g + _signal_pull(np.array([g]), t, params, rule)[0][0] - x0)
-
-    scale = 1.0 + abs(x0) + float(np.max(np.abs(t)))
-    roots = []
-    for a, b, ra, rb in zip(grid[:-1], grid[1:], resid[:-1], resid[1:]):
-        if ra == 0.0:
-            roots.append(float(a))
-        elif ra * rb < 0.0:
-            r = brentq(h_defect, float(a), float(b), xtol=1e-13, rtol=1e-15)
-            if abs(h_defect(r)) <= 1e-7 * scale:
-                roots.append(float(r))
-    if resid[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    assert roots, f"no bracket at x0={x0!r}"
-    roots = np.asarray(roots)
-    return float(roots[np.argmin(np.min(np.abs(roots[:, None] - t[None, :]), axis=1))])
+def _direct_cost(g, levels, weights, sigma):
+    """c(g) = E_v (g - gamma2(g + v))^2 and c'(g) = E_v 2 (g - gamma2)(1 -
+    gamma2'), gamma2' = Var / sigma^2, by a dense trapezoid rule in v over
+    +-12 sigma (12,001 points, 18 to the narrowest turn of gamma2 in these
+    tests): the reference for _first_stage_cost, with no package code."""
+    v = np.linspace(-12.0 * sigma, 12.0 * sigma, 12_001)
+    density = np.exp(-0.5 * (v / sigma) ** 2) * (v[1] - v[0]) / (sigma * math.sqrt(2.0 * math.pi))
+    density[[0, -1]] *= 0.5
+    c, dc = [], []
+    for x in np.atleast_1d(g):
+        mean, var = _posterior_moments(x + v, levels, weights, sigma)
+        miss = x - mean
+        c.append(density @ (miss * miss))
+        dc.append(density @ (2.0 * miss * (1.0 - var / (sigma * sigma))))
+    return np.array(c), np.array(dc)
 
 
-def test_first_stage_batch_matches_scalar(bench_report, bench_pair, rule7):
-    rng = np.random.default_rng(11)
-    xs = rng.uniform(-15.0, 15.0, 50)
-    batch = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
-    for x, b in zip(xs, batch):
-        assert b == pytest.approx(
-            _scan_brentq_inverter(bench_report.levels, rule7, float(x)), abs=1e-10
-        )
+def _solved_levels(k, sigma, sigma_x, init="auto"):
+    params = ProblemParams(k=k, sigma=sigma, sigma_x=sigma_x)
+    report = solve_signaling_levels(params, build_hermite_rule(7), init=init, tol=1e-10)
+    assert report.converged
+    return report.levels
 
 
-def _nearest_branch_by_reduction(xs, branches, t, inverse):
-    """The branch selection with the level distance taken by a reduction
-    over a queries x levels array, the reference for the two-level lookup."""
-    choice = np.full(xs.shape, -1)
-    best = np.full(xs.shape, np.inf)
-    for k, (hs, *_) in enumerate(branches):
-        inside = np.flatnonzero((xs >= hs[0]) & (xs <= hs[-1]))
-        if not inside.size:
-            continue
-        cand = inverse(k, xs[inside])
-        dist = np.min(np.abs(cand[:, None] - t[None, :]), axis=1)
-        take = dist < best[inside]
-        best[inside[take]] = dist[take]
-        choice[inside[take]] = k
-    return choice
-
-
-def _table_branches(first_stage):
-    """The monotone branches of a first-stage table as its build forms them
-    (H at the nodes in ascending order, the first of those nodes and the
-    node step), and the table's inverse on each."""
-    h = first_stage.h
-    rising = np.diff(h) > 0.0
-    edges = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1), h.size - 1]
-    branches = [
-        (h[a : b + 1], a, 1) if rising[a] else (h[a : b + 1][::-1], b, -1)
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-
-    def inverse(k, x):
-        return first_stage.inverse(_branch_cells(branches[k], x), x)
-
-    return branches, inverse
-
-
-def _per_span(inverse):
-    """The preimages argument of _nearest_branch from a per-branch inverse,
-    with a count of its calls."""
-
-    def preimages(spans, xs):
-        preimages.calls += 1
-        return [inverse(k, xs[i:j]) for k, i, j in spans]
-
-    preimages.calls = 0
-    return preimages
-
-
-def test_nearest_preimage_keeps_the_first_of_tied_branches():
-    """Candidates lie exactly midway between two levels or on a level, and
-    at every covered query two branches tie; the earlier branch wins."""
-    t = np.array([-3.0, -1.0, 1.0, 3.0])
-    branches = (
-        (np.array([0.0, 4.0]), np.array([-2.0, 2.0])),
-        (np.array([0.0, 4.0]), np.array([0.0, 4.0])),
-        (np.array([1.0, 3.0]), np.array([4.0, -4.0])),
-    )
-
-    def inverse(k, x):
-        return np.interp(x, *branches[k])
-
-    xs = np.array([-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    preimages = _per_span(inverse)
-    got = _nearest_branch(xs, branches, t, preimages)
-    assert preimages.calls == 1
-    assert np.array_equal(got, _nearest_branch_by_reduction(xs, branches, t, inverse))
-    assert np.array_equal(got, [-1, 0, 0, 0, 0, 0, -1])
-    assert _nearest_branch(np.array([-2.0, 6.0]), branches, t, preimages).tolist() == [-1, -1]
-
-
-def test_nearest_preimage_lets_no_nan_or_inf_distance_win():
-    """A preimage of nan or inf is never nearer than +inf: a query whose
-    only covering branch gives one is covered by none."""
-    t = np.array([-1.0, 1.0])
-    branches = ((np.array([0.0, 2.0]),), (np.array([1.0, 3.0]),))
-    values = {0: np.nan, 1: np.inf}
-    xs = np.array([0.5, 1.5, 2.5])
-    got = _nearest_branch(xs, branches, t, _per_span(lambda k, x: np.full(x.shape, values[k])))
-    assert got.tolist() == [-1, -1, -1]
-    values[1] = 0.5
-    got = _nearest_branch(xs, branches, t, _per_span(lambda k, x: np.full(x.shape, values[k])))
-    assert got.tolist() == [-1, 1, 1]
-
-
-def test_nearest_preimage_matches_the_reduction_on_the_benchmark_table(bench_pair, bench_report):
-    levels = bench_report.levels.levels
-    h = bench_pair.gamma1bar.h
-    branches, inverse = _table_branches(bench_pair.gamma1bar)
-    t = np.sort(levels)
-    rng = np.random.default_rng(13)
-    xs = np.concatenate([rng.uniform(h.min(), h.max(), 20_000), 0.5 * (t[:-1] + t[1:]), t])
-    xs = np.sort(np.concatenate([xs, np.nextafter(h[::1000], np.inf), h[::1000]]))
-    got = _nearest_branch(xs, branches, t, _per_span(inverse))
-    assert np.array_equal(got, _nearest_branch_by_reduction(xs, branches, levels, inverse))
-
-
-def test_each_tread_is_served_by_the_branch_the_rule_picks(bench_pair, bench_report):
-    """Away from the switch points, the table's answer is the preimage that
-    the rule picks when it is applied to every branch at the query."""
-    h = bench_pair.gamma1bar.h
-    branches, inverse = _table_branches(bench_pair.gamma1bar)
-    rng = np.random.default_rng(17)
-    xs = np.concatenate([rng.uniform(h.min(), h.max(), 5_000), rng.normal(0, 5, 20_000)])
-    switches = np.asarray(bench_pair.gamma1bar.switches)
-    xs = xs[np.min(np.abs(xs[:, None] - switches[None, :]), axis=1) > 1e-9]
-    choice = _nearest_branch_by_reduction(xs, branches, bench_report.levels.levels, inverse)
-    assert np.all(choice >= 0)
-    want = np.empty_like(xs)
-    for k in np.unique(choice):
-        want[choice == k] = inverse(k, xs[choice == k])
-    assert np.array_equal(bench_pair.gamma1bar(xs), want)
-
-
-def _plain_bisection(low, high, moves):
-    """Bisection one step at a time, as the switch search ran it before it
-    evaluated trees of steps: moves sees one row of midpoints a step."""
-    while True:
-        mid = low + 0.5 * (high - low)
-        open_ = (mid > low) & (mid < high)
-        if not open_.any():
-            return high
-        move = open_ & moves(mid[None])[0]
-        high, low = np.where(move, mid, high), np.where(open_ & ~move, mid, low)
-
-
-def _reference_search(first_stage, levels):
-    """The switches and treads of a first-stage table as its build found
-    them with one inverse per branch: the rule picks branch by branch
-    (_nearest_branch_by_reduction), the coarse pass interpolates on each
-    branch's own node grid, and each switch is bisected one step at a
-    time."""
-    branches, inverse = _table_branches(first_stage)
-    origin, step = first_stage.origin, first_stage.step
-
-    def interpolated(k, x):
-        hs, first, way = branches[k]
-        return np.interp(x, hs, origin + step * (first - _HALF + way * np.arange(hs.size)))
-
-    def pick(x, inverse=inverse):
-        return _nearest_branch_by_reduction(x, branches, levels, inverse)
-
-    samples = np.sort(first_stage.h)
-    choice = np.concatenate([
-        pick(samples[a : a + _BLOCK], interpolated) for a in range(0, samples.size, _BLOCK)
-    ])
-    change = np.flatnonzero(choice[1:] != choice[:-1])
-    near = np.union1d(np.clip(change[:, None] + np.arange(-2, 4), 0, samples.size - 1), [0])
-    choice[near] = pick(samples[near])
-    change = np.flatnonzero(choice[1:] != choice[:-1])
-    left, right = samples[change], samples[change + 1]
-    switches = [np.empty(0)]
-    while left.size:
-        first = pick(left)
-        keep = first != pick(right)
-        left, right, first = left[keep], right[keep], first[keep]
-        left = _plain_bisection(left, right, lambda mid: pick(mid[0])[None] != first)
-        switches.append(left)
-    switches = np.sort(np.concatenate(switches))
-    serving = pick(np.concatenate([samples[:1], switches]))
-    return switches, [branches[k] for k in serving]
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.int64)
-
-
-@pytest.fixture(scope="module")
-def searched_pairs(bench_report, rule7):
-    """Fresh pairs of the benchmark's levels and of the regime sweep's two
-    staircase solutions (the quantizer start, which init="auto" keeps at
-    both), each with the count of _FirstStage.inverse calls its first-stage
-    table's build made."""
-    levels = [bench_report.levels]
-    for k, sigma, sigma_x in [(0.005, 0.01, 2.0), (0.05, 0.04, 2.0)]:
-        params = ProblemParams(k=k, sigma=sigma, sigma_x=sigma_x)
-        report = solve_signaling_levels(params, rule7, init="quantizer", tol=1e-10)
-        assert report.converged
-        levels.append(report.levels)
-    inverse, build = ghq_solver._FirstStage.inverse, ghq_solver._first_stage_table
-    calls, counts = [0], []
-
-    def counting_inverse(self, cell, x):
-        calls[0] += 1
-        return inverse(self, cell, x)
-
-    def counting_build(levels, rule):
-        calls[0] = 0
-        table = build(levels, rule)
-        counts.append(calls[0])
-        return table
-
-    levels = [SignalingLevels(v.levels, v.rule_order, v.params) for v in levels]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ghq_solver._FirstStage, "inverse", counting_inverse)
-        mp.setattr(ghq_solver, "_first_stage_table", counting_build)
-        pairs = [collocation_pair(v) for v in levels]
-    return list(zip(levels, pairs, counts))
-
-
-SEARCHED = pytest.mark.parametrize(
-    "which", [0, 1, 2], ids=["benchmark", "sigma=0.01", "sigma=0.04"]
+COSTS = pytest.mark.parametrize(
+    ("k", "sigma_x", "start"),
+    [(0.2, 5.0, "auto"), (0.2, 5.0, [-13.0, 0.0, 12.0]), (2.0, 20.0, "auto")],
+    ids=["benchmark", "benchmark-not-odd", "k=2-sigma_x=20"],
 )
 
 
-@SEARCHED
-def test_the_switch_search_keeps_every_bit_of_the_per_branch_search(searched_pairs, which):
-    """Switches, treads and breakpoints equal, bit for bit, those of the
-    search that inverted one branch at a time and bisected one step at a
-    time; the breakpoints follow collocation_pair's rule on the reference
-    switches."""
-    levels, pair, _ = searched_pairs[which]
-    table = pair.gamma1bar
-    switches, treads = _reference_search(table, levels.levels)
-    assert np.array_equal(_bits(table.switches), _bits(switches))
-    assert [(first, way) for _, first, way in table.treads] == [(f, w) for _, f, w in treads]
-    for (got, *_), (want, *_) in zip(table.treads, treads):
-        assert np.array_equal(_bits(got), _bits(want))
-    reference = dataclasses.replace(table, switches=tuple(switches.tolist()), treads=tuple(treads))
-    jumps = np.abs(reference(switches) - reference(np.nextafter(switches, -np.inf))) > table.step
-    inside = np.abs(switches) < 8.5 * levels.params.sigma_x
-    assert np.array_equal(_bits(pair.breakpoints), _bits(switches[jumps & inside]))
+@COSTS
+def test_first_stage_cost_equals_a_dense_direct_quadrature(k, sigma_x, start):
+    """c from the two FFT convolutions equals a dense trapezoid rule in v to
+    1e-8 relative, and c' to 1e-8 of its largest size, at nodes drawn over
+    the grid and at the nodes next to every level; the levels that
+    user:-13,0,12 expands to are not odd.  Next to those levels c falls to
+    1e-8, where the rounding of g^2 and gamma2^2, which c = g^2 - 2 g (N *
+    gamma2) + N * gamma2^2 cancels, is the floor: 64 ulps of g^2 + t^2."""
+    params = ProblemParams(k=k, sigma=1.0, sigma_x=sigma_x)
+    rule = build_hermite_rule(7)
+    if isinstance(start, list):
+        levels = SignalingLevels(expand_distinct_levels(start, params, rule), 7, params)
+    else:
+        levels = _solved_levels(k, 1.0, sigma_x, start)
+    lo, step, n = _first_stage_grid(levels)
+    c, dc = _first_stage_cost(collocation_pair(levels).gamma2, params, lo, step, n)
+    rng = np.random.default_rng(19)
+    nodes = np.concatenate([
+        rng.integers(0, n, 60), np.round((levels.levels - lo) / step).astype(int)
+    ])
+    g = lo + step * nodes
+    want_c, want_dc = _direct_cost(g, levels.levels, rule.weights, 1.0)
+    floor = 64.0 * np.finfo(float).eps * (g * g + np.max(levels.levels**2))
+    assert np.all(np.abs(c[nodes] - want_c) <= 1e-8 * want_c + floor)
+    assert np.count_nonzero(1e-8 * want_c < floor) <= levels.levels.size
+    assert np.max(np.abs(dc[nodes] - want_dc)) <= 1e-8 * np.max(np.abs(want_dc))
 
 
-@SEARCHED
-def test_a_first_stage_build_inverts_once_per_pick(searched_pairs, which):
-    """Each pick of the build inverts every covering branch in one call; one
-    call per branch and bisection step made 735, 4,403 and 3,339 here."""
-    assert searched_pairs[which][2] <= 120
+@pytest.mark.parametrize("order", [7, 15, 21])
+@pytest.mark.parametrize(
+    ("k", "sigma", "sigma_x"), [(0.2, 1.0, 5.0), (0.005, 0.01, 2.0), (2.0, 1.0, 20.0)]
+)
+def test_the_cost_of_odd_levels_is_even_and_its_slope_odd(k, sigma, sigma_x, order):
+    """For exactly odd levels c(-g) = c(g) and c'(-g) = -c'(g), on a grid
+    of multiples of 2^-8 symmetric about 0, to the rounding of the
+    transforms: 1e-12 of the largest value for c, and 1e-11 for c', whose
+    transform weighs the high frequencies of a steep gamma2 (2.3e-12 at
+    sigma = 0.01, order 21).  The symmetry makes gamma1bar odd.  On the
+    named starts and on a random odd vector."""
+    params = ProblemParams(k=k, sigma=sigma, sigma_x=sigma_x)
+    rule = build_hermite_rule(order)
+    u = np.random.default_rng(order).normal(0.0, 4.0 * sigma_x, order)
+    step = 2.0**-8
+    half = math.ceil((8.5 * sigma_x + 6.0 * sigma + 1.0) / step)
+    for t in [start(params, rule) for start in _STARTS.values()] + [u - u[::-1]]:
+        assert np.array_equal(t, -t[::-1])
+
+        def gamma2(y, t=t):
+            return counterexample.gaussian_posterior_mean(y, t, rule.weights, sigma)
+
+        c, dc = _first_stage_cost(gamma2, params, -half * step, step, 2 * half + 1)
+        assert np.max(np.abs(c - c[::-1])) <= 1e-12 * np.max(np.abs(c))
+        assert np.max(np.abs(dc + dc[::-1])) <= 1e-11 * np.max(np.abs(dc))
 
 
-@pytest.mark.parametrize("depth", [1, 2, 4, 6])
-def test_tree_bisection_matches_single_steps_for_any_moves(depth):
-    """Brackets of adjacent floats, of equal ends, across 0 and of many
-    scales, under predicates that depend on the midpoint's bits and the
-    column and are monotone in neither: each tree round walks to the ends
-    of single steps."""
-    rng = np.random.default_rng(depth)
-    low = rng.normal(0.0, 1.0, 60) * 10.0 ** rng.integers(-8, 8, 60)
-    high = low + np.abs(rng.normal(0.0, 1.0, 60)) * 10.0 ** rng.integers(-12, 4, 60)
-    high[:10] = np.nextafter(low[:10], np.inf)
-    high[10:15] = low[10:15]
-    low[15:20], high[15:20] = -1.0, 1.0
-    for seed in range(4):
-        salt = rng.integers(0, 2**63, 60, dtype=np.uint64)
-        steps = []
+def test_first_stage_cost_slope_matches_central_differences(bench_pair, bench_report):
+    """c' equals central differences of c, taken on the grid shifted by
+    +-1e-5, to 1e-6 of its largest size."""
+    params = bench_report.levels.params
+    lo, step, n = _first_stage_grid(bench_report.levels)
+    _, dc = _first_stage_cost(bench_pair.gamma2, params, lo, step, n)
+    h = 1e-5
+    right, _ = _first_stage_cost(bench_pair.gamma2, params, lo + h, step, n)
+    left, _ = _first_stage_cost(bench_pair.gamma2, params, lo - h, step, n)
+    central = (right - left) / (2.0 * h)
+    assert np.max(np.abs(dc - central)) <= 1e-6 * np.max(np.abs(dc))
 
-        def moves(mid):
-            steps.append(mid.shape[0])
-            mixed = (mid.view(np.uint64) ^ salt) * np.uint64(0x9E3779B97F4A7C15)
-            return (mixed >> np.uint64(62)) < np.uint64(1 + seed % 3)
 
-        got = _bisect(low, high, moves, depth)
-        assert set(steps) == {2**depth - 1}
-        assert np.array_equal(_bits(got), _bits(_plain_bisection(low, high, moves)))
+@pytest.mark.parametrize("order", [7, 40])
+def test_gamma2_is_tabulated_a_block_at_a_time(bench_params, order):
+    """The build hands gamma2 at most _BLOCK observations a call, so its
+    posterior weights stay within a block whatever the grid and the level
+    count, and the calls cover the extended grid once, in order."""
+    rule = build_hermite_rule(order)
+    levels = SignalingLevels(_quantizer_init(bench_params, rule), order, bench_params)
+    lo, step, n = _first_stage_grid(levels)
+    seen = []
+
+    def gamma2(y):
+        seen.append(y)
+        return counterexample.gaussian_posterior_mean(y, levels.levels, rule.weights, 1.0)
+
+    _first_stage_cost(gamma2, bench_params, lo, step, n)
+    assert max(y.size for y in seen) == _BLOCK
+    ys = np.concatenate(seen)
+    assert np.all(np.diff(ys) > 0.0)
+    assert ys[0] < lo - 8.9 and ys[-1] > lo + step * (n - 1) + 8.9
+    assert np.min(np.abs(ys - lo)) == 0.0
+
+
+def _monotone_chain(phi):
+    """Andrew's monotone chain for the lower hull of (j, phi[j]), one point
+    at a time, popping collinear points: the reference for _lower_hull."""
+    hull = []
+    for j, y in enumerate(phi.tolist()):
+        while len(hull) >= 2:
+            (a, ya), (b, yb) = hull[-2], hull[-1]
+            if (b - a) * (y - ya) - (yb - ya) * (j - a) > 0:
+                break
+            hull.pop()
+        hull.append((j, y))
+    return np.array([j for j, _ in hull])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_lower_hull_matches_a_monotone_chain(seed):
+    """On integer values, where both tests are exact: random values, a sum
+    of random bumps on a parabola, a staircase of concave pieces, long
+    collinear stretches and a concave arc; the hull has the chain's
+    vertices, without collinear ones."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(3001)
+    cases = [
+        rng.integers(-2**20, 2**20, 3001),
+        (j - 1500) ** 2 // 8 + sum(
+            rng.integers(1, 2**14) * np.exp(-((j - rng.integers(0, 3001)) / 40.0) ** 2)
+            for _ in range(12)
+        ).astype(np.int64),
+        np.repeat(rng.integers(0, 2**10, 31), 100)[:3001] * 7 - (j % 100) ** 2,
+        np.abs(j - 1000) * 3 + np.where(j > 2000, (j - 2000) * 5, 0),
+        -((j - 1500) ** 2),
+    ]
+    for values in cases:
+        phi = np.asarray(values, dtype=float)
+        assert np.array_equal(_lower_hull(phi), _monotone_chain(phi))
+
+
+def test_lower_hull_of_the_benchmark_cost_matches_a_monotone_chain(bench_pair, bench_report):
+    """On the benchmark's phi = g^2 + c / k^2 over its 200,001 nodes."""
+    params = bench_report.levels.params
+    lo, step, n = _first_stage_grid(bench_report.levels)
+    c, _ = _first_stage_cost(bench_pair.gamma2, params, lo, step, n)
+    g = lo + step * np.arange(n)
+    phi = c / params.k**2 + g * g
+    assert np.array_equal(_lower_hull(phi), _monotone_chain(phi))
+
+
+def _grid_argmin(levels):
+    """x0 -> argmin_g k^2 (g - x0)^2 + c(g) over the nodes of the first
+    stage's grid, one x0 at a time: the brute-force best response."""
+    params = levels.params
+    lo, step, n = _first_stage_grid(levels)
+    c, _ = _first_stage_cost(collocation_pair(levels).gamma2, params, lo, step, n)
+    g = lo + step * np.arange(n)
+
+    def argmin(x0):
+        return np.array([g[np.argmin(params.k**2 * (g - x) ** 2 + c)] for x in np.ravel(x0)])
+
+    return argmin
+
+
+BRUTE = pytest.mark.parametrize(
+    ("k", "sigma", "sigma_x", "draws"),
+    [(0.2, 1.0, 5.0, 200), (0.05, 0.04, 2.0, 200), (0.005, 0.01, 2.0, 40), (2.0, 1.0, 20.0, 200)],
+    ids=["benchmark", "sigma=0.04", "sigma=0.01", "k=2-sigma_x=20"],
+)
+
+
+@BRUTE
+def test_first_stage_is_the_brute_force_argmin(k, sigma, sigma_x, draws):
+    """gamma1bar lies within one grid step of the brute-force argmin over
+    the grid, on draws from the prior and on both sides of every jump (at
+    the cut itself the two ends tie)."""
+    levels = _solved_levels(k, sigma, sigma_x)
+    first_stage = collocation_pair(levels).gamma1bar
+    b = np.array(first_stage.jumps)
+    x = np.concatenate([
+        np.random.default_rng(23).normal(0.0, sigma_x, draws), b - 1e-6, b + 1e-6,
+    ])
+    assert np.max(np.abs(first_stage(x) - _grid_argmin(levels)(x))) <= first_stage.step
+
+
+@BRUTE
+def test_jumps_are_where_the_brute_force_argmin_jumps(k, sigma, sigma_x, draws):
+    """The brute-force argmin 1e-6 below and above each jump lies more than
+    a step apart, by gamma1bar's jump to within two steps, and the
+    breakpoints are the jumps inside +-8.5 sigma_x; between two jumps the
+    argmin moves by less than its scan step allows a map of slope below 1
+    (the largest slope of these first stages is 0.8)."""
+    levels = _solved_levels(k, sigma, sigma_x)
+    pair = collocation_pair(levels)
+    first_stage = pair.gamma1bar
+    b = np.array(first_stage.jumps)
+    assert b.size and np.all(np.diff(b) > 0.0)
+    argmin = _grid_argmin(levels)
+    below = argmin(b - 1e-6)
+    above = argmin(b + 1e-6)
+    step = first_stage.step
+    assert np.all(above - below > step)
+    jump = first_stage(b + 1e-6) - first_stage(b - 1e-6)
+    assert np.max(np.abs(jump - (above - below))) <= 2.0 * step
+    assert pair.breakpoints == tuple(x for x in first_stage.jumps if abs(x) < 8.5 * sigma_x)
+    edges = np.concatenate([[-8.5 * sigma_x], b[np.abs(b) < 8.5 * sigma_x], [8.5 * sigma_x]])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        xs = np.linspace(lo, hi, 12)[1:-1]
+        moves = np.abs(np.diff(argmin(xs)))
+        assert np.all(moves < xs[1] - xs[0] + 2.0 * step)
+
+
+def test_an_affine_second_stage_gives_no_jump(bench_params, bench_report):
+    """gamma2(y) = mu y makes c a convex parabola: the hull has no edge
+    wider than a step, also at the grid's ends, and gamma1bar is the best
+    response in closed form, x0 k^2 / (k^2 + (1 - mu)^2)."""
+    mu = affine_optimal(bench_params).mu
+    lo, step, n = _first_stage_grid(bench_report.levels)
+    first_stage = _best_response(lambda y: mu * y, bench_params, lo, step, n)
+    assert first_stage.jumps == ()
+    assert np.all(np.diff(first_stage.vertices) == 1)
+    x = np.linspace(-40.0, 40.0, 801)
+    k2 = bench_params.k**2
+    assert np.max(np.abs(first_stage(x) - x * k2 / (k2 + (1.0 - mu) ** 2))) < 1e-9
+
+
+@pytest.mark.parametrize(("k", "sigma_x"), [(0.2, 5.0), (1.0, 5.0), (2.0, 20.0)])
+def test_first_stage_solves_the_stationarity_condition(k, sigma_x):
+    """Inside its convex run the best response solves G(g) = g + c'(g) /
+    (2 k^2) = x0: with c' from the dense direct quadrature, |G(gamma1bar(x0))
+    - x0| stays below 1e-8 on draws from the prior and next to every jump
+    (1e-9 to 1e-3 from it on both sides)."""
+    levels = _solved_levels(k, 1.0, sigma_x)
+    first_stage = collocation_pair(levels).gamma1bar
+    b = np.array(first_stage.jumps)
+    near = (b[:, None] + np.array([-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])).ravel()
+    x = np.concatenate([np.random.default_rng(5).normal(0.0, sigma_x, 60), near])
+    g = first_stage(x)
+    _, dc = _direct_cost(g, levels.levels, build_hermite_rule(7).weights, 1.0)
+    assert np.max(np.abs(g + dc / (2.0 * k * k) - x)) < 1e-8
+
+
+def _lattice_slope(g, levels, weights, sigma, h=0.05):
+    """c'(g) = E_v 2 (g - gamma2)(1 - gamma2') for ascending g, by the
+    trapezoid rule in v on the lattice g + v in h Z, over +-9 sigma: the
+    posterior moments are tabulated once on the lattice, and each g weighs
+    them by the noise's density.  gamma2 turns over about sigma^2 / 7 at
+    the benchmark, with poles about pi sigma^2 / 7 off the real line, so
+    the rule's error falls like exp(-2 pi 0.45 / h): at the benchmark h =
+    0.1 and 0.05 differ by 1.3e-10, and h = 0.05 matches _direct_cost to
+    2.3e-13."""
+    reach = 9.0 * sigma
+    y = h * np.arange(math.floor((g[0] - reach) / h), math.ceil((g[-1] + reach) / h) + 1)
+    mean, var = _posterior_moments(y, levels, weights, sigma)
+    flat = h * (1.0 - var / (sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
+    tilted = flat * mean
+    out = np.empty_like(g)
+    for a in range(0, g.size, 1024):
+        part = g[a : a + 1024]
+        i, j = np.searchsorted(y, [part[0] - reach, part[-1] + reach])
+        density = np.exp(-0.5 * ((y[i:j] - part[:, None]) / sigma) ** 2)
+        out[a : a + 1024] = 2.0 * (part * (density @ flat[i:j]) - density @ tilted[i:j])
+    return out
+
+
+def test_the_solved_pair_is_stationary_across_the_fixed_point_grids(bench_pair, bench_report):
+    """The benchmark pair that solved_pair returns solves G(g) = g + c'(g) /
+    (2 k^2) = x0 at every point of the two grids on which the order-7
+    fixed-point tests once checked F1 (2^16 + 1 points over +-24, 2^18 + 1
+    over +-30), with c' from the test's own lattice rule, to 1e-9 (2.6e-11
+    here; a polish linear in each cell reads 3.3e-7).  The order-7 F1 of
+    fixed_point cannot check this pair: its Gauss-Hermite rule in v misses
+    the turns of gamma2, so those tests check F1 at the collocation points
+    of the n-level solution alone."""
+    levels = bench_report.levels
+    params = levels.params
+    x = np.union1d(np.linspace(-24.0, 24.0, 2**16 + 1), np.linspace(-30.0, 30.0, 2**18 + 1))
+    g = bench_pair.gamma1bar(x)
+    assert np.all(np.diff(g) >= 0.0)
+    dc = _lattice_slope(g, levels.levels, build_hermite_rule(7).weights, params.sigma)
+    assert np.max(np.abs(g + dc / (2.0 * params.k**2) - x)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    ("k", "sigma", "sigma_x", "nearest_level_total"),
+    [
+        (0.05, 5.0, 2.0, 0.00997506231938801),
+        (0.005, 0.01, 2.0, 1.1374020275179903e-05),
+        (0.05, 0.04, 2.0, 0.001134593977624617),
+        (1.0, 1.0, 1.0, 0.4185878217628564),
+    ],
+)
+def test_the_best_response_costs_no_more_than_the_nearest_level_root(
+    k, sigma, sigma_x, nearest_level_total, rule20, rule40
+):
+    """The order-40/20 quadrature total of the auto solve's pair stays
+    within 5e-6 relative of the total the earlier first stage gave there,
+    the root of g + R(g) = x0 nearest a level, or below it: the hull is the
+    exact best response to the same gamma2, so any excess is grid error
+    (2.5e-12 at sigma = 0.01)."""
+    levels = _solved_levels(k, sigma, sigma_x)
+    params = levels.params
+    total = payoff_quadrature(params, collocation_pair(levels), rule40, rule20).total
+    assert total <= nearest_level_total * (1.0 + 5e-6)
+
+
+def test_first_stage_grid_keeps_the_floor_and_resolves_the_turns_of_gamma2(bench_report):
+    """At the benchmark the grid has the floor's 200,001 nodes over +-(8.5
+    sigma_x + 6 sigma + 1), and the pair records its step.  At sigma =
+    0.01, where gamma2 turns between levels about 2.8 apart over about
+    sigma^2 / 2.8, the step is at most that width, finer than the floor."""
+    lo, step, n = _first_stage_grid(bench_report.levels)
+    assert (lo, n) == (-49.5, 200_001)
+    assert step == 99.0 / 200_000
+    assert collocation_pair(bench_report.levels).gamma1bar.step == step
+    levels = _solved_levels(0.005, 0.01, 2.0, "quantizer")
+    lo, step, n = _first_stage_grid(levels)
+    widest = np.max(np.diff(np.unique(levels.levels)))
+    assert n > 200_001 and step <= 0.01**2 / widest
+    assert lo + step * (n - 1) == pytest.approx(-lo)
 
 
 def test_first_stage_is_odd(bench_pair):
@@ -949,86 +987,6 @@ def test_first_stage_is_odd(bench_pair):
     left = np.asarray(bench_pair.gamma1bar(-xs), dtype=float)
     right = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
     assert np.max(np.abs(left + right)) < 1e-9
-
-
-@pytest.mark.parametrize("order", [7, 15, 21])
-@pytest.mark.parametrize(
-    ("k", "sigma", "sigma_x"), [(0.2, 1.0, 5.0), (0.005, 0.01, 2.0), (2.0, 1.0, 20.0)]
-)
-def test_signal_pull_of_odd_levels_is_odd_and_its_slope_even(k, sigma, sigma_x, order):
-    """For exactly odd levels, R(-g) = -R(g) and R'(-g) = R'(g) bit for
-    bit (array_equal takes 0.0 for -0.0, which R(0) may be): the symmetry
-    the first-stage table's build mirrors.  On the named starts and on a
-    random odd vector, at values of g across the table's window and at
-    the levels themselves."""
-    params = ProblemParams(k=k, sigma=sigma, sigma_x=sigma_x)
-    rule = build_hermite_rule(order)
-    u = np.random.default_rng(order).normal(0.0, 4.0 * sigma_x, order)
-    reach = 8.5 * sigma_x + 6.0 * sigma + 1.0
-    for t in [start(params, rule) for start in _STARTS.values()] + [u - u[::-1]]:
-        assert np.array_equal(t, -t[::-1])
-        g = np.concatenate([np.random.default_rng(1).uniform(0.0, reach, 3000), np.abs(t)])
-        pull, slope = _signal_pull(g, t, params, rule)
-        mirror_pull, mirror_slope = _signal_pull(-g, t, params, rule)
-        assert np.array_equal(mirror_pull, -pull)
-        assert np.array_equal(_bits(mirror_slope), _bits(slope))
-
-
-def _table_nodes(table):
-    return table.origin + table.step * (np.arange(table.h.size) - _HALF)
-
-
-@pytest.fixture(scope="module")
-def odd_and_other_tables(bench_report, rule7):
-    """First-stage tables of the benchmark's odd levels and of the levels
-    the start user:-13,0,12 expands to, which are not odd, each with the
-    sizes of the batches _signal_pull received while it was built."""
-    params = bench_report.levels.params
-    other = expand_distinct_levels([-13.0, 0.0, 12.0], params, rule7)
-    built = []
-    pull = ghq_solver._signal_pull
-
-    def counting(g, *args, **kwargs):
-        sizes.append(np.size(g))
-        return pull(g, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ghq_solver, "_signal_pull", counting)
-        for t in (bench_report.levels.levels, other):
-            sizes = []
-            table = ghq_solver._first_stage_table(SignalingLevels(t, 7, params), rule7)
-            built.append((t, table, sizes))
-    return built
-
-
-def test_an_odd_table_pulls_its_nonnegative_half_and_any_other_every_node(odd_and_other_tables):
-    (odd, _, odd_sizes), (other, _, other_sizes) = odd_and_other_tables
-    assert np.array_equal(odd, -odd[::-1]) and not np.array_equal(other, -other[::-1])
-    assert odd_sizes == [_HALF + 1]
-    assert other_sizes == [_TABLE_POINTS]
-
-
-@pytest.mark.parametrize("which", [0, 1], ids=["odd", "not odd"])
-def test_a_first_stage_table_is_the_pull_on_every_node(
-    odd_and_other_tables, bench_params, rule7, which
-):
-    """H and H' equal g + R and 1 + R' of _signal_pull on all the nodes at
-    once, bit for bit, whichever half the build pulled; the nodes of odd
-    levels are exactly odd, and the inverse at a node's own value of H
-    returns that node."""
-    t, table, _ = odd_and_other_tables[which]
-    nodes = _table_nodes(table)
-    assert nodes.size == _TABLE_POINTS
-    assert np.all(np.diff(nodes) > 0.0)
-    if which == 0:
-        assert table.origin == 0.0
-        assert np.array_equal(nodes, -nodes[::-1])
-        assert np.array_equal(table.h, -table.h[::-1])
-    pull, slope = _signal_pull(nodes, t, bench_params, rule7)
-    assert np.array_equal(_bits(table.h), _bits(nodes + pull))
-    assert np.array_equal(_bits(table.slope), _bits(slope + 1.0))
-    cells = np.arange(nodes.size - 1)
-    assert np.array_equal(_bits(table.inverse(cells, table.h[:-1])), _bits(nodes[:-1]))
 
 
 def test_one_pair_per_levels_object(bench_pair, bench_report):
@@ -1057,83 +1015,11 @@ def test_a_dropped_levels_object_frees_its_table_without_the_cycle_collector(ben
 
 
 # ---------------------------------------------------------------------------
-# batch first-stage inverter
+# first-stage queries
 # ---------------------------------------------------------------------------
 
-def _three_step_reference(levels, rule, x0):
-    """The first stage as an earlier batch inverter computed it: a table
-    sized by the queries is split on every call, every branch interpolates
-    every query, and three Newton steps use a central-difference slope."""
-    t = levels.levels
-    params = levels.params
-    pad = 6.0 * params.sigma + 1.0
-    lo = min(float(t.min()), float(x0.min())) - pad
-    hi = max(float(t.max()), float(x0.max())) + pad
-    grid = np.linspace(lo, hi, _TABLE_POINTS)
-    h = grid + _signal_pull(grid, t, params, rule)[0]
-    rising = np.diff(h) > 0.0
-    boundaries = [0, *(np.flatnonzero(rising[1:] != rising[:-1]) + 1), h.size - 1]
-    best = np.full(x0.shape, np.nan)
-    best_dist = np.full(x0.shape, np.inf)
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        seg_h = h[a : b + 1]
-        seg_g = grid[a : b + 1]
-        if seg_h[0] > seg_h[-1]:
-            seg_h, seg_g = seg_h[::-1], seg_g[::-1]
-        cand = np.interp(x0, seg_h, seg_g, left=np.nan, right=np.nan)
-        dist = np.min(np.abs(cand[:, None] - t[None, :]), axis=1)
-        dist = np.where(np.isnan(cand), np.inf, dist)
-        take = dist < best_dist
-        best = np.where(take, cand, best)
-        best_dist = np.where(take, dist, best_dist)
-    best = np.where(np.isnan(best) & (x0 <= h.min()), grid[0], best)
-    best = np.where(np.isnan(best), np.where(x0 >= h.max(), grid[-1], best), best)
-    for _ in range(3):
-        f0 = best + _signal_pull(best, t, params, rule)[0] - x0
-        rp = _signal_pull(best + 1e-6, t, params, rule)[0]
-        rm = _signal_pull(best - 1e-6, t, params, rule)[0]
-        slope = 1.0 + (rp - rm) / 2e-6
-        step = np.where(np.abs(slope) > 1e-12, f0 / slope, 0.0)
-        best = best - np.clip(step, -1.0, 1.0)
-    return best
-
-
-def test_signal_pull_slope_matches_central_differences(bench_report, bench_pair, rule7):
-    levels = bench_report.levels
-    t, params = levels.levels, levels.params
-    # first-stage values on both sides of every jump of gamma1bar
-    xs = np.linspace(-30.0, 30.0, 60001)
-    gx = np.asarray(bench_pair.gamma1bar(xs), dtype=float)
-    jumps = np.flatnonzero(np.abs(np.diff(gx)) > 1.0)
-    assert jumps.size == 6
-    edges = np.concatenate([gx[jumps], gx[jumps + 1]])
-    g = np.concatenate([np.linspace(-27.0, 27.0, 940), edges, edges - 1e-3, edges + 1e-3])
-    _, slope = _signal_pull(g, t, params, rule7)
-    h = 1e-6
-    central = (
-        _signal_pull(g + h, t, params, rule7)[0] - _signal_pull(g - h, t, params, rule7)[0]
-    ) / (2.0 * h)
-    assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central))
-
-
-@pytest.mark.parametrize("order", [7, 40])
-def test_signal_pull_values_do_not_depend_on_the_batch(bench_params, order):
-    """Each R(g) and R'(g) is the same bits whether g comes alone, with a
-    few others, or in a batch that _signal_pull splits into pieces."""
-    rule = build_hermite_rule(order)
-    t = _quantizer_init(bench_params, rule)
-    piece = _BLOCK // (order * t.size)
-    g = np.random.default_rng(31).uniform(-40.0, 40.0, 2 * piece + 3)
-    pull, slope = _signal_pull(g, t, bench_params, rule)
-    for j in (0, 1, piece - 1, piece, 2 * piece + 2):
-        alone = _signal_pull(g[j : j + 1], t, bench_params, rule)
-        assert (alone[0][0], alone[1][0]) == (pull[j], slope[j])
-    pair = _signal_pull(g[piece - 1 : piece + 1], t, bench_params, rule)
-    assert np.array_equal(pair[0], pull[piece - 1 : piece + 1])
-
-
 def test_batch_inverter_is_chunk_invariant(bench_report):
-    """A call is inverted in blocks of _BLOCK queries; calls cut at other
+    """A call is served in blocks of _BLOCK queries; calls cut at other
     points, each straddling a block boundary of the whole call, and single
     queries give the same bits as the whole call."""
     first_stage = collocation_pair(bench_report.levels).gamma1bar
@@ -1146,28 +1032,19 @@ def test_batch_inverter_is_chunk_invariant(bench_report):
         assert first_stage(x[j]) == whole[j]
 
 
-@pytest.mark.parametrize("sigma_x", [5.0, 4.0])
-def test_batch_inverter_matches_three_step_reference(sigma_x, rule7):
-    """The table's cubic inverse gives the roots that three Newton steps
-    polish from an interpolated start, on draws from the prior, on far
-    queries and on both ends of the tabulated range of H.  Draws within
-    1e-3 of a switch point are left out: there the reference picks its
-    branch on linearly interpolated preimages of a table sized by the far
-    queries, and the scan-plus-Brent oracle sides with the table
-    (test_collocation_breakpoints_are_where_the_brent_reference_changes_branch)."""
-    params = ProblemParams(k=0.2, sigma=1.0, sigma_x=sigma_x)
-    report = solve_signaling_levels(params, rule7, init="quantizer", tol=1e-10)
-    assert report.converged
-    first_stage = collocation_pair(report.levels).gamma1bar
-    draws = np.random.default_rng(7).normal(0.0, sigma_x, 20_000)
-    switches = np.asarray(first_stage.switches)
-    draws = draws[np.min(np.abs(draws[:, None] - switches[None, :]), axis=1) > 1e-3]
-    assert draws.size > 19_900
-    ends = list(first_stage.span)
-    x = np.concatenate([draws, [-200.0, -60.0, 60.0, 200.0], ends])
-    ref = _three_step_reference(report.levels, rule7, x)
-    got = first_stage(x)
-    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+def test_first_stage_is_continuous_and_smooth_between_its_jumps(bench_pair):
+    """Between two jumps gamma1bar is continuous and its slope varies
+    smoothly: across the grid nodes of the treads, differences at 1e-6 on
+    either side agree to 1e-5 of the largest (3.7e-7 here), where a map
+    linear in each cell differs by its change of slope (1.4e-4)."""
+    first_stage = bench_pair.gamma1bar
+    g = first_stage.origin + first_stage.step * np.arange(first_stage.pull.size)
+    on_tread = (np.abs(g) < 25.0) & np.isin(np.arange(g.size), first_stage.vertices)
+    x = first_stage.pull[np.flatnonzero(on_tread)[::50]]
+    h = 1e-6
+    left = (first_stage(x) - first_stage(x - h)) / h
+    right = (first_stage(x + h) - first_stage(x)) / h
+    assert np.max(np.abs(right - left)) <= 1e-5 * np.max(np.abs(right))
 
 
 def test_first_stage_counts_the_queries_outside_the_table(bench_pair):
@@ -1180,12 +1057,33 @@ def test_first_stage_counts_the_queries_outside_the_table(bench_pair):
         first_stage(far)
 
 
-def test_a_table_too_coarse_for_the_noise_is_refused(bench_params):
-    """Levels so far out that the table's nodes lie wider apart than sigma
-    end in a NumericError before any table is computed."""
-    far = SignalingLevels(np.linspace(-1e6, 1e6, 7), 7, bench_params)
-    with pytest.raises(NumericError, match="wider than sigma"):
+@pytest.mark.parametrize("sigma", [0.001, 4.4e-4])
+def test_a_grid_held_at_the_cap_serves_every_noise_the_table_served(sigma):
+    """Where the turns of gamma2 would need more nodes than the cap, the
+    grid keeps the cap's 2,000,001 nodes, as long as its step is no wider
+    than sigma: the rule of the earlier 200,001-node table, which served
+    sigma down to 4.35e-4 at sigma_x = 5."""
+    params = ProblemParams(k=0.2, sigma=sigma, sigma_x=5.0)
+    rule = build_hermite_rule(7)
+    levels = SignalingLevels(_quantizer_init(params, rule), 7, params)
+    lo, step, n = _first_stage_grid(levels)
+    assert n == 2_000_001 and step <= sigma
+    assert lo + step * (n - 1) == pytest.approx(-lo)
+
+
+@pytest.mark.parametrize(("sigma", "spread"), [(4e-5, 5.0), (1.0, 1e6)])
+def test_a_grid_whose_capped_step_is_wider_than_sigma_is_refused(sigma, spread):
+    """A step wider than sigma even at the cap ends in a NumericError
+    before anything is tabulated.  When sigma is too small for the window
+    of the parameters alone (4e-5 at sigma_x = 5) it is a ResolutionError,
+    also a ConfigurationError, which the command line reports with exit 2;
+    when levels a million apart widen the window, as a diverging solve's
+    do, it is a numeric failure alone."""
+    params = ProblemParams(k=0.2, sigma=sigma, sigma_x=5.0)
+    far = SignalingLevels(np.linspace(-spread, spread, 7), 7, params)
+    with pytest.raises(NumericError, match="more than 2,000,001 nodes for a step no wider") as info:
         collocation_pair(far)
+    assert isinstance(info.value, ConfigurationError) == (spread == 5.0)
 
 
 def test_batch_inverter_shapes_and_bad_input(bench_pair):
@@ -1205,10 +1103,10 @@ def test_batch_inverter_shapes_and_bad_input(bench_pair):
 
 
 def test_concurrent_queries_match_single_threaded(bench_report):
-    """Threads that share one first-stage table get the answers of a
-    private table, bit for bit: the table is complete before the first
-    query and never changes.  Each table comes from its own copy of the
-    levels, since collocation_pair keeps one pair per levels object."""
+    """Threads that share one first stage get the answers of a private
+    one, bit for bit: the record is complete before the first query and
+    never changes.  Each comes from its own copy of the levels, since
+    collocation_pair keeps one pair per levels object."""
     levels = bench_report.levels
 
     def fresh_pair():
@@ -1250,35 +1148,22 @@ def test_staircase_summary_of_benchmark_solution(bench_pair, bench_params):
     assert summary.shape == "staircase"
     assert summary.steps == 7
     inner = sorted(summary.tread_values, key=abs)[:5]
-    assert sorted(round(v, 1) for v in inner) == [-12.8, -6.1, 0.0, 6.1, 12.8]
+    assert sorted(round(v, 1) for v in inner) == [-12.9, -6.2, 0.0, 6.2, 12.9]
     # outer tread means pick up the rising tail past the last collocation point
-    assert sorted(summary.tread_values)[0] == pytest.approx(-19.8, abs=0.5)
-    assert sorted(summary.tread_values)[-1] == pytest.approx(19.8, abs=0.5)
+    assert sorted(summary.tread_values)[0] == pytest.approx(-20.2, abs=0.05)
+    assert sorted(summary.tread_values)[-1] == pytest.approx(20.2, abs=0.05)
     assert len(summary.breakpoints) == 6
     assert np.all(np.diff(summary.breakpoints) > 0)
     # treads are nearly flat but carry the small characteristic within-step slope
     assert max(abs(s) for s in summary.tread_slopes) < 0.05
 
 
-def test_collocation_breakpoints_are_where_the_brent_reference_changes_branch(
-    bench_pair, bench_report, bench_params, rule7
-):
-    """Each breakpoint is an exact switch: the scan-plus-Brent reference
-    jumps across it within 1e-9, and nowhere else on a grid between them.
-    The breakpoints lie within one scan step of the jumps the sampled jump
-    scan finds, and the staircase summary reads them."""
+def test_collocation_breakpoints_are_the_jumps_the_sampled_scan_finds(bench_pair, bench_params):
+    """The six breakpoints at the benchmark lie within one scan step of the
+    jumps the sampled jump scan finds, at +-3.0849, +-9.5004 and
+    +-16.4222, and the staircase summary reads them."""
     breaks = bench_pair.breakpoints
-    assert len(breaks) == 6
-    for b in breaks[3:]:
-        eps = 1e-9 * max(1.0, abs(b))
-        below = _scan_brentq_inverter(bench_report.levels, rule7, b - eps)
-        above = _scan_brentq_inverter(bench_report.levels, rule7, b + eps)
-        assert abs(above - below) > 1.0
-    edges = [0.0, *breaks[3:], 20.0]
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs = np.linspace(a, b, 9)[1:-1]
-        refs = [_scan_brentq_inverter(bench_report.levels, rule7, float(x)) for x in xs]
-        assert np.max(np.abs(np.diff(refs))) < 1.0
+    assert np.allclose(np.abs(breaks), [16.4222, 9.5004, 3.0849, 3.0849, 9.5004, 16.4222], atol=1e-4)
     xs = _scan_points(bench_params)
     assert xs.size == 20001 and xs[-1] == 8.5 * bench_params.sigma_x == -xs[0]
     scanned = jump_breakpoints(xs, bench_pair.gamma1bar(xs))
@@ -1286,61 +1171,24 @@ def test_collocation_breakpoints_are_where_the_brent_reference_changes_branch(
     assert summarize_staircase(bench_pair, bench_params).breakpoints == breaks
 
 
-def test_breakpoints_are_the_switch_points_where_the_first_stage_jumps(rule7):
-    """At k = 2, sigma_x = 5 some switches pass between two branches at
-    their shared turn of H, where gamma1bar is continuous: the pair lists
-    every switch inside +-8.5 sigma_x at which gamma1bar jumps by more than
-    a table step, and no other.  Its jumps of 0.23 to 0.96 lie below the
-    threshold of the sampled jump scan, which finds none."""
-    params = ProblemParams(k=2.0, sigma=1.0, sigma_x=5.0)
-    report = solve_signaling_levels(params, rule7, init="affine", tol=1e-10)
-    assert report.converged
-    pair = collocation_pair(report.levels)
-    first_stage = pair.gamma1bar
-    s = np.array([x for x in first_stage.switches if abs(x) < 8.5 * params.sigma_x])
-    jumps = np.abs(first_stage(s) - first_stage(np.nextafter(s, -np.inf)))
-    assert np.array_equal(pair.breakpoints, s[jumps > first_stage.step])
-    assert len(pair.breakpoints) == 8 and len(s) > 8
-    assert np.all(jumps[jumps > first_stage.step] > 0.2)
-    assert np.all(jumps[jumps <= first_stage.step] < 1e-9)
-    xs = _scan_points(params)
-    assert jump_breakpoints(xs, first_stage(xs)) == []
-
-
-@pytest.mark.parametrize(("k", "sigma_x"), [(0.2, 5.0), (1.0, 5.0), (2.0, 5.0)])
-def test_first_stage_roots_solve_h_to_rounding(k, sigma_x, rule7):
-    """The cell cubic's root is a root of H itself: |H(g) - x0| stays at
-    rounding on draws from the prior, also where treads end next to a turn
-    of H (k = 1 and k = 2)."""
-    params = ProblemParams(k=k, sigma=1.0, sigma_x=sigma_x)
-    report = solve_signaling_levels(params, rule7, init="affine", tol=1e-10)
-    first_stage = collocation_pair(report.levels).gamma1bar
-    x = np.random.default_rng(5).normal(0.0, sigma_x, 20_000)
-    g = first_stage(x)
-    defect = g + _signal_pull(g, report.levels.levels, params, rule7)[0] - x
-    assert np.max(np.abs(defect)) < 1e-11
-
-
-def test_first_stage_roots_solve_h_next_to_every_turn(rule7):
-    """In a table cell that holds a turn of H the cell cubic is not
-    monotone, and Newton steps alone can stop at a cell end (|H(g) - x0|
-    reached 5.1e-6 here).  Queries drawn uniformly over the values of H on
-    the three cells each side of every turn get roots of H to 1e-9."""
+def test_breakpoints_are_the_jumps_inside_the_window(rule7):
+    """At k = 2, sigma_x = 20 the six jumps lie inside +-8.5 sigma_x and
+    are the pair's breakpoints.  Each is more than 4.7 high, yet below the
+    threshold of the sampled jump scan, which finds none; between two of
+    them gamma1bar moves continuously."""
     params = ProblemParams(k=2.0, sigma=1.0, sigma_x=20.0)
     report = solve_signaling_levels(params, rule7, init="auto")
     assert report.converged
-    first_stage = collocation_pair(report.levels).gamma1bar
-    h = first_stage.h
-    rising = np.diff(h) > 0.0
-    turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
-    assert turns.size == 60
-    rng = np.random.default_rng(0)
-    x = np.concatenate([
-        rng.uniform(h[e - 3 : e + 4].min(), h[e - 3 : e + 4].max(), 2_000) for e in turns
-    ])
-    g = first_stage(x)
-    defect = g + _signal_pull(g, report.levels.levels, params, rule7)[0] - x
-    assert np.max(np.abs(defect)) <= 1e-9
+    pair = collocation_pair(report.levels)
+    first_stage = pair.gamma1bar
+    b = np.array(pair.breakpoints)
+    assert b.size == 6 and pair.breakpoints == first_stage.jumps
+    assert np.all(first_stage(b) - first_stage(np.nextafter(b, -np.inf)) > 4.7)
+    xs = _scan_points(params)
+    assert jump_breakpoints(xs, first_stage(xs)) == []
+    g = first_stage(xs)
+    inside = np.min(np.abs(xs[:-1, None] - b), axis=1) > xs[1] - xs[0]
+    assert np.max(np.abs(np.diff(g))[inside]) < 0.05
 
 
 def test_benchmark_quadrature_total_agrees_across_outer_orders(bench_pair, bench_params):
@@ -1351,7 +1199,7 @@ def test_benchmark_quadrature_total_agrees_across_outer_orders(bench_pair, bench
         rule = build_hermite_rule(order)
         totals.append(payoff_quadrature(bench_params, bench_pair, rule, rule).total)
     assert max(totals) - min(totals) <= 1e-12
-    assert totals[0] == pytest.approx(0.1779722135579, abs=1e-12)
+    assert totals[0] == pytest.approx(0.1719425158240, abs=1e-12)
 
 
 def test_staircase_summary_of_wit_splits_at_its_jump(unit_params):

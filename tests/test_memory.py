@@ -1,7 +1,8 @@
-"""Peak memory of the payoff estimators, the first-stage table and its
-inverter, the collocation solve and the brute-force profile sweep.
+"""Peak memory of the payoff estimators, the first stage of a collocation
+pair (its build and its queries), the collocation solve and the
+brute-force profile sweep.
 
-The estimators and the inverter work in blocks of _BLOCK observations, and
+The estimators and the first stage's queries work in blocks of _BLOCK observations, and
 the posterior mean in pieces of _BLOCK weights, so their temporaries do not
 grow with samples x levels or with outer x inner nodes x levels; the sweep
 scores profiles in blocks of _BLOCK_CELLS (profile, trajectory) cells.
@@ -32,7 +33,7 @@ from pbpsolve import (
     strategy_from_pair,
 )
 from pbpsolve.counterexample import _BLOCK
-from pbpsolve.ghq_solver import _collocation_point, _first_stage_table, _quantizer_init
+from pbpsolve.ghq_solver import _collocation_point, _quantizer_init
 from pbpsolve.quadrature import build_hermite_rule
 
 MB = 1e6
@@ -76,9 +77,9 @@ def test_payoff_mc_peak_stays_below_five_sample_arrays(bench_params, name):
 
 
 def test_gamma1bar_peak_does_not_grow_with_the_queries(bench_report):
-    # A fresh inverter whose table already covers the queries, so the call
-    # measures the inversion alone.  Over 4 blocks a single pass peaks near
-    # 27 MB; the blocked inverter near 9 MB, 2 MB of it the output.
+    # A fresh first stage, built before the call, so the call measures the
+    # queries alone.  Over 4 blocks a single pass peaks near 27 MB; the
+    # blocked queries near 9 MB, 2 MB of it the output.
     levels = bench_report.levels
     inverter = collocation_pair(
         SignalingLevels(levels.levels, levels.rule_order, levels.params)
@@ -89,12 +90,15 @@ def test_gamma1bar_peak_does_not_grow_with_the_queries(bench_report):
     assert peak < 16 * MB
 
 
-def test_first_stage_table_build_peak_stays_bounded(bench_report, rule7):
-    # The build holds the nodes, H, H', the sorted values of H and the
-    # coarse pass's picks, 1.6 MB each, and peaks near 11.4 MB: the coarse
-    # pass's per-branch temporaries stay within a block of _BLOCK values,
-    # and a switch-search round holds a few thousand points.
-    peak = _peak_above_entry(lambda: _first_stage_table(bench_report.levels, rule7))
+def test_first_stage_build_peak_stays_bounded(bench_report):
+    # The build holds gamma2's table and the two transforms of its
+    # convolutions, 2.1 MB each at 2^18 values, with the nodes, the cost
+    # and its slope on the 200,001 nodes, 1.6 MB each, and peaks near
+    # 10.7 MB; gamma2 is tabulated _BLOCK values at a time.  The pair keeps
+    # G, the hull's vertices and their locator, 5.0 MB.
+    levels = bench_report.levels
+    fresh = SignalingLevels(levels.levels, levels.rule_order, levels.params)
+    peak = _peak_above_entry(lambda: collocation_pair(fresh))
     assert peak < 14 * MB
 
 

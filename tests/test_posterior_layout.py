@@ -196,9 +196,9 @@ def test_jacobian_matches_the_locations_last_jacobian_bitwise(bench_params, orde
 
 
 def _exp_cases(params):
-    """(name, y, locations, log masses, sigma, low): pieces of the inverter's
-    table grid and of Monte Carlo draws at the solved benchmark levels (few
-    lanes below -700), the n = 40 Jacobian observations at the quantizer
+    """(name, y, locations, log masses, sigma, low): a grid across the
+    solved benchmark levels and Monte Carlo draws, each seen at the noise
+    nodes (few lanes below -700), the n = 40 Jacobian observations at the quantizer
     start, an array where a third of the lanes fall in [-745.2, -700) and
     some observations are NaN, and sigma = 1e-160, where every lane but the
     nearest is -inf.  low says whether 1 in 16 or more lanes are below
@@ -209,7 +209,7 @@ def _exp_cases(params):
     z = rule.nodes[:, None]
     log_lam = np.log(rule.weights)
     grid = np.linspace(t.min() - 7.0, t.max() + 7.0, 1337)
-    yield "table grid", c * z + grid, t, log_lam, 1.0, False
+    yield "level grid", c * z + grid, t, log_lam, 1.0, False
     draws = np.random.default_rng(1601).normal(0.0, params.sigma_x, 1337)
     yield "monte carlo", c * z + draws, t, log_lam, 1.0, False
     rule40 = build_hermite_rule(40)
