@@ -68,9 +68,7 @@ from .errors import ConfigurationError, NumericError
 from .fixed_point import default_grid, picard_iterate, strategy_from_pair
 from .ghq_solver import (
     _STARTS,
-    SignalingLevels,
     collocation_pair,
-    expand_distinct_levels,
     residual_system,
     solve_signaling_levels,
     summarize_staircase,
@@ -84,7 +82,7 @@ from .measure_change import (
     uniform_profile,
     verify_martingale,
 )
-from .quadrature import build_hermite_rule
+from .quadrature import _MAX_ORDER, build_hermite_rule
 
 OUTPUT_DIR_ENV = "PBPSOLVE_OUTPUT_DIR"
 BUNDLED_MODELS = ("identity", "random42", "corrupted")
@@ -142,10 +140,14 @@ class RunConfig:
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be positive")
         # Picard's max_iter, grid_points, damping and grid_span too, whichever method runs.
-        least_values = {"n": 1, "samples": 1, "points": 2, "max_iter": 1, "grid_points": 2}
+        least_values = {"samples": 1, "points": 2, "max_iter": 1, "grid_points": 2}
         for name, least in least_values.items():
             if getattr(self, name) < least:
                 raise ConfigurationError(f"{name} must be >= {least}")
+        # The rule orders; an order-1 payoff rule integrates the affine costs to 0.
+        for flag, order, least in (("--n", self.n, 1), ("--quad-order", self.quad_order, 2)):
+            if not least <= order <= _MAX_ORDER:
+                raise ConfigurationError(f"{flag} must lie in [{least}, {_MAX_ORDER}], got {order}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.damping <= 1.0:
@@ -331,15 +333,12 @@ def _solve(cfg: RunConfig, params: ProblemParams) -> _Solved:
         )
 
     # auto and affine start from the affine pair; every other start from
-    # the collocation pair of its levels.
+    # the collocation pair of its levels, as the collocation solve decodes it.
     if isinstance(init, str) and init in ("auto", "affine"):
         start_pair, tag = affine_optimal(params), "affine"
     else:
-        if isinstance(init, np.ndarray):
-            start_levels, tag = expand_distinct_levels(init, params, rule), "user"
-        else:
-            start_levels, tag = _STARTS[init](params, rule), init
-        start_pair = collocation_pair(SignalingLevels(start_levels, rule.order, params))
+        report = solve_signaling_levels(params, rule, init, iterate=False)
+        start_pair, tag = collocation_pair(report.levels), report.init
     grid = default_grid(params, points=cfg.grid_points, span=cfg.grid_span)
     start = strategy_from_pair(start_pair, params, grid)
     result = picard_iterate(

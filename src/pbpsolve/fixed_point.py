@@ -1,27 +1,16 @@
 """Best-response fixed-point operator on gridded strategy pairs.
 
 A strategy pair s = (gamma1bar, gamma2) is stationary exactly when it is a
-fixed point of the operator F = (F1, F2):
-
-    F1(x0) = x0 + integral f1(zeta; gamma1bar(x0), gamma2) dzeta,
-    f1 = -(1/k^2) { (zeta - g)(g - gamma2(zeta))^2 / (2 sigma^2)
-                    + (g - gamma2(zeta)) } N(zeta; g, sigma^2),
-    with g = gamma1bar(x0);
-
-    F2(y1) = integral gamma1bar(xi) w(xi; y1) dP(xi) / integral w dP,
-    w(xi; y1) = exp(-(y1 - gamma1bar(xi))^2 / (2 sigma^2)),
-
-where P is the prior of x0.  F1 is the stationarity condition of the first
-stage given gamma2 and F2 is the posterior-mean best response of the second
-stage given gamma1bar.  This module represents strategies by piecewise-
-linear interpolation of samples on a common grid (the pair a grid strategy
-hands to the payoff estimators finds each query's cell directly, in O(1);
-apply_F keeps np.interp, whose guessed search is already O(1) on queries in
-grid order), applies F by Gauss-Hermite quadrature, iterates
-s <- (1 - alpha) s + alpha F(s) (damped Picard), and supplies the pointwise
-derivative kernels of the two integrands together with a probed local
-Lipschitz estimate of F: a lower bound on the local Lipschitz constant, so
-a value below one is necessary for local contraction, not sufficient.
+fixed point of the best-response operator F = (F1, F2) of
+counterexample._operator_terms.  This module represents strategies by
+piecewise-linear interpolation of samples on a common grid (the pair a grid
+strategy hands to the payoff estimators finds each query's cell directly,
+in O(1); apply_F keeps np.interp, whose guessed search is already O(1) on
+queries in grid order), applies F, iterates s <- (1 - alpha) s + alpha F(s)
+(damped Picard), and supplies the pointwise derivative kernels of the two
+integrands together with a probed local Lipschitz estimate of F: a lower
+bound on the local Lipschitz constant, so a value below one is necessary
+for local contraction, not sufficient.
 """
 
 from __future__ import annotations
@@ -37,8 +26,8 @@ from .counterexample import (
     _CellTable,
     Strategy,
     StrategyPair,
-    _first_stage_sum,
     _jump_mask,
+    _operator_terms,
     _posterior_weights,
     _reversal_invariant_sum,
     gaussian_posterior_mean,
@@ -171,34 +160,19 @@ def apply_F(
 ) -> GridStrategy:
     """One application of the best-response operator, sampled on the same grid.
 
-    F1 at each grid point x0 integrates the first-stage integrand over the
-    noise by the rule (substitution zeta = gamma1bar(x0) + sqrt(2) sigma z);
-    gamma2 between grid points is linearly interpolated.  F2 at each grid
-    point y1 is the posterior mean of the prior pushed through gamma1bar,
-    with the prior discretized by the same rule.  F1 = x0 - R, with R the
-    first-stage sum shared with the collocation residual.  The grid is
-    taken _BLOCK // order points at a time, so the gamma2 lookups of F1
-    see at most _BLOCK observations per call and memory does not grow with
-    the grid size; every value depends on its own grid point alone.
+    F is counterexample._operator_terms at the nodes, for x0 and y1 alike,
+    with the strategy's interp1 and interp2: gamma2 is linearly interpolated
+    between nodes, and np.interp gives g = values1 there.  Where a signaling
+    gamma2 turns, the order-n rule misstates F1, which Picard then iterates.
     """
-    grid = strategy.grid
-    c = math.sqrt(2.0) * params.sigma
-
-    xi, p_xi = params.prior.quad_points(rule)
-    locations = strategy.interp1(xi)
-
-    f1 = np.empty_like(grid)
-    f2 = np.empty_like(grid)
-    step = max(1, _BLOCK // rule.order)
-    for a in range(0, grid.size, step):
-        sl = slice(a, a + step)
-        g1 = strategy.values1[sl]
-        d = g1 - strategy.interp2(g1 + c * rule.nodes[:, None])
-        f1[sl] = grid[sl] - _first_stage_sum(d, rule, params)
-        f2[sl] = gaussian_posterior_mean(grid[sl], locations, p_xi, params.sigma)
+    # g is values1 again: dropping it at once keeps a grid array off the peak.
+    r, f2 = _operator_terms(
+        params, strategy.interp1, strategy.interp2, rule, strategy.grid, strategy.grid
+    )[1:]
+    f1 = np.subtract(strategy.grid, r, out=r)
     if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
         raise NumericError("operator application produced non-finite values")
-    return GridStrategy(grid=grid, values1=f1, values2=f2)
+    return GridStrategy(grid=strategy.grid, values1=f1, values2=f2)
 
 
 @dataclass(frozen=True)
@@ -283,6 +257,9 @@ def frechet_kernel(
 ) -> np.ndarray:
     """Pointwise derivative kernels of the two operator integrands at s.
 
+    F1(x0) = x0 + integral f1 dzeta, with g = gamma1bar(x0) and the
+    first-stage integrand f1(zeta; g, gamma2) = -(1/k^2) { (g - gamma2(zeta))
+    + (zeta - g)(g - gamma2(zeta))^2 / (2 sigma^2) } N(zeta; g, sigma^2).
     With at = (a, b), returns the 2 x 2 matrix K:
 
     K[0,0]: derivative of the first-stage integrand f1(zeta; g, gamma2) with

@@ -589,6 +589,23 @@ def test_bad_picard_flags_exit_two_whichever_method_runs(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["baseline", "--quad-order", "1"], "--quad-order must lie in [2, 64], got 1"),
+        (["solve", "--quad-order", "65"], "--quad-order must lie in [2, 64], got 65"),
+        (["solve", "--n", "65"], "--n must lie in [1, 64], got 65"),
+        (["curves", "--method", "wit", "--n", "0"], "--n must lie in [1, 64], got 0"),
+    ],
+)
+def test_rule_orders_beyond_the_rules_exit_two_naming_the_flag(capsys, argv, message):
+    """An order-1 payoff rule put the affine baseline's total at 0.0 with
+    exit 0; an order above 64 failed only once a rule was built, for
+    --quad-order after the whole solve, with a message naming no flag."""
+    code, out, err = run_cli(capsys, *argv[:1], "--k", "1", "--sigma-x", "1", *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_a_zero_tol_still_asks_for_exact_checks(capsys):
     code, out, _ = run_cli(capsys, "verify", "identity", "--tol", "0")
     assert code == 0

@@ -147,6 +147,15 @@ def test_affine_quadrature_payoff_is_exact(rule20, unit_params):
     assert got.estimator == "quadrature"
 
 
+@pytest.mark.parametrize("orders", [(1, 20), (20, 1)])
+def test_affine_quadrature_payoff_refuses_an_order_one_rule(unit_params, orders):
+    # An order-1 rule has its one node at 0: every cost it integrates
+    # reads 0.0.
+    outer, inner = (build_hermite_rule(n) for n in orders)
+    with pytest.raises(ConfigurationError, match="order >= 2"):
+        payoff_quadrature(unit_params, affine_optimal(unit_params), outer, inner)
+
+
 def test_affine_optimal_is_stationary_and_minimal(unit_params):
     pair = affine_optimal(unit_params)
     _, total = affine_cost(pair.lam, unit_params)

@@ -22,9 +22,10 @@ from pbpsolve import (
     residual_system,
     solve_signaling_levels,
     solved_pair,
+    stationarity_residual,
     strategy_from_pair,
 )
-from pbpsolve import fixed_point
+from pbpsolve import counterexample, fixed_point
 from pbpsolve.errors import ConfigurationError
 from pbpsolve.quadrature import build_hermite_rule
 
@@ -212,16 +213,35 @@ def test_solved_benchmark_is_nearly_fixed(bench_params, bench_atoms, rule7):
 # ---------------------------------------------------------------------------
 
 def test_operator_values_do_not_depend_on_the_block(monkeypatch, bench_params, bench_pair, rule7):
-    """apply_F takes the grid _BLOCK // order points at a time; blocks of 4
-    points, the last holding a single point, give the same bits as one
-    block over the whole grid."""
+    """F takes x0 _BLOCK // order points at a time; blocks of 4 points, the
+    last holding a single point, give apply_F and stationarity_residual the
+    same bits as one block over the whole grid."""
     s = strategy_from_pair(bench_pair, bench_params)
+    y1 = np.linspace(-25.0, 25.0, 11)
     whole = apply_F(s, bench_params, rule7)
-    monkeypatch.setattr(fixed_point, "_BLOCK", 4 * rule7.order)
+    whole_r = stationarity_residual(bench_params, bench_pair, rule7, s.grid, y1)
+    monkeypatch.setattr(counterexample, "_BLOCK", 4 * rule7.order)
     blocked = apply_F(s, bench_params, rule7)
+    blocked_r = stationarity_residual(bench_params, bench_pair, rule7, s.grid, y1)
     assert s.grid.size % 4 == 1
     assert np.array_equal(blocked.values1, whole.values1)
     assert np.array_equal(blocked.values2, whole.values2)
+    assert all(np.array_equal(a, b) for a, b in zip(blocked_r, whole_r))
+
+
+def test_stationarity_residual_is_the_defect_of_apply_F(strong_params, rule7):
+    """Both read one operator F: at the nodes of a Picard grid pair s, the
+    residuals are s - F(s), r2 bit for bit and r1 up to the rounding of
+    g - x0 + R against g - (x0 - R)."""
+    grid = default_grid(strong_params, points=513, span=8.0)
+    init = strategy_from_pair(affine_optimal(strong_params), strong_params, grid)
+    s = picard_iterate(init, strong_params, rule7, damping=0.5, max_iter=5).strategy
+    image = apply_F(s, strong_params, rule7)
+    r1, r2 = stationarity_residual(strong_params, s.to_pair(), rule7, grid, grid)
+    assert np.array_equal(r2, s.values2 - image.values2)
+    scale = np.abs(grid) + np.abs(s.values1) + np.abs(image.values1)
+    assert np.all(np.abs(r1 - (s.values1 - image.values1)) <= 4 * np.finfo(float).eps * scale)
+    assert np.max(np.abs(r1)) > 1e-6
 
 
 def test_damping_must_lie_in_unit_interval(unit_params, rule20):

@@ -1,8 +1,8 @@
-"""Peak memory of the payoff estimators, the first stage of a collocation
-pair (its build and its queries), the collocation solve and the
-brute-force profile sweep.
+"""Peak memory of the payoff estimators, the best-response operator F, the
+first stage of a collocation pair (its build and its queries), the
+collocation solve and the brute-force profile sweep.
 
-The estimators and the first stage's queries work in blocks of _BLOCK observations, and
+The estimators, F and the first stage's queries work in blocks of _BLOCK observations, and
 the posterior mean in pieces of _BLOCK weights, so their temporaries do not
 grow with samples x levels or with outer x inner nodes x levels; the sweep
 scores profiles in blocks of _BLOCK_CELLS (profile, trajectory) cells.
@@ -21,6 +21,7 @@ import pytest
 from pbpsolve import (
     SignalingLevels,
     affine_optimal,
+    apply_F,
     brute_force_pbp,
     collocation_pair,
     default_grid,
@@ -30,6 +31,7 @@ from pbpsolve import (
     random_model,
     residual_jacobian,
     solve_signaling_levels,
+    stationarity_residual,
     strategy_from_pair,
 )
 from pbpsolve.counterexample import _BLOCK
@@ -74,6 +76,22 @@ def test_payoff_mc_peak_stays_below_five_sample_arrays(bench_params, name):
         pair = strategy_from_pair(pair, bench_params, grid).to_pair()
     peak = _peak_above_entry(lambda: payoff_mc(bench_params, pair, 600_000, 3))
     assert peak < 19 * MB
+
+
+def test_operator_peaks_stay_bounded(bench_params, bench_pair, rule7):
+    # 2^18 + 1 points of x0 are 2.1 MB an array.  stationarity_residual's
+    # single pass over them held the 7-row noise table and gamma2's
+    # weights and peaked at 67.1 MB; F's blocks of _BLOCK // order points
+    # peak near 6.6 MB.  apply_F holds F1, F2 and its GridStrategy's three
+    # copies, 12.9 MB, with F1 formed in R's buffer.
+    x0 = np.linspace(-30.0, 30.0, 2**18 + 1)
+    y1 = np.linspace(-25.0, 25.0, 101)
+    bench_pair.gamma1bar(np.linspace(-60.0, 60.0, 11))
+    peak = _peak_above_entry(lambda: stationarity_residual(bench_params, bench_pair, rule7, x0, y1))
+    assert peak < 16 * MB
+    s = strategy_from_pair(bench_pair, bench_params, x0)
+    peak = _peak_above_entry(lambda: apply_F(s, bench_params, rule7))
+    assert peak < 12.9 * MB + x0.nbytes
 
 
 def test_gamma1bar_peak_does_not_grow_with_the_queries(bench_report):
